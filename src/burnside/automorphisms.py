@@ -11,6 +11,7 @@ since it would contradict a theorem.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -223,7 +224,9 @@ def scan_all_subsets(
     """Run the enumeration over every valid set mod p, one row each.
 
     Rows come back in canonical subset order regardless of the worker
-    count, so serialized scans are byte-identical for any ``jobs``.
+    count, so serialized scans are byte-identical for any ``jobs``. At
+    most ``min(jobs, subsets, os.cpu_count())`` worker processes start;
+    with one, the scan runs in this process.
     """
     p = field.p
     if p > prime_cap:
@@ -234,8 +237,9 @@ def scan_all_subsets(
     if jobs < 1:
         raise InputError(f"worker count must be >= 1, got {jobs}")
     tasks = [(p, dset.elements) for dset in all_diff_sets(field)]
-    if jobs == 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         return [_scan_one(task) for task in tasks]
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_scan_one, tasks, chunksize=chunk))

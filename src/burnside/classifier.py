@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automorphisms import check_preserves
-from .errors import BurnsideError, CapExceeded, InternalInvariantViolation
+from .errors import BurnsideError, CapExceeded, InputError, InternalInvariantViolation
 from .fields import DiffSet, PrimeField
 from .groups import (
     GroupSpec,
     derived_series,
     enumerate_group,
     orbit_of_pair,
-    orbit_of_point,
+    transitivity_tests,
 )
 from .permutations import AffineCoeffs, Perm, make_affine, recognize_affine, relabel_to_translation
 
@@ -53,20 +53,27 @@ class Classification:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Classification":
-        field = PrimeField(int(payload["p"]))
-        variant = payload["variant"]
-        if variant != SOLVABLE_AFFINE:
-            return cls(field, variant)
-        return cls(
-            field,
-            variant,
-            relabeling=Perm(field, tuple(payload["relabeling"])),
-            diff_set=DiffSet(field, tuple(payload["diff_set"])),
-            embedding=tuple(
-                AffineCoeffs(int(c["a"]), int(c["b"])) for c in payload["embedding"]
-            ),
-            group_order=int(payload["group_order"]),
-        )
+        """Inverse of ``to_payload``; malformed payloads raise InputError."""
+        try:
+            field = PrimeField(int(payload["p"]))
+            variant = payload["variant"]
+            if variant != SOLVABLE_AFFINE:
+                return cls(field, variant)
+            return cls(
+                field,
+                variant,
+                relabeling=Perm(field, tuple(payload["relabeling"])),
+                diff_set=DiffSet(field, tuple(payload["diff_set"])),
+                embedding=tuple(
+                    AffineCoeffs(int(c["a"]), int(c["b"]))
+                    for c in payload["embedding"]
+                ),
+                group_order=int(payload["group_order"]),
+            )
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed classification payload: {exc!r}") from exc
 
 
 def extract_difference_set(spec: GroupSpec) -> DiffSet:
@@ -98,9 +105,10 @@ def classify(spec: GroupSpec) -> Classification:
     """
     field = spec.field
     p = field.p
-    if len(orbit_of_point(spec, 0)) < p:
+    transitive, doubly = transitivity_tests(spec)
+    if not transitive:
         return Classification(field, NOT_TRANSITIVE)
-    if len(orbit_of_pair(spec, (1, 0))) == p * (p - 1):
+    if doubly:
         return Classification(field, DOUBLY_TRANSITIVE)
 
     cap = p * (p - 1)
@@ -166,8 +174,7 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
         p = field.p
         if classification.field != field:
             return False
-        transitive = len(orbit_of_point(spec, 0)) == p
-        doubly = len(orbit_of_pair(spec, (1, 0))) == p * (p - 1)
+        transitive, doubly = transitivity_tests(spec)
 
         if classification.variant == NOT_TRANSITIVE:
             return not transitive

@@ -36,9 +36,13 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class EnumeratedGroup:
-    """A fully enumerated group: identity included, closed under products."""
+    """A fully enumerated group: identity included, closed under products.
+
+    ``generators`` generate ``elements``; ``derived_series`` works from them.
+    """
 
     field: PrimeField
+    generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
 
     @property
@@ -87,11 +91,12 @@ def transitivity_tests(spec: GroupSpec) -> tuple[bool, bool]:
     """(is_transitive, is_doubly_transitive) from single-orbit closures.
 
     The pair test uses the base pair (1, 0); a full pair orbit has size
-    p*(p-1) exactly when the group is doubly transitive.
+    p*(p-1) exactly when the group is doubly transitive. It is skipped
+    for an intransitive group, which cannot be doubly transitive.
     """
     p = spec.field.p
     transitive = len(orbit_of_point(spec, 0)) == p
-    doubly = len(orbit_of_pair(spec, (1, 0))) == p * (p - 1)
+    doubly = transitive and len(orbit_of_pair(spec, (1, 0))) == p * (p - 1)
     return transitive, doubly
 
 
@@ -131,33 +136,62 @@ def closure(field: PrimeField, seeds: Iterable[Perm], cap: int) -> list[Perm]:
 def enumerate_group(spec: GroupSpec, cap: int) -> EnumeratedGroup:
     """Enumerate the generated group, erroring past ``cap`` elements."""
     elements = closure(spec.field, spec.generators, cap)
-    return EnumeratedGroup(spec.field, tuple(elements))
+    return EnumeratedGroup(spec.field, spec.generators, tuple(elements))
 
 
 def derived_series(group: EnumeratedGroup) -> list[int]:
     """Orders of the iterated commutator subgroups, until 1 or stabilization.
 
-    The group is solvable exactly when the list ends at 1.
+    The group is solvable exactly when the list ends at 1. Each level is
+    built from generators, never from all pairs of elements: for H = <X>,
+    the commutator subgroup H' is the normal closure in H of the
+    commutators [x, y] with x, y in X (Seress, *Permutation Group
+    Algorithms*, 2003; Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, 2005). The generators of that closure are the X of the
+    next level.
     """
+    field = group.field
     orders = [group.order]
-    current: Sequence[Perm] = group.elements
+    generators = group.generators
     while orders[-1] > 1:
-        commutators = _commutator_generators(current)
-        sub = closure(group.field, commutators, cap=len(current))
-        orders.append(len(sub))
-        if len(sub) == len(current):
+        generators, order = _commutator_subgroup(field, generators, orders[-1])
+        orders.append(order)
+        if order == orders[-2]:
             break  # perfect subgroup: series stabilized above 1
-        current = sub
     return orders
 
 
-def _commutator_generators(elements: Sequence[Perm]) -> list[Perm]:
-    inverses = {g.images: g.inverse() for g in elements}
-    out: dict[tuple[int, ...], Perm] = {}
-    for a in elements:
-        a_inv = inverses[a.images]
-        for b in elements:
-            c = a_inv.compose(inverses[b.images]).compose(a).compose(b)
-            if c.images not in out:
-                out[c.images] = c
-    return list(out.values())
+def _commutator_subgroup(
+    field: PrimeField, generators: Sequence[Perm], order: int
+) -> tuple[tuple[Perm, ...], int]:
+    """Generators and order of H', where H = <generators> has ``order``.
+
+    N starts as the closure of the non-identity [x, y] = x^-1 y^-1 x y.
+    Each generator n of N is conjugated by every x in X; a conjugate
+    outside N joins N's generators and N is closed again. When no
+    conjugate falls outside, N is normal in H, hence N = H'. Conjugating
+    by x alone suffices: x N x^-1 inside the finite N forces equality.
+    """
+    inverses = [x.inverse() for x in generators]
+    seeds: dict[tuple[int, ...], Perm] = {}
+    for x, x_inv in zip(generators, inverses):
+        for y, y_inv in zip(generators, inverses):
+            c = x_inv.compose(y_inv).compose(x).compose(y)
+            if not c.is_identity:
+                seeds.setdefault(c.images, c)
+    n_gens = list(seeds.values())
+    members = {g.images for g in closure(field, n_gens, cap=order)}
+    unchecked = list(n_gens)
+    while unchecked:
+        added = []
+        for n in unchecked:
+            for x, x_inv in zip(generators, inverses):
+                c = x.compose(n).compose(x_inv)
+                if c.images not in members:
+                    members.add(c.images)
+                    added.append(c)
+        if added:
+            n_gens.extend(added)
+            members = {g.images for g in closure(field, n_gens, cap=order)}
+        unchecked = added
+    return tuple(n_gens), len(members)

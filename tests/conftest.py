@@ -3,6 +3,9 @@
 import itertools
 import random
 
+import pytest
+
+import burnside.automorphisms
 from burnside import DiffSet, Perm, PrimeField
 
 
@@ -33,3 +36,31 @@ def random_p_cycle(field: PrimeField, rng: random.Random) -> Perm:
         images[a] = b
     images[points[-1]] = points[0]
     return Perm(field, tuple(images))
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: maps in this process, starts none."""
+
+    def __init__(self, max_workers, started):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Patch the scan's process pool; returns max_workers of each pool made."""
+    started = []
+    monkeypatch.setattr(
+        burnside.automorphisms,
+        "ProcessPoolExecutor",
+        lambda max_workers: FakePool(max_workers, started),
+    )
+    return started

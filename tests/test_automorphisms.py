@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import burnside.automorphisms
 from burnside import (
     AutResult,
     DiffSet,
@@ -217,6 +218,19 @@ class TestScan:
     def test_jobs_guard(self):
         with pytest.raises(InputError):
             scan_all_subsets(PrimeField(5), jobs=0)
+
+    @pytest.mark.parametrize("p, jobs, cpus, started", [
+        (7, 10_000, 4, [4]),    # bounded by the machine
+        (3, 10_000, 4, [2]),    # bounded by the 2 subsets mod 3
+        (7, 3, 8, [3]),         # the request itself is the bound
+        (7, 10_000, None, []),  # unknown CPU count: run in this process
+        (7, 10_000, 1, []),
+    ])
+    def test_worker_count_clamped(self, fake_pool, monkeypatch, p, jobs, cpus, started):
+        monkeypatch.setattr(burnside.automorphisms.os, "cpu_count", lambda: cpus)
+        rows = scan_all_subsets(PrimeField(p), jobs=jobs)
+        assert fake_pool == started
+        assert rows == scan_all_subsets(PrimeField(p), jobs=1)
 
     def test_parallel_matches_sequential(self):
         sequential = scan_all_subsets(PrimeField(7), jobs=1)

@@ -15,6 +15,7 @@ from burnside import (
     classify,
     derived_series,
     enumerate_group,
+    InputError,
     extract_difference_set,
     make_affine,
     verify_certificate,
@@ -198,6 +199,39 @@ class TestPayloadRoundTrip:
         for spec in (symmetric(f), GroupSpec(f, (make_affine((2, 0), f),))):
             c = classify(spec)
             assert Classification.from_payload(c.to_payload()) == c
+
+
+class TestMalformedPayload:
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("relabeling"),
+        lambda d: d.update(embedding=[{"a": 1}]),
+        lambda d: d.update(p="x"),
+    ], ids=["missing-relabeling", "embedding-without-b", "p-not-a-number"])
+    def test_raises_input_error(self, edit):
+        f = PrimeField(7)
+        payload = classify(GroupSpec(f, (translation(f), make_affine((2, 0), f)))).to_payload()
+        edit(payload)
+        with pytest.raises(InputError):
+            Classification.from_payload(payload)
+
+
+class TestLargestDegree:
+    def test_index_two_group_at_p97(self):
+        # T.<m> with m of order 48 mod 97, relabelled: order 97 * 48 = 4656.
+        p = 97
+        f = PrimeField(p)
+        m = 25  # 5 is a primitive root mod 97, and 25 = 5^2
+        rng = random.Random(97)
+        sigma = list(range(p))
+        rng.shuffle(sigma)
+        sigma = Perm(f, tuple(sigma))
+        spec = GroupSpec(f, tuple(
+            g.conjugate(sigma) for g in (translation(f), make_affine((m, 3), f))
+        ))
+        c = classify(spec)
+        assert c.variant == SOLVABLE_AFFINE
+        assert c.group_order == 4656
+        assert verify_certificate(spec, c)
 
 
 class TestAffineSubgroupSweep:

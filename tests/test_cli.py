@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import burnside.automorphisms
 import burnside.classifier
 from burnside import Classification, InputError, verify_certificate
 from burnside.cli import main, parse_group_file
@@ -170,6 +171,15 @@ class TestScanCommand:
         _, one, _ = run_cli(capsys, "scan", "--p", "7", "--jobs", "1")
         _, two, _ = run_cli(capsys, "scan", "--p", "7", "--jobs", "2")
         assert one == two
+
+    def test_huge_jobs_do_not_change_bytes(self, capsys, fake_pool, monkeypatch):
+        monkeypatch.setattr(burnside.automorphisms.os, "cpu_count", lambda: 4)
+        _, one, _ = run_cli(capsys, "scan", "--p", "7", "--jobs", "1")
+        _, many, _ = run_cli(capsys, "scan", "--p", "7", "--jobs", "100000")
+        monkeypatch.setenv("BURNSIDE_JOBS", "100000")
+        _, env, _ = run_cli(capsys, "scan", "--p", "7")
+        assert fake_pool == [4, 4]
+        assert one == many == env
 
     def test_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("BURNSIDE_JOBS", "2")

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from burnside import (
     orbit_of_point,
     transitivity_tests,
 )
+from conftest import random_perm
 
 
 def c_p(field):
@@ -194,3 +196,113 @@ class TestDerivedSeries:
         group = enumerate_group(spec, 60)
         assert group.order == 60
         assert derived_series(group) == [60, 60]
+
+
+def all_pairs_derived_series(elements):
+    """Oracle: each level is closed from the commutators of all its pairs.
+
+    Works on raw image tuples, independent of ``derived_series``.
+    """
+
+    def mul(a, b):  # a after b
+        return tuple(a[i] for i in b)
+
+    def inv(a):
+        out = [0] * len(a)
+        for i, v in enumerate(a):
+            out[v] = i
+        return tuple(out)
+
+    current = {g.images for g in elements}
+    orders = [len(current)]
+    while orders[-1] > 1:
+        inverses = {a: inv(a) for a in current}
+        seeds = {mul(mul(inverses[a], inverses[b]), mul(a, b))
+                 for a in current for b in current}
+        sub = set(seeds)
+        frontier = list(seeds)
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for g in seeds:
+                    q = mul(h, g)
+                    if q not in sub:
+                        sub.add(q)
+                        nxt.append(q)
+            frontier = nxt
+        orders.append(len(sub))
+        if len(sub) == len(current):
+            break
+        current = sub
+    return orders
+
+
+def affine_generating_sets(p):
+    """Generating sets of every transitive subgroup T.<m> of AGL(1, p).
+
+    For each multiplier m: every pair (i -> i+b, i -> m*i+c), and the pair
+    (i -> m*i, i -> m*i+1) that holds no translation; for m = 1, every
+    translation alone. The subgroup is fixed by its order p * ord(m).
+    """
+    f = PrimeField(p)
+    for b in range(1, p):
+        yield (make_affine((1, b), f),)
+    for m in range(2, p):
+        yield (make_affine((m, 0), f), make_affine((m, 1), f))
+        for b in range(1, p):
+            for c in range(p):
+                yield (make_affine((1, b), f), make_affine((m, c), f))
+
+
+class TestDerivedSeriesOracle:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_transitive_affine_subgroups(self, p):
+        oracle = {}
+        for gens in affine_generating_sets(p):
+            group = enumerate_group(GroupSpec(PrimeField(p), gens), p * (p - 1))
+            if group.order not in oracle:
+                oracle[group.order] = all_pairs_derived_series(group.elements)
+            assert derived_series(group) == oracle[group.order]
+        # one subgroup per divisor of p - 1, the translations alone abelian
+        assert len(oracle) == sum((p - 1) % k == 0 for k in range(1, p))
+        assert oracle[p] == [p, 1]
+
+    def test_relabelled_affine_subgroups(self):
+        # Conjugating by a random bijection hides the affine form from the
+        # generators but cannot change the series.
+        p = 13
+        f = PrimeField(p)
+        rng = random.Random(13)
+        for _ in range(20):
+            sigma = random_perm(f, rng)
+            m = rng.randrange(2, p)
+            gens = (make_affine((1, rng.randrange(1, p)), f), make_affine((m, rng.randrange(p)), f))
+            group = enumerate_group(GroupSpec(f, tuple(g.conjugate(sigma) for g in gens)), p * (p - 1))
+            assert derived_series(group) == all_pairs_derived_series(group.elements)
+
+    @pytest.mark.parametrize("gens, expected", [
+        # S_5 = <5-cycle, transposition>, A_5 = <5-cycle, 3-cycle>
+        ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], [120, 60, 60]),
+        ([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], [60, 60]),
+        # S_4 on the points 0..3: the commutators of its two generators
+        # generate only a 3-cycle, so the normal-closure step must run.
+        ([(1, 2, 3, 0, 4), (1, 0, 2, 3, 4)], [24, 12, 4, 1]),
+    ])
+    def test_symmetric_and_alternating(self, gens, expected):
+        f = PrimeField(5)
+        group = enumerate_group(GroupSpec(f, tuple(Perm(f, g) for g in gens)), 120)
+        assert all_pairs_derived_series(group.elements) == expected
+        assert derived_series(group) == expected
+
+    def test_random_subgroups_of_s5(self):
+        f = PrimeField(5)
+        rng = random.Random(5)
+        for _ in range(40):
+            gens = tuple(random_perm(f, rng) for _ in range(rng.randrange(1, 4)))
+            group = enumerate_group(GroupSpec(f, gens), 120)
+            assert derived_series(group) == all_pairs_derived_series(group.elements)
+
+    def test_trivial_group(self):
+        f = PrimeField(5)
+        group = enumerate_group(GroupSpec(f, (Perm.identity(f),)), 1)
+        assert derived_series(group) == [1]
