@@ -141,7 +141,10 @@ def _digest(text: str) -> str:
 
 def _cmd_classify(args) -> tuple[dict, dict, str, int]:
     if args.group == "-":
-        content = sys.stdin.read()
+        try:
+            content = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"group input is not UTF-8: {exc}") from None
         name = "<stdin>"
     else:
         try:
@@ -149,6 +152,8 @@ def _cmd_classify(args) -> tuple[dict, dict, str, int]:
                 content = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read group file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"group file is not UTF-8: {exc}") from None
         name = args.group
     spec = parse_group_file(io.StringIO(content), name)
     result = classify(spec).to_payload()

@@ -114,8 +114,19 @@ class FpPoly:
         return FpPoly(self.field, tuple(a * c % p for a in self.coeffs))
 
     def __pow__(self, exponent: int) -> "FpPoly":
+        """f**e. For a binomial f = c*X**v + d*X**(v+1) (c != 0, d may be 0)
+        with deg(f)*e <= p-1, by J.C.P. Miller's power recurrence (Knuth,
+        TAOCP vol. 2, section 4.7), which for a linear factor is the binomial
+        ratio: O(e) coefficient operations, and every k it divides by is at
+        most e <= p-1, hence a unit. Every other f, or deg(f)*e >= p, by
+        square-and-multiply."""
         if exponent < 0:
             raise InputError(f"polynomial power must be >= 0, got {exponent}")
+        cs, p = self.coeffs, self.field.p
+        if cs and (len(cs) - 1) * exponent <= p - 1:
+            v = next(i for i, c in enumerate(cs) if c)
+            if len(cs) - v <= 2:
+                return FpPoly(self.field, _binomial_power(cs, v, exponent, p))
         result = FpPoly.one(self.field)
         base = self
         e = exponent
@@ -133,13 +144,6 @@ class FpPoly:
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % p
         return acc
-
-    def derivative(self) -> "FpPoly":
-        p = self.field.p
-        return FpPoly(
-            self.field,
-            tuple(k * c % p for k, c in enumerate(self.coeffs) if k >= 1),
-        )
 
     def shift(self, u: int) -> "FpPoly":
         """The composition f(X + u), via Horner rebasing; degree preserved."""
@@ -170,6 +174,32 @@ class FpPoly:
             else:
                 terms.append(f"{c}*X^{k}")
         return " + ".join(terms)
+
+
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> tuple[int, ...]:
+    """k**-1 mod p at index k, for k = 1..p-1 (index 0 holds 0)."""
+    return (0,) + tuple(pow(k, -1, p) for k in range(1, p))
+
+
+def _binomial_power(coeffs: Sequence[int], v: int, e: int, p: int) -> list[int]:
+    """Coefficients of f**e for f = c*X**v + d*X**(v+1), c != 0, with
+    deg(f)*e <= p-1.
+
+    Write f = c * X**v * (1 + h*X), h = d/c. Miller's recurrence for the
+    linear factor gives (1 + h*X)**e = sum_k g_k X**k with g_0 = 1 and
+    g_k = g_{k-1} * (e+1-k)/k * h for k = 1..e; each k <= e <= p-1 is a
+    unit, so it is exact mod p. f**e = c**e * X**(v*e) * g.
+    """
+    c = coeffs[v]
+    g = [pow(c, e, p)]  # c**e, carried through every g_k
+    if len(coeffs) - v == 2:
+        inv = _inverses(p)
+        h = coeffs[v + 1] * inv[c] % p
+        e1 = e + 1
+        for k in range(1, e + 1):
+            g.append(g[-1] * (e1 - k) * h * inv[k] % p)
+    return [0] * (v * e) + g
 
 
 @lru_cache(maxsize=None)

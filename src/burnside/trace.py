@@ -13,6 +13,7 @@ signal, not an input rejection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .automorphisms import check_preserves
 from .errors import InputError
@@ -73,11 +74,8 @@ def reduce_by_complement(dset: DiffSet) -> DiffSet:
     return dset.complement()
 
 
-def check_multiset_identity(perm: Perm, dset: DiffSet) -> bool:
-    """For every i, the shifted-image differences reproduce U exactly:
-    {perm(i+u) - perm(i) : u in U} = U."""
-    if not check_preserves(perm, dset):
-        raise InputError("permutation does not preserve U-differences")
+def _multiset_identity(perm: Perm, dset: DiffSet) -> bool:
+    """The multiset identity, for a permutation already known to preserve U."""
     p = perm.field.p
     images = perm.images
     target = set(dset.elements)
@@ -88,21 +86,71 @@ def check_multiset_identity(perm: Perm, dset: DiffSet) -> bool:
     return True
 
 
+def check_multiset_identity(perm: Perm, dset: DiffSet) -> bool:
+    """For every i, the shifted-image differences reproduce U exactly:
+    {perm(i+u) - perm(i) : u in U} = U."""
+    if not check_preserves(perm, dset):
+        raise InputError("permutation does not preserve U-differences")
+    return _multiset_identity(perm, dset)
+
+
+@lru_cache(maxsize=None)
+def _packed_powers(p: int) -> tuple[int, tuple[int, ...]]:
+    """Slot width and, for x = 0..2p-1, the integer whose slot w-1 holds
+    x**w mod p for w = 1..p-1 (rows repeat with period p)."""
+    slot = ((p - 2) * (p - 1)).bit_length()
+    rows = []
+    for x in range(p):
+        row = 0
+        for w in range(p - 1, 0, -1):
+            row = (row << slot) | pow(x, w, p)
+        rows.append(row)
+    return slot, tuple(rows + rows)
+
+
+def _power_sum_identities(perm: Perm, dset: DiffSet) -> list[bool]:
+    """Whether sum_u perm(i+u)**w == sum_u (perm(i)+u)**w mod p holds at
+    every i, for each w = 1..p-1 (entry w-1).
+
+    Both sides are sums of |U| <= p-2 packed rows. A slot holds a residue
+    <= p-1, so a slot of a sum is at most (p-2)*(p-1), which fits in the
+    slot width: no slot carries into the next, and equal integers mean
+    equal sums in every slot, hence every w passes at that i. Unequal
+    integers are unpacked and compared slot by slot mod p, since sums that
+    differ as integers may still agree mod p.
+    """
+    p = perm.field.p
+    slot, rows = _packed_powers(p)
+    mask = (1 << slot) - 1
+    images = perm.images * 2
+    elements = dset.elements
+    passed = [True] * (p - 1)
+    for i in range(p):
+        lhs = sum(rows[images[i + u]] for u in elements)
+        base = images[i]
+        rhs = sum(rows[base + u] for u in elements)
+        if lhs != rhs:
+            for w in range(p - 1):
+                shift = slot * w
+                if ((lhs >> shift) & mask) % p != ((rhs >> shift) & mask) % p:
+                    passed[w] = False
+    return passed
+
+
 def check_power_sum_identity(perm: Perm, dset: DiffSet, w: int) -> bool:
     """sum_u perm(i+u)**w == sum_u (perm(i)+u)**w for every i, mod p."""
     if w < 1:
         raise InputError(f"power-sum identity needs w >= 1, got {w}")
     if not check_preserves(perm, dset):
         raise InputError("permutation does not preserve U-differences")
-    p = perm.field.p
-    images = perm.images
-    powers = [pow(x, w, p) for x in range(p)]
-    for i in range(p):
-        lhs = sum(powers[images[(i + u) % p]] for u in dset.elements) % p
-        rhs = sum(powers[(images[i] + u) % p] for u in dset.elements) % p
-        if lhs != rhs:
-            return False
-    return True
+    # x**w == x**w' mod p for w' = (w-1) mod (p-1) + 1, zero included.
+    return _power_sum_identities(perm, dset)[(w - 1) % (perm.field.p - 1)]
+
+
+def _accumulate(acc: list[int], poly: FpPoly, sign: int = 1) -> None:
+    """acc += sign * poly, coefficient-wise and unreduced."""
+    cs = poly.coeffs
+    acc[:len(cs)] = [a + sign * c for a, c in zip(acc, cs)]
 
 
 def check_vanishing_identity(poly: FpPoly, dset: DiffSet, w: int) -> bool:
@@ -118,12 +166,11 @@ def check_vanishing_identity(poly: FpPoly, dset: DiffSet, w: int) -> bool:
         raise InputError(
             f"degree hypothesis violated: deg(f)*w = {poly.degree * w} > {p - 1}"
         )
-    lhs = FpPoly.zero(poly.field)
-    rhs = FpPoly.zero(poly.field)
+    acc = [0] * p
     for u in dset.elements:
-        lhs = lhs + poly.shift(u) ** w
-        rhs = rhs + (poly + FpPoly.constant(poly.field, u)) ** w
-    return (lhs - rhs).is_zero
+        _accumulate(acc, poly.shift(u) ** w)
+        _accumulate(acc, (poly + FpPoly.constant(poly.field, u)) ** w, -1)
+    return all(c % p == 0 for c in acc)
 
 
 def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
@@ -135,18 +182,18 @@ def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
     if w < 1:
         raise InputError(f"binomial expansion needs w >= 1, got {w}")
     field = poly.field
-    lhs = FpPoly.zero(field)
+    p = field.p
+    acc = [0] * (max(len(poly.coeffs) - 1, 0) * w + 1)
     for u in dset.elements:
-        lhs = lhs + (poly + FpPoly.constant(field, u)) ** w
-    lhs = lhs - (poly ** w).scale(len(dset))
+        _accumulate(acc, (poly + FpPoly.constant(field, u)) ** w)
+    _accumulate(acc, poly ** w, -len(dset))
     powers = [FpPoly.one(field)]
     for _ in range(w):
         powers.append(powers[-1] * poly)
-    rhs = FpPoly.zero(field)
     for k in range(1, w + 1):
-        coeff = binomial_mod_p(w, k, field) * power_sum(dset, k) % field.p
-        rhs = rhs + powers[w - k].scale(coeff)
-    return (lhs - rhs).is_zero
+        coeff = binomial_mod_p(w, k, field) * power_sum(dset, k)
+        _accumulate(acc, powers[w - k], -coeff)
+    return all(c % p == 0 for c in acc)
 
 
 def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
@@ -163,10 +210,11 @@ def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
     if not r <= nw <= p - 1:
         raise InputError(f"leading-coefficient check needs r <= n*w <= p-1, "
                          f"got r={r}, n*w={nw}, p={p}")
-    total = FpPoly.zero(field)
-    x_nw = FpPoly.monomial(field, nw)
+    acc = [0] * (nw + 1)
     for u in dset.elements:
-        total = total + (FpPoly(field, (u, 1)) ** nw - x_nw)
+        _accumulate(acc, FpPoly(field, (u, 1)) ** nw)
+    acc[nw] -= len(dset)
+    total = FpPoly(field, acc)
     for k in range(1, r):
         coeff = total.coeffs[nw - k] if nw - k < len(total.coeffs) else 0
         if coeff != 0:
@@ -211,15 +259,14 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         f"|U|={len(dset)} -> |U|={len(reduced)} <= (p-1)/2 = {(p - 1) // 2}",
     ))
 
-    ok = check_multiset_identity(perm, reduced)
+    ok = _multiset_identity(perm, reduced)
     steps.append(TraceStep(
         "multiset_identity", ok,
         "shifted-image differences reproduce U at every point" if ok
         else "some point fails the multiset identity",
     ))
 
-    for w in range(1, p):
-        ok = check_power_sum_identity(perm, reduced, w)
+    for w, ok in enumerate(_power_sum_identities(perm, reduced), start=1):
         steps.append(TraceStep(
             f"power_sum_identity(w={w})", ok,
             "both sums agree at every point" if ok else "sums disagree",

@@ -90,6 +90,22 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["result"]["variant"] == "SOLVABLE_AFFINE"
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_input_exits_1(self, capsys, monkeypatch, tmp_path, source):
+        raw = b"\xff\xfe" + D5_FILE.encode()
+        if source == "file":
+            path = tmp_path / "bad.grp"
+            path.write_bytes(raw)
+            group = str(path)
+        else:
+            stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+            group = "-"
+        code, out, err = run_cli(capsys, "classify", "--group", group)
+        assert code == 1
+        assert "not UTF-8" in err
+        assert out == ""
+
     def test_bad_modulus_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.grp"
         path.write_text("p=6\n0,1,2,3,4,5\n")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnside import (
     FieldMismatch,
@@ -55,11 +57,6 @@ class TestArithmetic:
         f = PrimeField(7)
         assert (FpPoly(f, (1, 2)) ** 3).degree == 3
 
-    def test_derivative_kills_x_to_p(self):
-        f = PrimeField(5)
-        assert FpPoly.monomial(f, 5).derivative().is_zero
-        assert FpPoly(f, (1, 3, 2)).derivative().coeffs == (3, 4)
-
     def test_degrees_add_under_product(self):
         f = PrimeField(11)
         rng = random.Random(7)
@@ -94,6 +91,79 @@ class TestArithmetic:
     def test_scale(self):
         f = PrimeField(5)
         assert FpPoly(f, (1, 2)).scale(3).coeffs == (3, 1)
+
+
+def _repeated_product(poly, e):
+    """The oracle for f ** e: e-fold schoolbook multiplication."""
+    out = FpPoly.one(poly.field)
+    for _ in range(e):
+        out = out * poly
+    return out
+
+
+class TestMillerPower:
+    """f ** e with deg(f)*e <= p-1 takes Miller's recurrence when f is a
+    binomial c*X**v + d*X**(v+1) and square-and-multiply otherwise; both must
+    equal repeated multiplication."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_matches_repeated_product(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p * 53)
+        polys = [FpPoly.zero(f), FpPoly.one(f), FpPoly.constant(f, p - 1)]
+        for n in range(1, p):
+            for _ in range(4):
+                coeffs = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+                polys.append(FpPoly(f, coeffs))
+                v = rng.randrange(1, n + 1)  # lowest term X**v, v >= 1
+                coeffs[:v] = [0] * v
+                polys.append(FpPoly(f, coeffs))
+            # binomial c*X**(n-1) + d*X**n: the recurrence with X**v factored out
+            polys.append(FpPoly(f, [0] * (n - 1) + [rng.randrange(1, p), rng.randrange(1, p)]))
+            polys.append(FpPoly.monomial(f, n, rng.randrange(1, p)))
+        covered = 0
+        for poly in polys:
+            n = max(len(poly.coeffs) - 1, 0)
+            for e in range(0, p if n == 0 else (p - 1) // n + 1):
+                assert poly ** e == _repeated_product(poly, e), (poly.coeffs, e)
+                covered += 1
+        assert covered > 2 * p
+
+    def test_zero_polynomial(self):
+        f = PrimeField(7)
+        assert (FpPoly.zero(f) ** 0).coeffs == (1,)
+        assert (FpPoly.zero(f) ** 3).is_zero
+
+    def test_lowest_term_factored_out(self):
+        f = PrimeField(13)
+        # (X^2 + 2X^3)^3 = X^6 (1 + 2X)^3 = X^6 + 6X^7 + 12X^8 + 8X^9
+        assert (FpPoly(f, (0, 0, 1, 2)) ** 3).coeffs == (0,) * 6 + (1, 6, 12, 8)
+
+    def test_squaring_path_past_the_bound(self):
+        # deg*e >= p: the recurrence would divide by p; square-and-multiply.
+        f = PrimeField(5)
+        assert (FpPoly(f, (1, 1)) ** 5).coeffs == (1, 0, 0, 0, 0, 1)
+        assert FpPoly(f, (2, 1, 3)) ** 4 == _repeated_product(FpPoly(f, (2, 1, 3)), 4)
+
+
+_P = 13
+_polys = st.lists(st.integers(0, _P - 1), max_size=5).map(
+    lambda cs: FpPoly(PrimeField(_P), cs))
+_binomials = st.builds(
+    lambda v, c, d: FpPoly(PrimeField(_P), [0] * v + [c, d]),
+    st.integers(0, 3), st.integers(1, _P - 1), st.integers(0, _P - 1))
+
+
+class TestRingLaws:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.one_of(_binomials, _polys), _polys, _polys,
+           st.integers(0, 8), st.integers(0, 8))
+    def test_ring_laws_and_power_law(self, a, b, c, i, j):
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        # i + j straddles deg*e <= p-1 (Miller) and deg*e >= p (squaring).
+        assert (a ** i) * (a ** j) == a ** (i + j)
 
 
 class TestShift:

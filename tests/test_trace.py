@@ -1,4 +1,5 @@
 import random
+from hashlib import sha256
 
 import pytest
 
@@ -24,7 +25,9 @@ from burnside import (
     run_trace,
 )
 
-from conftest import random_perm
+from burnside.cli import main
+from burnside.trace import _power_sum_identities
+from conftest import all_perms, random_perm
 
 
 class TestComplementReduction:
@@ -108,6 +111,65 @@ class TestPowerSumIdentity:
             check_power_sum_identity(make_affine((2, 0), f), dset, 0)
         with pytest.raises(InputError):
             check_power_sum_identity(Perm(f, (1, 0, 2, 3, 4, 5, 6)), dset, 2)
+
+
+def _power_sum_oracle(perm, dset, w):
+    """The direct check of one w: both sums mod p at every point."""
+    p = perm.field.p
+    images = perm.images
+    return all(
+        sum(pow(images[(i + u) % p], w, p) for u in dset.elements) % p
+        == sum(pow((images[i] + u) % p, w, p) for u in dset.elements) % p
+        for i in range(p)
+    )
+
+
+class TestPackedPowerSums:
+    """The packed kernel checks every w at once; it must agree with the
+    direct per-w check, including on maps that do not preserve U, where the
+    packed sums differ and are unpacked slot by slot."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_matches_direct_check_on_random_maps(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p * 17)
+        sets = list(all_diff_sets(f))
+        unpacked = mixed = 0
+        for _ in range(40):
+            perm = random_perm(f, rng)
+            dset = rng.choice(sets)
+            got = _power_sum_identities(perm, dset)
+            want = [_power_sum_oracle(perm, dset, w) for w in range(1, p)]
+            assert got == want, (perm.images, dset.elements)
+            unpacked += not all(want)
+            mixed += any(want) and not all(want)
+        assert unpacked > 0
+        if p in (5, 7):  # at larger p a random map fails every w
+            assert mixed > 0  # some w pass and some fail on one map
+
+    def test_matches_direct_check_exhaustive_p5(self):
+        # Every map and set at p = 5, including the few where some w passes
+        # although its sums differ as integers at some point.
+        f = PrimeField(5)
+        sets = list(all_diff_sets(f))
+        for perm in all_perms(f):
+            for dset in sets:
+                want = [_power_sum_oracle(perm, dset, w) for w in range(1, 5)]
+                assert _power_sum_identities(perm, dset) == want
+
+    def test_preserving_maps_pass_every_w(self):
+        f = PrimeField(7)
+        dset = DiffSet(f, (1, 2, 4))
+        for q in enumerate_diff_preserving(f, dset).automorphisms:
+            assert _power_sum_identities(q, dset) == [True] * 6
+
+    def test_exponents_past_p_minus_1(self):
+        # x**w depends on w only through (w-1) mod (p-1) + 1, zero included.
+        f = PrimeField(7)
+        dset = DiffSet(f, (1, 2, 4))
+        for q in enumerate_diff_preserving(f, dset).automorphisms[:5]:
+            for w in range(1, 20):
+                assert check_power_sum_identity(q, dset, w) == _power_sum_oracle(q, dset, w)
 
 
 class TestVanishingIdentity:
@@ -274,3 +336,56 @@ class TestRunTrace:
         f5, f7 = PrimeField(5), PrimeField(7)
         with pytest.raises(InputError):
             run_trace(f5, DiffSet(f7, (1,)), Perm.identity(f5))
+
+
+def _subgroup(p, h):
+    """The order-h subgroup of F_p^*, sorted."""
+    return [x for x in range(1, p) if pow(x, h, p) == 1]
+
+
+def _golden_traces():
+    """argv lists for the golden sample: every automorphism of every set for
+    p <= 7, plus fixed affine maps x -> a*x + b with a in M(U) at p = 31, 61
+    and 97, on unions of cosets of a subgroup (sets above (p-1)/2 included,
+    so the complement reduction takes part)."""
+    out = []
+    for p in (3, 5, 7):
+        f = PrimeField(p)
+        for dset in all_diff_sets(f):
+            for q in enumerate_diff_preserving(f, dset).automorphisms:
+                out.append((p, dset.elements, q.images))
+    fixed = [
+        (31, _subgroup(31, 5), 2, 5),
+        (31, [u for u in range(1, 31) if u not in _subgroup(31, 5)], 16, 0),
+        (31, _subgroup(31, 15), 4, 30),
+        (61, _subgroup(61, 6), _subgroup(61, 6)[1], 7),
+        (61, _subgroup(61, 30), 4, 11),
+        (61, [u for u in range(1, 61) if u not in _subgroup(61, 4)], 11, 60),
+        (97, [1], 1, 1),
+        (97, _subgroup(97, 8), _subgroup(97, 8)[1], 40),
+        (97, _subgroup(97, 48), 4, 96),
+        (97, [u for u in range(1, 97) if u not in _subgroup(97, 48)], 9, 3),
+    ]
+    for p, elements, a, b in fixed:
+        out.append((p, tuple(elements), tuple((a * i + b) % p for i in range(p))))
+    return [
+        ["trace", "--p", str(p), "--set", ",".join(map(str, elements)),
+         "--perm", ",".join(map(str, images))]
+        for p, elements, images in out
+    ]
+
+
+class TestGoldenTraceBytes:
+    # SHA-256 of the concatenated `trace` JSON of the sample, recorded with
+    # the per-w power-sum checks and square-and-multiply powers that the
+    # packed kernel and Miller's recurrence replaced: no report byte moved.
+    GOLDEN = "9a010a00e0d74f4ef6444234b8e58136292e9d74591abc013b4585f67a0e6bba"
+
+    def test_trace_json_bytes_unchanged(self, capsys):
+        digest = sha256()
+        argvs = _golden_traces()
+        for argv in argvs:
+            assert main(argv) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert len(argvs) == 600
+        assert digest.hexdigest() == self.GOLDEN
