@@ -45,22 +45,24 @@ class ScanRow:
     min_power_index: int
 
 
+def _preserves(images, member, elements, p: int) -> bool:
+    """Whether images[i] - images[j] is in U whenever i - j is in U."""
+    for u in elements:
+        for j in range(p):
+            if not member[(images[(j + u) % p] - images[j]) % p]:
+                return False
+    return True
+
+
 def check_preserves(perm: Perm, dset: DiffSet) -> bool:
     """Whether i - j in U implies perm(i) - perm(j) in U, for all i, j.
 
     For a permutation of a finite set the implication is automatically an
     equivalence (iterate the map), so one direction suffices.
     """
-    p = perm.field.p
     if dset.field != perm.field:
         raise FieldMismatch("difference set and permutation use different moduli")
-    images = perm.images
-    member = dset.indicator()
-    for u in dset.elements:
-        for j in range(p):
-            if not member[(images[(j + u) % p] - images[j]) % p]:
-                return False
-    return True
+    return _preserves(perm.images, dset.indicator(), dset.elements, perm.field.p)
 
 
 def mult_stabilizer(dset: DiffSet) -> tuple[int, ...]:
@@ -75,6 +77,11 @@ def mult_stabilizer(dset: DiffSet) -> tuple[int, ...]:
 def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
     """Backtracking enumeration of every difference-preserving permutation.
 
+    Translations x -> x + b preserve every difference, so each solution is
+    a translate of exactly one solution fixing 0. The search therefore pins
+    pi(0) = 0 and adds the p translates at the end, sorted so the result
+    comes out in the same lexicographic order as a search over all roots.
+
     Images are assigned in position order 0, 1, ..., p-1 with candidate
     values ascending, pruning with the biconditional
     i - j in U  <=>  pi(i) - pi(j) in U on every assigned pair. Candidate
@@ -84,27 +91,19 @@ def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
         raise FieldMismatch("difference set built over a different modulus")
     p = field.p
     member = dset.indicator()
+    full = (1 << p) - 1
+
+    def rotations(mask: int) -> list[int]:
+        return [((mask << w) | (mask >> (p - w))) & full for w in range(p)]
 
     # For an assigned value w, the values consistent with a forward
     # difference in U are w + U; with one outside U, w + (nonzero non-U).
     # Same split for backward differences via w - U.
-    add_in = [0] * p
-    add_out = [0] * p
-    sub_in = [0] * p
-    sub_out = [0] * p
-    for w in range(p):
-        ai = ao = si = so = 0
-        for d in range(1, p):
-            if member[d]:
-                ai |= 1 << ((w + d) % p)
-                si |= 1 << ((w - d) % p)
-            else:
-                ao |= 1 << ((w + d) % p)
-                so |= 1 << ((w - d) % p)
-        add_in[w], add_out[w] = ai, ao
-        sub_in[w], sub_out[w] = si, so
+    add_in = rotations(sum(1 << u for u in dset.elements))
+    sub_in = rotations(sum(1 << (p - u) for u in dset.elements))
+    add_out = [full & ~m & ~(1 << w) for w, m in enumerate(add_in)]
+    sub_out = [full & ~m & ~(1 << w) for w, m in enumerate(sub_in)]
 
-    full = (1 << p) - 1
     solutions: list[tuple[int, ...]] = []
     img = [0] * p
 
@@ -132,9 +131,15 @@ def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
             if viable:
                 extend(k + 1, used_v, nxt)
 
-    extend(0, 0, [full] * p)
-    perms = tuple(Perm(field, s) for s in solutions)
-    all_affine = all(recognize_affine(q) is not None for q in perms)
+    extend(0, 0, [1] + [full] * (p - 1))
+    # A translate of an affine map is affine: checking the maps fixing 0
+    # decides all_affine for the whole set.
+    all_affine = all(recognize_affine(Perm(field, s)) is not None for s in solutions)
+    shifted = [tuple(range(b, p)) + tuple(range(b)) for b in range(p)]
+    tables = sorted(
+        tuple(map(shift.__getitem__, s)) for s in solutions for shift in shifted
+    )
+    perms = tuple(Perm(field, t) for t in tables)
     return AutResult(dset, perms, mult_stabilizer(dset), all_affine)
 
 
@@ -148,19 +153,11 @@ def naive_enumerate(field: PrimeField, dset: DiffSet) -> AutResult:
             f"naive enumeration is capped at degree {NAIVE_DEGREE_CAP}, got {p}"
         )
     member = dset.indicator()
-    elems = dset.elements
-    found = []
-    for images in itertools.permutations(range(p)):
-        ok = True
-        for u in elems:
-            for j in range(p):
-                if not member[(images[(j + u) % p] - images[j]) % p]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(Perm(field, images))
+    found = [
+        Perm(field, images)
+        for images in itertools.permutations(range(p))
+        if _preserves(images, member, dset.elements, p)
+    ]
     all_affine = all(recognize_affine(q) is not None for q in found)
     return AutResult(dset, tuple(found), mult_stabilizer(dset), all_affine)
 

@@ -214,6 +214,7 @@ def _cmd_scan(args) -> tuple[dict, dict, str, int]:
     payload = {
         "p": field.p,
         "subsets": len(rows),
+        # U != U^c for every valid U, so the rows split into exactly len/2 pairs.
         "complement_classes": len(rows) // 2,
         "max_automorphism_count": max(r.automorphism_count for r in rows),
         "violations": 0,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .automorphisms import check_preserves
-from .errors import InputError
+from .errors import FieldMismatch, InputError
 from .fields import DiffSet, PrimeField, binomial_mod_p, min_nonzero_power_sum, power_sum
 from .permutations import Perm
 from .polynomials import FpPoly, interpolate
@@ -160,6 +160,8 @@ def check_vanishing_identity(poly: FpPoly, dset: DiffSet, w: int) -> bool:
     so that vanishing on all of F_p forces the zero polynomial.
     """
     p = poly.field.p
+    if poly.field != dset.field:
+        raise FieldMismatch("polynomial and difference set use different moduli")
     if w < 1:
         raise InputError(f"vanishing identity needs w >= 1, got {w}")
     if poly.degree * w > p - 1:
@@ -179,6 +181,8 @@ def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
     Pure ring algebra: holds for any polynomial whatsoever, so a failure
     means the polynomial arithmetic itself is broken.
     """
+    if poly.field != dset.field:
+        raise FieldMismatch("polynomial and difference set use different moduli")
     if w < 1:
         raise InputError(f"binomial expansion needs w >= 1, got {w}")
     field = poly.field

@@ -159,6 +159,89 @@ class TestEnumeration:
         assert result.all_affine
 
 
+def all_roots_search(field, dset):
+    """The search before pi(0) = 0 was pinned: every root value, pruning
+    tables built pair by pair. Kept as the oracle for the fast search."""
+    p = field.p
+    member = dset.indicator()
+    add_in = [0] * p
+    add_out = [0] * p
+    sub_in = [0] * p
+    sub_out = [0] * p
+    for w in range(p):
+        ai = ao = si = so = 0
+        for d in range(1, p):
+            if member[d]:
+                ai |= 1 << ((w + d) % p)
+                si |= 1 << ((w - d) % p)
+            else:
+                ao |= 1 << ((w + d) % p)
+                so |= 1 << ((w - d) % p)
+        add_in[w], add_out[w] = ai, ao
+        sub_in[w], sub_out[w] = si, so
+
+    full = (1 << p) - 1
+    solutions = []
+    img = [0] * p
+
+    def extend(k, used, allowed):
+        mask = allowed[k] & ~used & full
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            mask ^= low
+            img[k] = v
+            if k + 1 == p:
+                solutions.append(tuple(img))
+                continue
+            used_v = used | low
+            nxt = allowed.copy()
+            viable = True
+            for t in range(k + 1, p):
+                fwd = add_in[v] if member[t - k] else add_out[v]
+                bwd = sub_in[v] if member[(k - t) % p] else sub_out[v]
+                cut = nxt[t] & fwd & bwd
+                if (cut & ~used_v) == 0:
+                    viable = False
+                    break
+                nxt[t] = cut
+            if viable:
+                extend(k + 1, used_v, nxt)
+
+    extend(0, 0, [full] * p)
+    return solutions
+
+
+class TestAllRootsOracle:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_every_set(self, p):
+        f = PrimeField(p)
+        for dset in all_diff_sets(f):
+            fast = enumerate_diff_preserving(f, dset)
+            assert [q.images for q in fast.automorphisms] == all_roots_search(f, dset)
+
+    @pytest.mark.parametrize("p, elements", [
+        (13, (1,)),
+        (13, (1, 12)),
+        (13, (2, 4, 5, 7, 8)),                      # |U| = ceil(p/3)
+        (13, (1, 3, 4, 9, 10, 12)),                 # squares, |U| = (p-1)/2
+        (17, (6, 11)),                              # deep sparse search
+        (17, (1, 4, 9, 10, 13, 15)),
+        (17, (1, 2, 3, 4, 5, 12, 13, 15)),
+        (17, (1, 2, 4, 8, 9, 13, 15, 16)),          # squares
+        (19, (6, 13)),                              # deepest: ~9 s for the oracle
+        (19, (3, 5, 7, 9, 11, 14, 18)),
+        (19, (3, 4, 7, 9, 11, 12, 16, 17, 18)),
+        (19, (1, 4, 5, 6, 7, 9, 11, 16, 17)),       # squares
+    ])
+    def test_fixed_sets(self, p, elements):
+        f = PrimeField(p)
+        dset = DiffSet(f, elements)
+        fast = enumerate_diff_preserving(f, dset)
+        assert [q.images for q in fast.automorphisms] == all_roots_search(f, dset)
+        assert fast.all_affine
+
+
 class TestAffineAssertions:
     def test_count_law_small(self):
         for p in (3, 5, 7):

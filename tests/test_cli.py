@@ -154,6 +154,20 @@ class TestAutCommand:
         code, _, err = run_cli(capsys, "aut", "--p", "7", "--set", "1,x")
         assert code == 1
 
+    @pytest.mark.parametrize("p, elements, stabilizer", [
+        # Sparse sets whose search took 10 s and 23 s while pi(0) ranged
+        # over all of F_p; with pi(0) = 0 pinned, about 0.5 s and 1 s.
+        (19, "6,13", [1, 18]),
+        (23, "15", [1]),
+    ])
+    def test_deep_sparse_search(self, capsys, p, elements, stabilizer):
+        code, out, _ = run_cli(capsys, "aut", "--p", str(p), "--set", elements)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["mult_stabilizer"] == stabilizer
+        assert result["automorphism_count"] == p * len(stabilizer)
+        assert result["all_affine"] is True
+
 
 class TestTraceCommand:
     def test_affine_trace(self, capsys):
@@ -202,6 +216,18 @@ class TestScanCommand:
         code, out, _ = run_cli(capsys, "scan", "--p", "5")
         assert code == 0
         assert json.loads(out)["result"]["subsets"] == 14
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_complement_classes_counts_pairs(self, capsys, p):
+        code, out, _ = run_cli(capsys, "scan", "--p", str(p))
+        assert code == 0
+        result = json.loads(out)["result"]
+        pairs = {
+            frozenset([tuple(row["diff_set"]), tuple(sorted(set(range(1, p)) - set(row["diff_set"])))])
+            for row in result["rows"]
+        }
+        assert all(len(pair) == 2 for pair in pairs)  # U != U^c
+        assert result["complement_classes"] == len(pairs)
 
     def test_cap_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--p", "17")

@@ -6,6 +6,7 @@ import pytest
 from burnside import (
     AFFINE,
     DiffSet,
+    FieldMismatch,
     FpPoly,
     InputError,
     Perm,
@@ -196,6 +197,10 @@ class TestVanishingIdentity:
         cube = FpPoly(f, (0, 0, 0, 1))
         assert not check_vanishing_identity(cube, DiffSet(f, (1,)), 1)
 
+    def test_modulus_mismatch(self):
+        with pytest.raises(FieldMismatch):
+            check_vanishing_identity(FpPoly(PrimeField(5), (1, 2)), DiffSet(PrimeField(7), (6,)), 2)
+
 
 class TestBinomialExpansion:
     def test_worked_example(self):
@@ -222,6 +227,10 @@ class TestBinomialExpansion:
         f = PrimeField(5)
         with pytest.raises(InputError):
             check_binomial_expansion(FpPoly.x(f), DiffSet(f, (1,)), 0)
+
+    def test_modulus_mismatch(self):
+        with pytest.raises(FieldMismatch):
+            check_binomial_expansion(FpPoly(PrimeField(5), (1, 2)), DiffSet(PrimeField(7), (6,)), 2)
 
 
 class TestLeadingCoefficient:
