@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, InputError, PropositionViolated
@@ -21,6 +20,9 @@ from .permutations import Perm, recognize_affine
 
 NAIVE_DEGREE_CAP = 8
 SCAN_PRIME_CAP = 13
+# Imported by the first parallel scan: concurrent.futures.process pulls in
+# multiprocessing (about 2.5 MB resident), which no other command needs.
+ProcessPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,9 @@ def scan_all_subsets(
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         return [_scan_one(task) for task in tasks]
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_scan_one, tasks, chunksize=chunk))

@@ -286,10 +286,15 @@ def _render_text(report: dict, elapsed: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Built once per process: a parser keeps no state between parse_args calls,
+# and building one (each add_argument probes the terminal size) costs about a
+# third of a small `aut` call.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -293,3 +296,21 @@ class TestDispatchPlumbing:
         _, out, _ = run_cli(capsys, "scan", "--p", "5")
         digest = json.loads(out)["input_sha256"]
         assert len(digest) == 64
+
+    def test_parser_reuse_keeps_no_state(self, capsys, tmp_path):
+        # main() reuses one parser: flags from one call must not leak into the next
+        target = tmp_path / "report.txt"
+        first = run_cli(capsys, "aut", "--p", "5", "--set", "1")
+        assert run_cli(capsys, "aut", "--p", "7", "--set", "1,2,4", "--format", "text",
+                       "--output", str(target))[:2] == (0, "")
+        assert run_cli(capsys, "aut", "--p", "5")[0] == 1
+        assert run_cli(capsys, "aut", "--p", "5", "--set", "1") == first
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only a parallel scan needs multiprocessing; see automorphisms.ProcessPoolExecutor
+        src = os.path.dirname(os.path.dirname(burnside.automorphisms.__file__))
+        probe = ("import sys, burnside.cli; "
+                 "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
