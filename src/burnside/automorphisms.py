@@ -228,6 +228,8 @@ def scan_all_subsets(
     with one, the scan runs in this process.
     """
     p = field.p
+    if p < 3:
+        raise InputError(f"no difference set exists mod {p}; scan needs p >= 3")
     if p > prime_cap:
         raise InputError(
             f"subset scan is capped at p <= {prime_cap} "

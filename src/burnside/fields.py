@@ -1,13 +1,14 @@
-"""Arithmetic over F_p plus the symmetric-function helpers built on it.
+"""The prime field F_p, difference sets and the symmetric functions of a set.
 
-Residues are canonical representatives in [0, p-1]; every operation
-normalizes its result so values compare bit-exactly across modules.
+Residues are canonical representatives in [0, p-1]. Every power sum is read
+from one packed table of x**w mod p, whose layout only this module knows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InputError, InternalInvariantViolation
 
@@ -34,46 +35,20 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The prime field F_p; carries the modulus and residue arithmetic."""
+    """The prime field F_p; carries the validated modulus."""
 
     p: int
-    cap: InitVar[int] = DEFAULT_PRIME_CAP
 
-    def __post_init__(self, cap: int) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.p, int) or isinstance(self.p, bool):
             raise InputError(f"modulus must be an integer, got {self.p!r}")
-        if self.p > cap:
-            raise InputError(f"modulus {self.p} exceeds the supported cap {cap}")
+        if self.p > DEFAULT_PRIME_CAP:
+            raise InputError(f"modulus {self.p} exceeds the supported cap {DEFAULT_PRIME_CAP}")
         if not is_prime(self.p):
             raise InputError(f"modulus {self.p} is not prime")
 
-    def elements(self) -> range:
-        return range(self.p)
-
     def nonzero(self) -> range:
         return range(1, self.p)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
-        return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a % self.p, e, self.p)
 
 
 @dataclass(frozen=True)
@@ -130,12 +105,47 @@ def binomial_mod_p(n: int, k: int, field: PrimeField) -> int:
     return math.comb(n, k) % field.p
 
 
+def _slot_width(p: int) -> int:
+    return ((p - 2) * (p - 1)).bit_length()
+
+
+@lru_cache(maxsize=None)
+def packed_powers(p: int) -> tuple[int, ...]:
+    """Row x, for x = 0..2p-1 (period p), holds x**w mod p in slot w-1 for
+    w = 1..p-1. A slot of a sum of at most p-2 rows is at most (p-2)*(p-1),
+    which fits the slot width: sums never carry from one slot into the next.
+    """
+    slot = _slot_width(p)
+    rows = []
+    for x in range(p):
+        row = 0
+        for w in range(p - 1, 0, -1):
+            row = (row << slot) | pow(x, w, p)
+        rows.append(row)
+    return tuple(rows + rows)
+
+
+def unpack_powers(packed: int, p: int) -> tuple[int, ...]:
+    """Slot w-1 of a sum of at most p-2 packed rows, reduced mod p, for
+    w = 1..p-1."""
+    slot = _slot_width(p)
+    mask = (1 << slot) - 1
+    return tuple([(packed >> s & mask) % p for s in range(0, slot * (p - 1), slot)])
+
+
+def power_sums(dset: DiffSet) -> tuple[int, ...]:
+    """(S(1), ..., S(p-1)) with S(k) the sum of u**k over the set, mod p."""
+    p = dset.field.p
+    rows = packed_powers(p)
+    return unpack_powers(sum(rows[u] for u in dset.elements), p)
+
+
 def power_sum(dset: DiffSet, k: int) -> int:
     """Sum of u**k over the set, mod p."""
     if k < 1:
         raise InputError(f"power-sum exponent must be >= 1, got {k}")
-    p = dset.field.p
-    return sum(pow(u, k, p) for u in dset.elements) % p
+    # No member is 0, so u**k depends on k only through (k-1) mod (p-1).
+    return power_sums(dset)[(k - 1) % (dset.field.p - 1)]
 
 
 def min_nonzero_power_sum(dset: DiffSet) -> int:
@@ -144,13 +154,12 @@ def min_nonzero_power_sum(dset: DiffSet) -> int:
     A valid set always has one (its Vandermonde matrix is nonsingular), so
     an all-zero scan signals a bug.
     """
-    p = dset.field.p
-    for k in range(1, p):
-        if power_sum(dset, k) != 0:
+    for k, s in enumerate(power_sums(dset), start=1):
+        if s:
             return k
     raise InternalInvariantViolation(
         "every power sum vanished for a non-empty proper subset",
-        payload={"p": p, "elements": list(dset.elements)},
+        payload={"p": dset.field.p, "elements": list(dset.elements)},
     )
 
 
@@ -165,7 +174,7 @@ def elementary_symmetric_via_newton(dset: DiffSet, m: int) -> list[int]:
         raise InputError(f"Newton recurrence needs m < p, got m={m}, p={p}")
     if not 1 <= m <= len(dset):
         raise InputError(f"need 1 <= m <= |set|={len(dset)}, got m={m}")
-    sums = [power_sum(dset, k) for k in range(1, m + 1)]
+    sums = power_sums(dset)
     es = [1]  # e_0
     for k in range(1, m + 1):
         acc = 0

@@ -206,11 +206,7 @@ def _binomial_power(coeffs: Sequence[int], v: int, e: int, p: int) -> list[int]:
 def _lagrange_basis(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Numerator polynomials and inverted denominators for nodes 0..p-1."""
     # Master product over all of F_p; divide back out one node at a time.
-    master = [1]
-    for x in range(p):
-        master.insert(0, 0)
-        for j in range(len(master) - 1):
-            master[j] = (master[j] - master[j + 1] * x) % p
+    master = FpPoly.from_roots(PrimeField(p), range(p)).coeffs
     nums = []
     denom_invs = []
     for x in range(p):

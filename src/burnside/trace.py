@@ -13,11 +13,18 @@ signal, not an input rejection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .automorphisms import check_preserves
 from .errors import FieldMismatch, InputError
-from .fields import DiffSet, PrimeField, binomial_mod_p, min_nonzero_power_sum, power_sum
+from .fields import (
+    DiffSet,
+    PrimeField,
+    binomial_mod_p,
+    min_nonzero_power_sum,
+    packed_powers,
+    power_sums,
+    unpack_powers,
+)
 from .permutations import Perm
 from .polynomials import FpPoly, interpolate
 
@@ -94,34 +101,17 @@ def check_multiset_identity(perm: Perm, dset: DiffSet) -> bool:
     return _multiset_identity(perm, dset)
 
 
-@lru_cache(maxsize=None)
-def _packed_powers(p: int) -> tuple[int, tuple[int, ...]]:
-    """Slot width and, for x = 0..2p-1, the integer whose slot w-1 holds
-    x**w mod p for w = 1..p-1 (rows repeat with period p)."""
-    slot = ((p - 2) * (p - 1)).bit_length()
-    rows = []
-    for x in range(p):
-        row = 0
-        for w in range(p - 1, 0, -1):
-            row = (row << slot) | pow(x, w, p)
-        rows.append(row)
-    return slot, tuple(rows + rows)
-
-
 def _power_sum_identities(perm: Perm, dset: DiffSet) -> list[bool]:
     """Whether sum_u perm(i+u)**w == sum_u (perm(i)+u)**w mod p holds at
     every i, for each w = 1..p-1 (entry w-1).
 
-    Both sides are sums of |U| <= p-2 packed rows. A slot holds a residue
-    <= p-1, so a slot of a sum is at most (p-2)*(p-1), which fits in the
-    slot width: no slot carries into the next, and equal integers mean
-    equal sums in every slot, hence every w passes at that i. Unequal
+    Both sides are sums of |U| <= p-2 packed rows, which never carry
+    between slots: equal integers mean every w passes at that i. Unequal
     integers are unpacked and compared slot by slot mod p, since sums that
     differ as integers may still agree mod p.
     """
     p = perm.field.p
-    slot, rows = _packed_powers(p)
-    mask = (1 << slot) - 1
+    rows = packed_powers(p)
     images = perm.images * 2
     elements = dset.elements
     passed = [True] * (p - 1)
@@ -130,10 +120,8 @@ def _power_sum_identities(perm: Perm, dset: DiffSet) -> list[bool]:
         base = images[i]
         rhs = sum(rows[base + u] for u in elements)
         if lhs != rhs:
-            for w in range(p - 1):
-                shift = slot * w
-                if ((lhs >> shift) & mask) % p != ((rhs >> shift) & mask) % p:
-                    passed[w] = False
+            lhs, rhs = unpack_powers(lhs, p), unpack_powers(rhs, p)
+            passed = [ok and a == b for ok, a, b in zip(passed, lhs, rhs)]
     return passed
 
 
@@ -194,8 +182,9 @@ def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
     powers = [FpPoly.one(field)]
     for _ in range(w):
         powers.append(powers[-1] * poly)
+    sums = power_sums(dset)
     for k in range(1, w + 1):
-        coeff = binomial_mod_p(w, k, field) * power_sum(dset, k)
+        coeff = binomial_mod_p(w, k, field) * sums[(k - 1) % (p - 1)]
         _accumulate(acc, powers[w - k], -coeff)
     return all(c % p == 0 for c in acc)
 
@@ -223,7 +212,7 @@ def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
         coeff = total.coeffs[nw - k] if nw - k < len(total.coeffs) else 0
         if coeff != 0:
             return False
-    expected = binomial_mod_p(nw, r, field) * power_sum(dset, r) % p
+    expected = binomial_mod_p(nw, r, field) * power_sums(dset)[r - 1] % p
     if expected == 0:
         return False
     if total.degree != nw - r:
@@ -299,7 +288,6 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
 
     r = min_nonzero_power_sum(reduced)
     half = (p - 1) // 2
-    power_sums = tuple(power_sum(reduced, k) for k in range(1, half + 1))
 
     if r <= n * w_max:
         ok = check_leading_coefficient(reduced, n, w_max)
@@ -331,7 +319,7 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         degree=n,
         w_max=w_max,
         min_power_index=r,
-        power_sums=power_sums,
+        power_sums=power_sums(reduced)[:half],
         steps=tuple(steps),
         verdict=verdict,
     )

@@ -302,6 +302,11 @@ class TestScan:
         with pytest.raises(InputError):
             scan_all_subsets(PrimeField(5), jobs=0)
 
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_p2_has_no_sets(self, jobs):
+        with pytest.raises(InputError, match="p >= 3"):
+            scan_all_subsets(PrimeField(2), jobs=jobs)
+
     @pytest.mark.parametrize("p, jobs, cpus, started", [
         (7, 10_000, 4, [4]),    # bounded by the machine
         (3, 10_000, 4, [2]),    # bounded by the 2 subsets mod 3

@@ -237,6 +237,14 @@ class TestScanCommand:
         assert code == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    def test_p2_exits_1(self, capsys, jobs):
+        # No difference set exists mod 2: an input error, not a traceback.
+        code, out, err = run_cli(capsys, "scan", "--p", "2", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "p >= 3" in err
+
 
 class TestInterpCommand:
     def test_affine(self, capsys):
