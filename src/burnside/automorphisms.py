@@ -1,8 +1,10 @@
 """Exhaustive search for difference-preserving permutations.
 
 These are the automorphisms of the circulant digraph whose arcs join pairs
-with difference in a fixed set U. Two independent enumerations are kept: a
-pruned backtracking search (the workhorse) and a plain factorial filter
+with difference in a fixed set U. Two independent enumerations are kept: an
+individualise-refine search over the maps fixing 0 (the workhorse; partition
+refinement as in nauty and Traces, McKay and Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 60, 2014) and a plain factorial filter
 (the cross-check at tiny degree). Every permutation found must be affine
 with a multiplier stabilizing U; anything else is reported as a violation,
 since it would contradict a theorem.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, InputError, PropositionViolated
@@ -76,64 +79,143 @@ def mult_stabilizer(dset: DiffSet) -> tuple[int, ...]:
     )
 
 
+def _refine(cells, where, queue, arcs, p, expected=None):
+    """Refine an ordered partition in place until it is equitable.
+
+    ``cells`` is the list of cells and ``where[x]`` the index of the cell
+    holding x; ``queue`` holds the indices of the splitter cells. Each
+    splitter S splits every cell it reaches by the key (out-count,
+    in-count) of U-neighbours in S, counted through S's own elements:
+    ``arcs[w]`` lists w - U and then w + U minus p, so an in-neighbour x
+    is counted under x - p and ``where[x - p]`` is still x's cell.
+    Fragments are ordered by key, the first keeps the cell's index and the
+    others are appended, so two partitions given the same splits stay
+    matched cell by cell. A waiting cell that splits queues its new
+    fragments; any other cell queues all fragments but its largest, whose
+    counts follow from the others' (as in nauty). Refinement stops early
+    when the partition is discrete.
+
+    Returns the list of per-splitter signatures (each touched cell with
+    its fragments' keys and sizes). Given ``expected``, the signatures of
+    the matching refinement on the other side, returns None at the first
+    signature that differs instead.
+    """
+    waiting = set(queue)
+    trace = []
+    while queue and len(cells) < p:
+        s = queue.pop()
+        waiting.discard(s)
+        count = Counter(itertools.chain.from_iterable(map(arcs.__getitem__, cells[s])))
+        get = count.get
+        signature = []
+        splits = []
+        for c in sorted(set(map(where.__getitem__, count))):
+            cell = cells[c]
+            if len(cell) == 1:
+                x = cell[0]
+                signature.append((c, get(x, 0), get(x - p, 0)))
+                continue
+            groups = {}
+            for x in cell:
+                groups.setdefault((get(x, 0), get(x - p, 0)), []).append(x)
+            frags = sorted(groups.items())
+            signature.append((c, [(key, len(f)) for key, f in frags]))
+            if len(frags) > 1:
+                splits.append((c, [f for _, f in frags]))
+        if expected is not None and signature != expected[len(trace)]:
+            return None
+        trace.append(signature)
+        for c, frags in splits:
+            indices = [c, *range(len(cells), len(cells) + len(frags) - 1)]
+            cells[c] = frags[0]
+            for i, frag in zip(indices[1:], frags[1:]):
+                cells.append(frag)
+                for x in frag:
+                    where[x] = i
+            if c in waiting:
+                del indices[0]
+            else:
+                sizes = [len(f) for f in frags]
+                del indices[sizes.index(max(sizes))]
+            queue.extend(indices)
+            waiting.update(indices)
+    return trace
+
+
+def _individualise(cells, where, c, x):
+    """Split x off cell c into a new last cell; return its index."""
+    cells[c] = [y for y in cells[c] if y != x]
+    cells.append([x])
+    where[x] = len(cells) - 1
+    return where[x]
+
+
+def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
+    """Every difference-preserving map with pi(0) = 0, by individualise-refine.
+
+    Positions and values carry matched ordered partitions, both starting
+    as {0} | rest and refined alike; cell i of positions must map onto
+    cell i of values. The positions side never depends on the values
+    chosen, so it is refined once per level: individualise the first
+    point of the smallest non-singleton cell, refine, repeat until the
+    partition is discrete, recording each refinement's signatures. The
+    values side is searched depth first: each value of the matching cell
+    is individualised in turn and refined against the recorded signatures,
+    and a branch dies at the first key or fragment size that differs. At
+    a discrete partition the map is read off cell by cell and re-checked.
+    """
+    p = dset.field.p
+    elements = dset.elements
+    member = dset.indicator()
+    arcs = [
+        [(w - u) % p for u in elements] + [(w + u) % p - p for u in elements]
+        for w in range(p)
+    ]
+    cells, where = [[0], list(range(1, p))], [0] + [1] * (p - 1)
+    # Every point has |U| out- and in-neighbours in all of F_p, so {0}
+    # alone is enough to start from.
+    _refine(cells, where, [0], arcs, p)
+    # Both sides refine {0} | rest alike, so the values side starts here.
+    stack = [(0, cells.copy(), where.copy())]
+    levels = []
+    while len(cells) < p:
+        _, c = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)
+        queue = [_individualise(cells, where, c, cells[c][0])]
+        levels.append((c, _refine(cells, where, queue, arcs, p)))
+    positions = [cell[0] for cell in cells]
+
+    solutions = []
+    while stack:
+        depth, values, value_where = stack.pop()
+        if depth == len(levels):
+            images = [0] * p
+            for x, cell in zip(positions, values):
+                images[x] = cell[0]
+            if _preserves(images, member, elements, p):
+                solutions.append(tuple(images))
+            continue
+        c, trace = levels[depth]
+        for y in values[c]:
+            child, child_where = values.copy(), value_where.copy()
+            queue = [_individualise(child, child_where, c, y)]
+            if _refine(child, child_where, queue, arcs, p, trace) is not None:
+                stack.append((depth + 1, child, child_where))
+    return solutions
+
+
 def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
-    """Backtracking enumeration of every difference-preserving permutation.
+    """Every difference-preserving permutation, sorted by image table.
 
     Translations x -> x + b preserve every difference, so each solution is
-    a translate of exactly one solution fixing 0. The search therefore pins
-    pi(0) = 0 and adds the p translates at the end, sorted so the result
-    comes out in the same lexicographic order as a search over all roots.
-
-    Images are assigned in position order 0, 1, ..., p-1 with candidate
-    values ascending, pruning with the biconditional
-    i - j in U  <=>  pi(i) - pi(j) in U on every assigned pair. Candidate
-    sets are kept as bitmasks so the pruning is a pair of table lookups.
+    a translate of exactly one solution fixing 0. The search therefore
+    finds the maps fixing 0 (``_maps_fixing_zero``) and adds the p
+    translates of each, sorted so the result comes out in the same
+    lexicographic order as a search over all roots.
     """
     if dset.field != field:
         raise FieldMismatch("difference set built over a different modulus")
     p = field.p
-    member = dset.indicator()
-    full = (1 << p) - 1
-
-    def rotations(mask: int) -> list[int]:
-        return [((mask << w) | (mask >> (p - w))) & full for w in range(p)]
-
-    # For an assigned value w, the values consistent with a forward
-    # difference in U are w + U; with one outside U, w + (nonzero non-U).
-    # Same split for backward differences via w - U.
-    add_in = rotations(sum(1 << u for u in dset.elements))
-    sub_in = rotations(sum(1 << (p - u) for u in dset.elements))
-    add_out = [full & ~m & ~(1 << w) for w, m in enumerate(add_in)]
-    sub_out = [full & ~m & ~(1 << w) for w, m in enumerate(sub_in)]
-
-    solutions: list[tuple[int, ...]] = []
-    img = [0] * p
-
-    def extend(k: int, used: int, allowed: list[int]) -> None:
-        mask = allowed[k] & ~used & full
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            img[k] = v
-            if k + 1 == p:
-                solutions.append(tuple(img))
-                continue
-            used_v = used | low
-            nxt = allowed.copy()
-            viable = True
-            for t in range(k + 1, p):
-                fwd = add_in[v] if member[t - k] else add_out[v]
-                bwd = sub_in[v] if member[(k - t) % p] else sub_out[v]
-                cut = nxt[t] & fwd & bwd
-                if (cut & ~used_v) == 0:
-                    viable = False
-                    break
-                nxt[t] = cut
-            if viable:
-                extend(k + 1, used_v, nxt)
-
-    extend(0, 0, [1] + [full] * (p - 1))
+    solutions = _maps_fixing_zero(dset)
     # A translate of an affine map is affine: checking the maps fixing 0
     # decides all_affine for the whole set.
     all_affine = all(recognize_affine(Perm(field, s)) is not None for s in solutions)
@@ -170,25 +252,35 @@ def assert_all_affine(result: AutResult) -> None:
     Checks that every automorphism is affine and that the count equals
     p * |M(U)|; either failure is a bug, never a property of the input.
     """
-    p = result.diff_set.field.p
-    for q in result.automorphisms:
+    _assert_theorem(
+        result.diff_set,
+        result.automorphisms,
+        len(result.automorphisms),
+        len(result.mult_stabilizer),
+    )
+
+
+def _assert_theorem(dset: DiffSet, perms, count: int, stabilizer_size: int) -> None:
+    """Raise unless every perm is affine and count == p * stabilizer_size."""
+    p = dset.field.p
+    for q in perms:
         if recognize_affine(q) is None:
             raise PropositionViolated(
                 "difference-preserving permutation is not affine",
                 payload={
                     "p": p,
-                    "diff_set": list(result.diff_set.elements),
+                    "diff_set": list(dset.elements),
                     "permutation": list(q.images),
                 },
             )
-    expected = p * len(result.mult_stabilizer)
-    if len(result.automorphisms) != expected:
+    expected = p * stabilizer_size
+    if count != expected:
         raise PropositionViolated(
             "automorphism count disagrees with p * |stabilizer|",
             payload={
                 "p": p,
-                "diff_set": list(result.diff_set.elements),
-                "count": len(result.automorphisms),
+                "diff_set": list(dset.elements),
+                "count": count,
                 "expected": expected,
             },
         )
@@ -202,17 +294,24 @@ def all_diff_sets(field: PrimeField):
 
 
 def _scan_one(args: tuple[int, tuple[int, ...]]) -> ScanRow:
+    """One scan row, checked on the maps fixing 0 alone.
+
+    Every solution is a translate of exactly one map fixing 0, and every
+    translate of an affine map is affine, so "all p * |fixed| maps are
+    affine and number p * |M(U)|" is decided without the translates.
+    """
     p, elements = args
     field = PrimeField(p)
     dset = DiffSet(field, elements)
-    result = enumerate_diff_preserving(field, dset)
-    assert_all_affine(result)
+    fixed = [Perm(field, s) for s in _maps_fixing_zero(dset)]
+    stabilizer = mult_stabilizer(dset)
+    _assert_theorem(dset, fixed, p * len(fixed), len(stabilizer))
     return ScanRow(
         elements=dset.elements,
         size=len(dset),
-        stabilizer_size=len(result.mult_stabilizer),
-        automorphism_count=len(result.automorphisms),
-        all_affine=result.all_affine,
+        stabilizer_size=len(stabilizer),
+        automorphism_count=p * len(fixed),
+        all_affine=True,
         min_power_index=min_nonzero_power_sum(dset),
     )
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -19,9 +20,9 @@ from burnside import (
     recognize_affine,
     scan_all_subsets,
 )
-from burnside.automorphisms import assert_all_affine
+from burnside.automorphisms import _scan_one, assert_all_affine
 
-from conftest import all_perms, random_perm
+from conftest import all_perms, qr_set, random_perm
 
 
 def preserves_biconditional(perm, dset):
@@ -212,6 +213,116 @@ def all_roots_search(field, dset):
     return solutions
 
 
+def position_order_search(field, dset):
+    """The search before individualise-refine: pi(0) = 0 pinned, images
+    assigned in position order 0, 1, ..., p-1 with candidate values
+    ascending, pruning against the points already assigned; then the p
+    translates of each solution, sorted. Kept as the oracle for the
+    refinement search."""
+    p = field.p
+    member = dset.indicator()
+    full = (1 << p) - 1
+
+    def rotations(mask):
+        return [((mask << w) | (mask >> (p - w))) & full for w in range(p)]
+
+    add_in = rotations(sum(1 << u for u in dset.elements))
+    sub_in = rotations(sum(1 << (p - u) for u in dset.elements))
+    add_out = [full & ~m & ~(1 << w) for w, m in enumerate(add_in)]
+    sub_out = [full & ~m & ~(1 << w) for w, m in enumerate(sub_in)]
+
+    solutions = []
+    img = [0] * p
+
+    def extend(k, used, allowed):
+        mask = allowed[k] & ~used & full
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            mask ^= low
+            img[k] = v
+            if k + 1 == p:
+                solutions.append(tuple(img))
+                continue
+            used_v = used | low
+            nxt = allowed.copy()
+            viable = True
+            for t in range(k + 1, p):
+                fwd = add_in[v] if member[t - k] else add_out[v]
+                bwd = sub_in[v] if member[(k - t) % p] else sub_out[v]
+                cut = nxt[t] & fwd & bwd
+                if (cut & ~used_v) == 0:
+                    viable = False
+                    break
+                nxt[t] = cut
+            if viable:
+                extend(k + 1, used_v, nxt)
+
+    extend(0, 0, [1] + [full] * (p - 1))
+    shifted = [tuple(range(b, p)) + tuple(range(b)) for b in range(p)]
+    return sorted(
+        tuple(map(shift.__getitem__, s)) for s in solutions for shift in shifted
+    )
+
+
+class TestPositionOrderOracle:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_set(self, p):
+        f = PrimeField(p)
+        for dset in all_diff_sets(f):
+            fast = enumerate_diff_preserving(f, dset)
+            assert [q.images for q in fast.automorphisms] == position_order_search(f, dset)
+
+
+def coset_union(p, order, count):
+    """The union of the first ``count`` cosets g**j * H of the subgroup H
+    of F_p* of the given order, g the least primitive root."""
+    g = next(g for g in range(2, p)
+             if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    h = pow(g, (p - 1) // order, p)
+    return sorted({pow(g, j, p) * pow(h, k, p) % p
+                   for j in range(count) for k in range(order)})
+
+
+class TestHardSets:
+    """Sets the position-order search took minutes on (or never finished),
+    against the theorem: the maps fixing 0 are exactly x -> a*x, a in M(U)."""
+
+    @pytest.mark.parametrize("p, elements", [
+        (61, (5,)),
+        (97, (5,)),
+        (97, (6, 91)),                                    # a {u, -u} pair
+        (97, tuple(coset_union(97, 16, 3))),              # |U| = 48, |M(U)| = 16
+        (97, qr_set(PrimeField(97)).elements),            # Paley
+        (97, tuple(range(1, 14))),                        # the interval {1..13}
+        (97, tuple(random.Random(97).sample(range(1, 97), 13))),
+    ])
+    def test_maps_fixing_zero_are_multipliers(self, p, elements):
+        f = PrimeField(p)
+        dset = DiffSet(f, elements)
+        result = enumerate_diff_preserving(f, dset)
+        fixing_zero = [q.images for q in result.automorphisms if q.images[0] == 0]
+        assert fixing_zero == sorted(
+            tuple(a * x % p for x in range(p)) for a in mult_stabilizer(dset)
+        )
+        assert len(result.automorphisms) == p * len(result.mult_stabilizer)
+        assert result.all_affine
+
+
+class TestNoCyclicGarbage:
+    def test_searches_leave_nothing_for_the_collector(self):
+        f = PrimeField(19)
+        sets = [(6, 13), (1,), (3, 4, 7, 9, 11, 12, 16, 17, 18)]
+        gc.collect()
+        gc.disable()
+        try:
+            for elements in sets:
+                enumerate_diff_preserving(f, DiffSet(f, elements))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestAllRootsOracle:
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_every_set(self, p):
@@ -324,6 +435,23 @@ class TestScan:
         sequential = scan_all_subsets(PrimeField(7), jobs=1)
         parallel = scan_all_subsets(PrimeField(7), jobs=2)
         assert sequential == parallel
+
+    def test_row_checks_the_maps_fixing_zero(self, monkeypatch):
+        # A search that found only the identity: the count law fails with
+        # the counts of all solutions, p * |fixed| against p * |M(U)|.
+        monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
+                            lambda dset: [tuple(range(dset.field.p))])
+        assert _scan_one((5, (1,))).automorphism_count == 5
+        with pytest.raises(PropositionViolated, match="count disagrees") as exc:
+            _scan_one((5, (1, 4)))
+        assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
+
+    def test_row_rejects_a_non_affine_map(self, monkeypatch):
+        monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
+                            lambda dset: [(0, 2, 1, 3, 4)])
+        with pytest.raises(PropositionViolated, match="not affine") as exc:
+            _scan_one((5, (1,)))
+        assert exc.value.payload["permutation"] == [0, 2, 1, 3, 4]
 
 
 class TestRandomizedCrossCheck:

@@ -158,8 +158,8 @@ class TestAutCommand:
         assert code == 1
 
     @pytest.mark.parametrize("p, elements, stabilizer", [
-        # Sparse sets whose search took 10 s and 23 s while pi(0) ranged
-        # over all of F_p; with pi(0) = 0 pinned, about 0.5 s and 1 s.
+        # Sparse sets whose position-order backtracking took 10 s and 23 s
+        # with pi(0) free, and about 0.5 s and 1 s with pi(0) = 0 pinned.
         (19, "6,13", [1, 18]),
         (23, "15", [1]),
     ])
@@ -169,6 +169,17 @@ class TestAutCommand:
         result = json.loads(out)["result"]
         assert result["mult_stabilizer"] == stabilizer
         assert result["automorphism_count"] == p * len(stabilizer)
+        assert result["all_affine"] is True
+
+    def test_paley_97(self, capsys):
+        # The squares mod 97 never finished under position-order backtracking.
+        squares = sorted({i * i % 97 for i in range(1, 97)})
+        code, out, _ = run_cli(capsys, "aut", "--p", "97",
+                               "--set", ",".join(map(str, squares)))
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["mult_stabilizer"] == squares
+        assert result["automorphism_count"] == 97 * 48
         assert result["all_affine"] is True
 
 
