@@ -5,16 +5,20 @@ with difference in a fixed set U. Two independent enumerations are kept: an
 individualise-refine search over the maps fixing 0 (the workhorse; partition
 refinement as in nauty and Traces, McKay and Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 60, 2014) and a plain factorial filter
-(the cross-check at tiny degree). Every permutation found must be affine
-with a multiplier stabilizing U; anything else is reported as a violation,
-since it would contradict a theorem.
+(the cross-check at tiny degree). The refinement reads every point's
+neighbour counts in a splitter cell from one packed big-integer sum, the
+product of the cell with U's packed neighbour row taken mod X**p - 1
+(``_neighbour_rows``). Every permutation found must be affine with a
+multiplier stabilizing U; anything else is reported as a violation, since
+it would contradict a theorem. The multiplier stabilizer M(U) is computed
+apart from the search, from U alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
+import sys
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, InputError, PropositionViolated
@@ -71,29 +75,46 @@ def check_preserves(perm: Perm, dset: DiffSet) -> bool:
 
 
 def mult_stabilizer(dset: DiffSet) -> tuple[int, ...]:
-    """All a with a*U = U; a subgroup of the multiplicative group."""
+    """All a with a*U = U, ascending; a subgroup of the multiplicative group.
+
+    a*U = U puts a*u0 in U for the least u0 in U, so only the |U|
+    quotients u/u0 are candidates. a*U has |U| distinct elements, so
+    a*U inside U already means a*U = U.
+    """
     p = dset.field.p
-    target = set(dset.elements)
+    elements = dset.elements
+    member = dset.indicator()
+    inverse = pow(elements[0], -1, p)
+    candidates = sorted(u * inverse % p for u in elements)
     return tuple(
-        a for a in range(1, p) if {a * u % p for u in target} == target
+        a for a in candidates if all(member[a * u % p] for u in elements)
     )
 
 
-def _refine(cells, where, queue, arcs, p, expected=None):
+def _refine(cells, where, queue, rows, p, expected=None):
     """Refine an ordered partition in place until it is equitable.
 
     ``cells`` is the list of cells and ``where[x]`` the index of the cell
     holding x; ``queue`` holds the indices of the splitter cells. Each
-    splitter S splits every cell it reaches by the key (out-count,
-    in-count) of U-neighbours in S, counted through S's own elements:
-    ``arcs[w]`` lists w - U and then w + U minus p, so an in-neighbour x
-    is counted under x - p and ``where[x - p]`` is still x's cell.
-    Fragments are ordered by key, the first keeps the cell's index and the
-    others are appended, so two partitions given the same splits stay
-    matched cell by cell. A waiting cell that splits queues its new
-    fragments; any other cell queues all fragments but its largest, whose
-    counts follow from the others' (as in nauty). Refinement stops early
-    when the partition is discrete.
+    splitter S splits every cell it reaches by the key 128*out + in, where
+    out and in count x's out- and in-neighbours (x + U and x - U) in S.
+    All p keys are the 16-bit slots of one packed sum, the sum of
+    ``rows[w]`` over w in S (see ``_neighbour_rows``): slot x collects 128
+    for each u with x + u in S and 1 for each u with x - u in S. out and
+    in are at most |U| <= p - 2 <= 95 < 128 (``PrimeField`` caps p at 97),
+    so a slot holds at most 128*95 + 95 < 2**16 and never carries, and
+    the key orders fragments as (out, in) does. The sum is read as p
+    unsigned 16-bit words in the native byte order, the order
+    ``memoryview.cast`` reads.
+
+    A touched cell splits into fragments ordered by key, each keeping the
+    cell's order; the first keeps the cell's index and the others are
+    appended, so two partitions given the same splits stay matched cell
+    by cell. Fragments are new lists, since partitions copied with
+    ``list.copy`` share their cells. A waiting cell that splits queues
+    its new fragments; any other cell queues all fragments but its
+    largest, whose counts follow from the others' (as in nauty).
+    Refinement stops early when the partition is discrete.
 
     Returns the list of per-splitter signatures (each touched cell with
     its fragments' keys and sizes). Given ``expected``, the signatures of
@@ -105,23 +126,22 @@ def _refine(cells, where, queue, arcs, p, expected=None):
     while queue and len(cells) < p:
         s = queue.pop()
         waiting.discard(s)
-        count = Counter(itertools.chain.from_iterable(map(arcs.__getitem__, cells[s])))
-        get = count.get
+        keys = memoryview(
+            sum(map(rows.__getitem__, cells[s])).to_bytes(2 * p, sys.byteorder)
+        ).cast("H").tolist()
+        key = keys.__getitem__
+        touched = set(map(where.__getitem__, itertools.compress(range(p), keys)))
         signature = []
         splits = []
-        for c in sorted(set(map(where.__getitem__, count))):
+        for c in sorted(touched):
             cell = cells[c]
             if len(cell) == 1:
-                x = cell[0]
-                signature.append((c, get(x, 0), get(x - p, 0)))
+                signature.append((c, keys[cell[0]]))
                 continue
-            groups = {}
-            for x in cell:
-                groups.setdefault((get(x, 0), get(x - p, 0)), []).append(x)
-            frags = sorted(groups.items())
-            signature.append((c, [(key, len(f)) for key, f in frags]))
+            frags = [list(frag) for _, frag in itertools.groupby(sorted(cell, key=key), key)]
+            signature.append((c, [(keys[f[0]], len(f)) for f in frags]))
             if len(frags) > 1:
-                splits.append((c, [f for _, f in frags]))
+                splits.append((c, frags))
         if expected is not None and signature != expected[len(trace)]:
             return None
         trace.append(signature)
@@ -140,6 +160,21 @@ def _refine(cells, where, queue, arcs, p, expected=None):
             queue.extend(indices)
             waiting.update(indices)
     return trace
+
+
+def _neighbour_rows(elements, p: int) -> list[int]:
+    """Row w packs, in 16-bit slot x, 128 if x + u = w and 1 if x - u = w,
+    summed over u in U (indices mod p).
+
+    With X = 2**16 this is the product X**w * R folded mod X**p - 1, where
+    R is the sum over u in U of 128 * X**(p-u) + X**u; so the sum of the
+    rows over a set S is S * R mod X**p - 1, one packed product giving
+    every point's (out, in) counts in S. The fold is done here, once per
+    row: X**w * R shifted past slot p-1 wraps round to slot 0.
+    """
+    low = (1 << 16 * p) - 1
+    r = sum((128 << 16 * (p - u)) + (1 << 16 * u) for u in elements)
+    return [((r << 16 * w) & low) | (r >> 16 * (p - w)) for w in range(p)]
 
 
 def _individualise(cells, where, c, x):
@@ -167,21 +202,18 @@ def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     p = dset.field.p
     elements = dset.elements
     member = dset.indicator()
-    arcs = [
-        [(w - u) % p for u in elements] + [(w + u) % p - p for u in elements]
-        for w in range(p)
-    ]
+    rows = _neighbour_rows(elements, p)
     cells, where = [[0], list(range(1, p))], [0] + [1] * (p - 1)
     # Every point has |U| out- and in-neighbours in all of F_p, so {0}
     # alone is enough to start from.
-    _refine(cells, where, [0], arcs, p)
+    _refine(cells, where, [0], rows, p)
     # Both sides refine {0} | rest alike, so the values side starts here.
     stack = [(0, cells.copy(), where.copy())]
     levels = []
     while len(cells) < p:
         _, c = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)
         queue = [_individualise(cells, where, c, cells[c][0])]
-        levels.append((c, _refine(cells, where, queue, arcs, p)))
+        levels.append((c, _refine(cells, where, queue, rows, p)))
     positions = [cell[0] for cell in cells]
 
     solutions = []
@@ -198,7 +230,7 @@ def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
         for y in values[c]:
             child, child_where = values.copy(), value_where.copy()
             queue = [_individualise(child, child_where, c, y)]
-            if _refine(child, child_where, queue, arcs, p, trace) is not None:
+            if _refine(child, child_where, queue, rows, p, trace) is not None:
                 stack.append((depth + 1, child, child_where))
     return solutions
 
@@ -293,16 +325,15 @@ def all_diff_sets(field: PrimeField):
             yield DiffSet(field, combo)
 
 
-def _scan_one(args: tuple[int, tuple[int, ...]]) -> ScanRow:
+def _scan_one(dset: DiffSet) -> ScanRow:
     """One scan row, checked on the maps fixing 0 alone.
 
     Every solution is a translate of exactly one map fixing 0, and every
     translate of an affine map is affine, so "all p * |fixed| maps are
     affine and number p * |M(U)|" is decided without the translates.
     """
-    p, elements = args
-    field = PrimeField(p)
-    dset = DiffSet(field, elements)
+    field = dset.field
+    p = field.p
     fixed = [Perm(field, s) for s in _maps_fixing_zero(dset)]
     stabilizer = mult_stabilizer(dset)
     _assert_theorem(dset, fixed, p * len(fixed), len(stabilizer))
@@ -336,7 +367,7 @@ def scan_all_subsets(
         )
     if jobs < 1:
         raise InputError(f"worker count must be >= 1, got {jobs}")
-    tasks = [(p, dset.elements) for dset in all_diff_sets(field)]
+    tasks = list(all_diff_sets(field))
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         return [_scan_one(task) for task in tasks]

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from burnside import (
     recognize_affine,
     scan_all_subsets,
 )
-from burnside.automorphisms import _scan_one, assert_all_affine
+from burnside.automorphisms import _maps_fixing_zero, _scan_one, assert_all_affine
 
 from conftest import all_perms, qr_set, random_perm
 
@@ -63,6 +64,16 @@ class TestCheckPreserves:
                 assert check_preserves(perm, dset) == preserves_biconditional(perm, dset)
 
 
+def all_multipliers_stabilizer(dset):
+    """Every a in 1..p-1 with a*U = U, tried one by one. Kept as the oracle
+    for the search over the |U| quotients u/u0."""
+    p = dset.field.p
+    target = set(dset.elements)
+    return tuple(
+        a for a in range(1, p) if {a * u % p for u in target} == target
+    )
+
+
 class TestMultStabilizer:
     def test_examples(self):
         assert mult_stabilizer(DiffSet(PrimeField(7), (1, 2, 4))) == (1, 2, 4)
@@ -79,6 +90,16 @@ class TestMultStabilizer:
                 assert pow(a, -1, p) in stab
                 for b in stab:
                     assert a * b % p in stab
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_matches_all_multipliers_oracle(self, p):
+        for dset in all_diff_sets(PrimeField(p)):
+            assert mult_stabilizer(dset) == all_multipliers_stabilizer(dset)
+
+    def test_matches_all_multipliers_oracle_on_hard_sets(self):
+        for p, elements in HARD_SETS:
+            dset = DiffSet(PrimeField(p), elements)
+            assert mult_stabilizer(dset) == all_multipliers_stabilizer(dset)
 
 
 class TestEnumeration:
@@ -284,18 +305,29 @@ def coset_union(p, order, count):
                    for j in range(count) for k in range(order)})
 
 
+# Sets the position-order search took minutes on (or never finished).
+HARD_SETS = [
+    (61, (5,)),
+    (97, (5,)),
+    (97, (6, 91)),                                    # a {u, -u} pair
+    (97, tuple(coset_union(97, 16, 3))),              # |U| = 48, |M(U)| = 16
+    (97, qr_set(PrimeField(97)).elements),            # Paley
+    (97, tuple(range(1, 14))),                        # the interval {1..13}
+    (97, tuple(random.Random(97).sample(range(1, 97), 13))),
+]
+
+
 class TestHardSets:
-    """Sets the position-order search took minutes on (or never finished),
+    """The hard sets, and the extremes of the packed counts (|U| = 1 and
+    |U| = 95 at p = 97, where a count slot holds up to 128*95 + 95),
     against the theorem: the maps fixing 0 are exactly x -> a*x, a in M(U)."""
 
     @pytest.mark.parametrize("p, elements", [
-        (61, (5,)),
-        (97, (5,)),
-        (97, (6, 91)),                                    # a {u, -u} pair
-        (97, tuple(coset_union(97, 16, 3))),              # |U| = 48, |M(U)| = 16
-        (97, qr_set(PrimeField(97)).elements),            # Paley
-        (97, tuple(range(1, 14))),                        # the interval {1..13}
-        (97, tuple(random.Random(97).sample(range(1, 97), 13))),
+        *HARD_SETS,
+        (97, (1,)),
+        (97, (96,)),
+        (97, tuple(range(2, 97))),
+        (97, tuple(u for u in range(1, 97) if u != 48)),
     ])
     def test_maps_fixing_zero_are_multipliers(self, p, elements):
         f = PrimeField(p)
@@ -307,6 +339,22 @@ class TestHardSets:
         )
         assert len(result.automorphisms) == p * len(result.mult_stabilizer)
         assert result.all_affine
+
+
+class TestGoldenSearch:
+    def test_maps_fixing_zero_digest(self):
+        # The maps fixing 0, in the order the search returns them, for all
+        # 5194 sets with p <= 13 and the hard sets. The order follows the
+        # search tree, so this pins the tree the refinement walks.
+        sets = [dset for p in (3, 5, 7, 11, 13) for dset in all_diff_sets(PrimeField(p))]
+        sets += [DiffSet(PrimeField(p), elements) for p, elements in HARD_SETS]
+        digest = hashlib.sha256()
+        for dset in sets:
+            digest.update(repr((dset.field.p, dset.elements, _maps_fixing_zero(dset))).encode())
+        assert len(sets) == 5201
+        assert digest.hexdigest() == (
+            "15d9a27161c2ad1142445eb8597b0e5fd26041dcf028cfc6d4fd17cd991e6622"
+        )
 
 
 class TestNoCyclicGarbage:
@@ -441,16 +489,16 @@ class TestScan:
         # the counts of all solutions, p * |fixed| against p * |M(U)|.
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
                             lambda dset: [tuple(range(dset.field.p))])
-        assert _scan_one((5, (1,))).automorphism_count == 5
+        assert _scan_one(DiffSet(PrimeField(5), (1,))).automorphism_count == 5
         with pytest.raises(PropositionViolated, match="count disagrees") as exc:
-            _scan_one((5, (1, 4)))
+            _scan_one(DiffSet(PrimeField(5), (1, 4)))
         assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
 
     def test_row_rejects_a_non_affine_map(self, monkeypatch):
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
                             lambda dset: [(0, 2, 1, 3, 4)])
         with pytest.raises(PropositionViolated, match="not affine") as exc:
-            _scan_one((5, (1,)))
+            _scan_one(DiffSet(PrimeField(5), (1,)))
         assert exc.value.payload["permutation"] == [0, 2, 1, 3, 4]
 
 

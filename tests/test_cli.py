@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -242,6 +243,15 @@ class TestScanCommand:
         }
         assert all(len(pair) == 2 for pair in pairs)  # U != U^c
         assert result["complement_classes"] == len(pairs)
+
+    @pytest.mark.parametrize("p, digest", [
+        ("11", "f3eb227c82457471a701118ba707aa177f937b090182ff392a877101026cbeca"),
+        ("13", "b42d33f76bc7f932e786be3560167194414f7220e8edf802bea6a6f1d53b45da"),
+    ])
+    def test_report_bytes(self, capsys, p, digest):
+        code, out, _ = run_cli(capsys, "scan", "--p", p, "--jobs", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_cap_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--p", "17")
