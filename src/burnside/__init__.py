@@ -4,132 +4,27 @@ Classify a generated group as doubly transitive or produce an affine
 solvability certificate; exhaustively enumerate the difference-preserving
 permutations of F_p and confirm they are affine; and replay the identity
 chain behind that fact as a checkable trace.
+
+The package root exports the eight names of the README's library example;
+every other name is imported from the module that defines it.
 """
 
-from .classifier import (
-    DOUBLY_TRANSITIVE,
-    NOT_TRANSITIVE,
-    SOLVABLE_AFFINE,
-    Classification,
-    classify,
-    extract_difference_set,
-    verify_certificate,
-)
-from .automorphisms import (
-    AutResult,
-    ScanRow,
-    all_diff_sets,
-    check_preserves,
-    enumerate_diff_preserving,
-    mult_stabilizer,
-    naive_enumerate,
-    scan_all_subsets,
-)
-from .errors import (
-    BurnsideError,
-    CapExceeded,
-    FieldMismatch,
-    InputError,
-    InternalInvariantViolation,
-    PropositionViolated,
-)
-from .fields import (
-    DiffSet,
-    PrimeField,
-    binomial_mod_p,
-    elementary_symmetric_via_newton,
-    min_nonzero_power_sum,
-    power_sum,
-    vandermonde_det,
-)
-from .groups import (
-    EnumeratedGroup,
-    GroupSpec,
-    derived_series,
-    enumerate_group,
-    orbit_of_pair,
-    orbit_of_point,
-    transitivity_tests,
-)
-from .permutations import (
-    AffineCoeffs,
-    Perm,
-    make_affine,
-    recognize_affine,
-    relabel_to_translation,
-)
-from .polynomials import NEG_INFINITY, FpPoly, interpolate
-from .trace import (
-    AFFINE,
-    VIOLATION,
-    TraceReport,
-    TraceStep,
-    check_binomial_expansion,
-    check_contradiction_bound,
-    check_leading_coefficient,
-    check_multiset_identity,
-    check_power_sum_identity,
-    check_vanishing_identity,
-    reduce_by_complement,
-    run_trace,
-)
+from .automorphisms import enumerate_diff_preserving
+from .classifier import classify, verify_certificate
+from .fields import DiffSet, PrimeField
+from .groups import GroupSpec
+from .permutations import make_affine
+from .trace import run_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AFFINE",
-    "AffineCoeffs",
-    "AutResult",
-    "BurnsideError",
-    "CapExceeded",
-    "Classification",
-    "DOUBLY_TRANSITIVE",
     "DiffSet",
-    "EnumeratedGroup",
-    "FieldMismatch",
-    "FpPoly",
     "GroupSpec",
-    "InputError",
-    "InternalInvariantViolation",
-    "NEG_INFINITY",
-    "NOT_TRANSITIVE",
-    "Perm",
     "PrimeField",
-    "PropositionViolated",
-    "SOLVABLE_AFFINE",
-    "ScanRow",
-    "TraceReport",
-    "TraceStep",
-    "VIOLATION",
-    "all_diff_sets",
-    "binomial_mod_p",
-    "check_binomial_expansion",
-    "check_contradiction_bound",
-    "check_leading_coefficient",
-    "check_multiset_identity",
-    "check_power_sum_identity",
-    "check_preserves",
-    "check_vanishing_identity",
     "classify",
-    "derived_series",
-    "elementary_symmetric_via_newton",
     "enumerate_diff_preserving",
-    "enumerate_group",
-    "extract_difference_set",
-    "interpolate",
     "make_affine",
-    "min_nonzero_power_sum",
-    "mult_stabilizer",
-    "naive_enumerate",
-    "orbit_of_pair",
-    "orbit_of_point",
-    "power_sum",
-    "recognize_affine",
-    "reduce_by_complement",
-    "relabel_to_translation",
     "run_trace",
-    "scan_all_subsets",
-    "transitivity_tests",
-    "vandermonde_det",
     "verify_certificate",
 ]

@@ -51,9 +51,6 @@ class Perm:
             raise InputError(f"cannot parse permutation {text!r}") from None
         return cls(field, images)
 
-    def to_text(self) -> str:
-        return ",".join(str(v) for v in self.images)
-
     def __call__(self, i: int) -> int:
         return self.images[i]
 

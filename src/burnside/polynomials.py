@@ -109,10 +109,6 @@ class FpPoly:
                 out[i + j] = (out[i + j] + a * b) % p
         return FpPoly(self.field, out)
 
-    def scale(self, c: int) -> "FpPoly":
-        p = self.field.p
-        return FpPoly(self.field, tuple(a * c % p for a in self.coeffs))
-
     def __pow__(self, exponent: int) -> "FpPoly":
         """f**e. For a binomial f = c*X**v + d*X**(v+1) (c != 0, d may be 0)
         with deg(f)*e <= p-1, by J.C.P. Miller's power recurrence (Knuth,

@@ -6,7 +6,8 @@ import random
 import pytest
 
 import burnside.automorphisms
-from burnside import DiffSet, Perm, PrimeField
+from burnside import DiffSet, PrimeField
+from burnside.permutations import Perm
 
 
 def qr_set(field: PrimeField) -> DiffSet:

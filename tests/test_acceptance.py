@@ -11,29 +11,26 @@ import random
 import time
 
 from burnside import (
-    AFFINE,
-    DOUBLY_TRANSITIVE,
-    FpPoly,
     GroupSpec,
-    Perm,
     PrimeField,
-    SOLVABLE_AFFINE,
-    all_diff_sets,
-    check_binomial_expansion,
     classify,
-    derived_series,
-    elementary_symmetric_via_newton,
     enumerate_diff_preserving,
-    enumerate_group,
     make_affine,
-    min_nonzero_power_sum,
-    naive_enumerate,
     run_trace,
-    scan_all_subsets,
-    vandermonde_det,
     verify_certificate,
 )
+from burnside.automorphisms import all_diff_sets, naive_enumerate, scan_all_subsets
+from burnside.classifier import DOUBLY_TRANSITIVE, SOLVABLE_AFFINE
 from burnside.cli import main
+from burnside.fields import (
+    elementary_symmetric_via_newton,
+    min_nonzero_power_sum,
+    vandermonde_det,
+)
+from burnside.groups import derived_series, enumerate_group
+from burnside.permutations import Perm
+from burnside.polynomials import FpPoly
+from burnside.trace import AFFINE, check_binomial_expansion
 
 from conftest import qr_set
 

@@ -5,23 +5,20 @@ import random
 import pytest
 
 import burnside.automorphisms
-from burnside import (
+from burnside import DiffSet, PrimeField, enumerate_diff_preserving, make_affine
+from burnside.automorphisms import (
     AutResult,
-    DiffSet,
-    InputError,
-    Perm,
-    PrimeField,
-    PropositionViolated,
+    _maps_fixing_zero,
+    _scan_one,
     all_diff_sets,
+    assert_all_affine,
     check_preserves,
-    enumerate_diff_preserving,
-    make_affine,
     mult_stabilizer,
     naive_enumerate,
-    recognize_affine,
     scan_all_subsets,
 )
-from burnside.automorphisms import _maps_fixing_zero, _scan_one, assert_all_affine
+from burnside.errors import InputError, PropositionViolated
+from burnside.permutations import Perm, recognize_affine
 
 from conftest import all_perms, qr_set, random_perm
 

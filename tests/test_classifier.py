@@ -2,24 +2,20 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burnside import (
-    AffineCoeffs,
+from burnside import GroupSpec, PrimeField, classify, make_affine, verify_certificate
+from burnside.classifier import (
     Classification,
     DOUBLY_TRANSITIVE,
-    GroupSpec,
     NOT_TRANSITIVE,
-    Perm,
-    PrimeField,
     SOLVABLE_AFFINE,
-    classify,
-    derived_series,
-    enumerate_group,
-    InputError,
     extract_difference_set,
-    make_affine,
-    verify_certificate,
 )
+from burnside.errors import InputError
+from burnside.groups import derived_series, enumerate_group
+from burnside.permutations import AffineCoeffs, Perm
 
 
 def translation(field):
@@ -281,3 +277,29 @@ class TestAffineSubgroupSweep:
             seen.add(c.variant)
             assert verify_certificate(spec, c)
         assert SOLVABLE_AFFINE in seen
+
+
+@st.composite
+def _relabelled_affine_subgroup(draw):
+    """T.<m> for m of order k, k a proper divisor of p - 1, relabelled by a
+    random permutation. k = p - 1 gives AGL(1, p), which is sharply doubly
+    transitive (see test_all_generator_pairs)."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]))
+    f = PrimeField(p)
+    k = draw(st.sampled_from([k for k in range(1, p - 1) if (p - 1) % k == 0]))
+    # i -> m*i has order ord(m) mod p.
+    m = next(m for m in range(1, p) if make_affine((m, 0), f).order() == k)
+    sigma = Perm(f, tuple(draw(st.permutations(range(p)))))
+    gens = (translation(f), make_affine((m, draw(st.integers(0, p - 1))), f))
+    return GroupSpec(f, tuple(g.conjugate(sigma) for g in gens)), p * k
+
+
+class TestCertificateProperty:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_relabelled_affine_subgroup())
+    def test_classify_then_verify(self, drawn):
+        spec, order = drawn
+        c = classify(spec)
+        assert c.variant == SOLVABLE_AFFINE
+        assert c.group_order == order
+        assert verify_certificate(spec, c)

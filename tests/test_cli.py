@@ -9,8 +9,10 @@ import pytest
 
 import burnside.automorphisms
 import burnside.classifier
-from burnside import Classification, InputError, verify_certificate
+from burnside import verify_certificate
+from burnside.classifier import Classification
 from burnside.cli import main, parse_group_file
+from burnside.errors import InputError
 
 D5_FILE = """\
 # dihedral group of order 10
@@ -287,6 +289,42 @@ class TestInterpCommand:
     def test_non_bijection_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "interp", "--p", "5", "--perm", "1,1,2,3,4")
         assert code == 1
+
+
+_SQUARES_97 = ",".join(map(str, sorted({i * i % 97 for i in range(1, 97)})))
+_AFFINE_97 = ",".join(str((5 * i + 3) % 97) for i in range(97))
+
+
+class TestGoldenReportBytes:
+    # SHA-256 of stdout; any change to a report byte of these commands fails.
+    @pytest.mark.parametrize("argv, stdin, digest", [
+        (("aut", "--p", "7", "--set", "1,2,4"), None,
+         "3e017fcbd1fcb064fb6e45ee4126d4cf8a2957213dd2a92a4a9b1361626c962a"),
+        (("aut", "--p", "19", "--set", "6,13"), None,
+         "47172850a7e6de4c79f6b93321c0b59ea9da704592a56064d2f245b57f20a380"),
+        (("aut", "--p", "97", "--set", _SQUARES_97), None,
+         "3234d3be76afc83738945255c0300652265f4a0dc702cd741f2053cc66574eb0"),
+        (("classify", "--group", "-"), "p=5\n1,2,3,4,0\n0,4,3,2,1\n",
+         "22cb5dfbe1cdb9722e0cb8306435ec60eb821649340213100c2975472b1f1aa6"),
+        (("classify", "--group", "-"), "p=7\n1,2,3,4,5,6,0\n0,2,4,6,1,3,5\n",
+         "e69b38a47a52bc8c6dbbb090de4c1c39b4e42c239067f70ab78a37a61d527698"),
+        (("classify", "--group", "-"), "p=5\n1,2,3,4,0\n1,0,2,3,4\n",
+         "67ed852824d9ee6a274b9eed86d6afe6c39e8aa53c6182e6adca0ced7cb14e16"),
+        (("classify", "--group", "-"), "p=5\n1,0,2,3,4\n",
+         "9c29e59db669e3e6f740ffcb87ae8ea263f65963bd0eb04248951b1bc4a61b01"),
+        (("interp", "--p", "5", "--perm", "1,0,2,3,4"), None,
+         "e0a8a9b95eb4ab32b058c084d00dcf706c91ec0c1cb53b8ab79816cf54b7f8a0"),
+        (("interp", "--p", "97", "--perm", _AFFINE_97), None,
+         "b475de80edf9b1c2334125c2928d1d0f7661c20c59e04646b85623b7ca589aa1"),
+    ], ids=["aut-paley-7", "aut-sparse-19", "aut-squares-97", "classify-d5",
+            "classify-frobenius-21", "classify-s5", "classify-intransitive",
+            "interp-transposition-5", "interp-affine-97"])
+    def test_report_bytes(self, capsys, monkeypatch, argv, stdin, digest):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDispatchPlumbing:

@@ -1,17 +1,17 @@
 import pytest
 
-from burnside import (
-    DiffSet,
-    InputError,
-    PrimeField,
-    all_diff_sets,
+from burnside import DiffSet, PrimeField
+from burnside.automorphisms import all_diff_sets
+from burnside.errors import InputError
+from burnside.fields import (
     binomial_mod_p,
     elementary_symmetric_via_newton,
+    is_prime,
     min_nonzero_power_sum,
     power_sum,
+    power_sums,
     vandermonde_det,
 )
-from burnside.fields import is_prime, power_sums
 
 from conftest import qr_set
 
@@ -164,7 +164,7 @@ class TestNewton:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_direct_expansion(self, p):
         # e_k from Newton must match the coefficients of prod (X - u).
-        from burnside import FpPoly
+        from burnside.polynomials import FpPoly
 
         f = PrimeField(p)
         for dset in all_diff_sets(f):

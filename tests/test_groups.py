@@ -3,20 +3,16 @@ from collections import Counter
 
 import pytest
 
-from burnside import (
-    CapExceeded,
-    FieldMismatch,
-    GroupSpec,
-    InputError,
-    Perm,
-    PrimeField,
+from burnside import GroupSpec, PrimeField, make_affine
+from burnside.errors import CapExceeded, FieldMismatch, InputError
+from burnside.groups import (
     derived_series,
     enumerate_group,
-    make_affine,
     orbit_of_pair,
     orbit_of_point,
     transitivity_tests,
 )
+from burnside.permutations import Perm
 from conftest import random_perm
 
 

@@ -1,18 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burnside import (
+from burnside import PrimeField, make_affine
+from burnside.errors import FieldMismatch, InputError
+from burnside.permutations import (
     AffineCoeffs,
-    FieldMismatch,
-    InputError,
     Perm,
-    PrimeField,
-    interpolate,
-    make_affine,
     recognize_affine,
     relabel_to_translation,
 )
+from burnside.polynomials import interpolate
 
 from conftest import all_perms, random_p_cycle, random_perm
 
@@ -72,7 +72,7 @@ class TestPermBasics:
         f = PrimeField(5)
         perm = Perm.from_text(f, "1,2,3,4,0")
         assert perm.images == (1, 2, 3, 4, 0)
-        assert Perm.from_text(f, perm.to_text()) == perm
+        assert Perm.from_text(f, ",".join(map(str, perm.images))) == perm
         with pytest.raises(InputError):
             Perm.from_text(f, "1,2,x,4,0")
         with pytest.raises(InputError):
@@ -163,3 +163,23 @@ class TestRelabeling:
         rng = random.Random(3)
         sigma, lam = random_perm(f, rng), random_perm(f, rng)
         assert sigma.conjugate(lam) == lam * sigma * lam.inverse()
+
+
+@st.composite
+def _perm_triple_and_exponents(draw):
+    f = PrimeField(draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23])))
+    perms = [Perm(f, tuple(draw(st.permutations(range(f.p))))) for _ in range(3)]
+    return (*perms, draw(st.integers(-30, 30)), draw(st.integers(-30, 30)))
+
+
+class TestGroupLaws:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_perm_triple_and_exponents())
+    def test_group_laws(self, drawn):
+        g, h, k, a, b = drawn
+        one = Perm.identity(g.field)
+        assert (g * h) * k == g * (h * k)
+        assert one * g == g == g * one
+        assert g * g.inverse() == one == g.inverse() * g
+        assert (g ** a) * (g ** b) == g ** (a + b)
+        assert g ** g.order() == one

@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnside import (
-    FieldMismatch,
-    FpPoly,
-    InputError,
-    NEG_INFINITY,
-    PrimeField,
-    interpolate,
-    make_affine,
-    recognize_affine,
-)
+from burnside import PrimeField, make_affine
+from burnside.errors import FieldMismatch, InputError
+from burnside.fields import is_prime
+from burnside.permutations import Perm, recognize_affine
+from burnside.polynomials import FpPoly, NEG_INFINITY, interpolate
 
 from conftest import all_perms, random_perm
 
@@ -87,10 +82,6 @@ class TestArithmetic:
             a + b
         with pytest.raises(FieldMismatch):
             a * b
-
-    def test_scale(self):
-        f = PrimeField(5)
-        assert FpPoly(f, (1, 2)).scale(3).coeffs == (3, 1)
 
 
 def _repeated_product(poly, e):
@@ -235,6 +226,15 @@ class TestInterpolation:
             perm = random_perm(f, rng)
             poly = interpolate(f, perm)
             assert all(poly.evaluate(i) == perm(i) for i in range(p))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.sampled_from([p for p in range(2, 98) if is_prime(p)])
+           .flatmap(lambda p: st.permutations(range(p))))
+    def test_round_trip_property(self, images):
+        f = PrimeField(len(images))
+        perm = Perm(f, tuple(images))
+        poly = interpolate(f, perm)
+        assert all(poly.evaluate(i) == perm(i) for i in range(f.p))
 
     def test_affinity_criterion_exhaustive(self):
         # Degree <= 1 exactly when consecutive differences are constant,

@@ -4,30 +4,30 @@ from hashlib import sha256
 import pytest
 
 from burnside import (
-    AFFINE,
     DiffSet,
-    FieldMismatch,
-    FpPoly,
-    InputError,
-    Perm,
     PrimeField,
-    all_diff_sets,
+    enumerate_diff_preserving,
+    make_affine,
+    run_trace,
+)
+from burnside.automorphisms import all_diff_sets, check_preserves
+from burnside.cli import main
+from burnside.errors import FieldMismatch, InputError
+from burnside.fields import min_nonzero_power_sum
+from burnside.permutations import Perm
+from burnside.polynomials import FpPoly
+from burnside.trace import (
+    AFFINE,
+    _power_sum_identities,
     check_binomial_expansion,
     check_contradiction_bound,
     check_leading_coefficient,
     check_multiset_identity,
     check_power_sum_identity,
-    check_preserves,
     check_vanishing_identity,
-    enumerate_diff_preserving,
-    make_affine,
-    min_nonzero_power_sum,
     reduce_by_complement,
-    run_trace,
 )
 
-from burnside.cli import main
-from burnside.trace import _power_sum_identities
 from conftest import all_perms, random_perm
 
 
