@@ -242,21 +242,20 @@ def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
     a translate of exactly one solution fixing 0. The search therefore
     finds the maps fixing 0 (``_maps_fixing_zero``) and adds the p
     translates of each, sorted so the result comes out in the same
-    lexicographic order as a search over all roots.
+    lexicographic order as a search over all roots. Burnside's count law
+    is checked on the maps fixing 0 (``_checked_maps_fixing_zero``), so a
+    result is only ever returned with ``all_affine`` true.
     """
     if dset.field != field:
         raise FieldMismatch("difference set built over a different modulus")
     p = field.p
-    solutions = _maps_fixing_zero(dset)
-    # A translate of an affine map is affine: checking the maps fixing 0
-    # decides all_affine for the whole set.
-    all_affine = all(recognize_affine(Perm(field, s)) is not None for s in solutions)
+    fixed, stabilizer = _checked_maps_fixing_zero(dset)
     shifted = [tuple(range(b, p)) + tuple(range(b)) for b in range(p)]
     tables = sorted(
-        tuple(map(shift.__getitem__, s)) for s in solutions for shift in shifted
+        tuple(map(shift.__getitem__, s.images)) for s in fixed for shift in shifted
     )
     perms = tuple(Perm(field, t) for t in tables)
-    return AutResult(dset, perms, mult_stabilizer(dset), all_affine)
+    return AutResult(dset, perms, stabilizer, True)
 
 
 def naive_enumerate(field: PrimeField, dset: DiffSet) -> AutResult:
@@ -325,23 +324,27 @@ def all_diff_sets(field: PrimeField):
             yield DiffSet(field, combo)
 
 
-def _scan_one(dset: DiffSet) -> ScanRow:
-    """One scan row, checked on the maps fixing 0 alone.
+def _checked_maps_fixing_zero(dset: DiffSet) -> tuple[list[Perm], tuple[int, ...]]:
+    """The maps fixing 0 and M(U), once Burnside's count law holds on them.
 
     Every solution is a translate of exactly one map fixing 0, and every
     translate of an affine map is affine, so "all p * |fixed| maps are
     affine and number p * |M(U)|" is decided without the translates.
     """
-    field = dset.field
-    p = field.p
-    fixed = [Perm(field, s) for s in _maps_fixing_zero(dset)]
+    fixed = [Perm(dset.field, s) for s in _maps_fixing_zero(dset)]
     stabilizer = mult_stabilizer(dset)
-    _assert_theorem(dset, fixed, p * len(fixed), len(stabilizer))
+    _assert_theorem(dset, fixed, dset.field.p * len(fixed), len(stabilizer))
+    return fixed, stabilizer
+
+
+def _scan_one(dset: DiffSet) -> ScanRow:
+    """One scan row, checked on the maps fixing 0 alone."""
+    fixed, stabilizer = _checked_maps_fixing_zero(dset)
     return ScanRow(
         elements=dset.elements,
         size=len(dset),
         stabilizer_size=len(stabilizer),
-        automorphism_count=p * len(fixed),
+        automorphism_count=dset.field.p * len(fixed),
         all_affine=True,
         min_power_index=min_nonzero_power_sum(dset),
     )

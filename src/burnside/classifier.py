@@ -53,27 +53,40 @@ class Classification:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Classification":
-        """Inverse of ``to_payload``; malformed payloads raise InputError."""
+        """Inverse of ``to_payload``; malformed payloads raise InputError.
+
+        Every number must be an int (not a bool): a float or a numeric
+        string is rejected, never truncated or parsed.
+        """
         try:
-            field = PrimeField(int(payload["p"]))
+            field = PrimeField(payload["p"])
             variant = payload["variant"]
             if variant != SOLVABLE_AFFINE:
                 return cls(field, variant)
             return cls(
                 field,
                 variant,
-                relabeling=Perm(field, tuple(payload["relabeling"])),
-                diff_set=DiffSet(field, tuple(payload["diff_set"])),
+                relabeling=Perm(field, tuple(map(_int, payload["relabeling"]))),
+                diff_set=DiffSet(field, tuple(map(_int, payload["diff_set"]))),
                 embedding=tuple(
-                    AffineCoeffs(int(c["a"]), int(c["b"]))
+                    AffineCoeffs(_int(c["a"]), _int(c["b"]))
                     for c in payload["embedding"]
                 ),
-                group_order=int(payload["group_order"]),
+                group_order=_int(payload["group_order"]),
             )
         except InputError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed classification payload: {exc!r}") from exc
+
+
+def _int(value) -> int:
+    """The value itself; InputError unless it is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(
+            f"malformed classification payload: {value!r} is not an integer"
+        )
+    return value
 
 
 def extract_difference_set(spec: GroupSpec) -> DiffSet:

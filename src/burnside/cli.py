@@ -34,7 +34,6 @@ from typing import IO, Optional, Sequence
 
 from .automorphisms import (
     SCAN_PRIME_CAP,
-    assert_all_affine,
     enumerate_diff_preserving,
     scan_all_subsets,
 )
@@ -168,7 +167,6 @@ def _cmd_aut(args) -> tuple[dict, dict, str, int]:
     field = PrimeField(args.p)
     dset = DiffSet(field, _parse_int_list(args.set, "difference set"))
     result = enumerate_diff_preserving(field, dset)
-    assert_all_affine(result)
     payload = {
         "p": field.p,
         "diff_set": list(dset.elements),

@@ -1,8 +1,10 @@
-"""Dense polynomial arithmetic over F_p and Lagrange interpolation.
+"""Dense polynomial arithmetic and closed-form interpolation over F_p.
 
 Coefficient lists are indexed by exponent and never carry trailing zeros.
 The zero polynomial has an empty list and degree negative infinity, so
-degree comparisons can never silently treat it as a constant.
+degree comparisons can never silently treat it as a constant. The
+constructor reduces every coefficient mod p, so sums, products and
+interpolation hand it plain integer sums.
 """
 
 from __future__ import annotations
@@ -40,18 +42,8 @@ class FpPoly:
         return cls(field, (1,))
 
     @classmethod
-    def x(cls, field: PrimeField) -> "FpPoly":
-        return cls(field, (0, 1))
-
-    @classmethod
     def constant(cls, field: PrimeField, c: int) -> "FpPoly":
         return cls(field, (c,))
-
-    @classmethod
-    def monomial(cls, field: PrimeField, exponent: int, c: int = 1) -> "FpPoly":
-        if exponent < 0:
-            raise InputError(f"monomial exponent must be >= 0, got {exponent}")
-        return cls(field, (0,) * exponent + (c,))
 
     @classmethod
     def from_roots(cls, field: PrimeField, roots: Iterable[int]) -> "FpPoly":
@@ -87,26 +79,19 @@ class FpPoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.field.p
+            out[i] += c
         return FpPoly(self.field, out)
-
-    def __neg__(self) -> "FpPoly":
-        return FpPoly(self.field, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        return self + (-other)
 
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         self._check_field(other)
         if self.is_zero or other.is_zero:
             return FpPoly.zero(self.field)
-        p = self.field.p
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % p
+                out[i + j] += a * b
         return FpPoly(self.field, out)
 
     def __pow__(self, exponent: int) -> "FpPoly":
@@ -198,31 +183,14 @@ def _binomial_power(coeffs: Sequence[int], v: int, e: int, p: int) -> list[int]:
     return [0] * (v * e) + g
 
 
-@lru_cache(maxsize=None)
-def _lagrange_basis(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Numerator polynomials and inverted denominators for nodes 0..p-1."""
-    # Master product over all of F_p; divide back out one node at a time.
-    master = FpPoly.from_roots(PrimeField(p), range(p)).coeffs
-    nums = []
-    denom_invs = []
-    for x in range(p):
-        # Synthetic division of the master polynomial by (X - x).
-        num = [0] * p
-        num[p - 1] = master[p]
-        for j in range(p - 2, -1, -1):
-            num[j] = (master[j + 1] + num[j + 1] * x) % p
-        value = 0
-        for c in reversed(num):
-            value = (value * x + c) % p
-        nums.append(tuple(num))
-        denom_invs.append(pow(value, -1, p))
-    return tuple(nums), tuple(denom_invs)
-
-
 def interpolate(field: PrimeField, images) -> FpPoly:
-    """The unique polynomial of degree <= p-1 through (i, images[i]) for all i.
+    """The unique polynomial of degree <= p-1 through (a, images[a]) for all a.
 
-    Accepts any length-p sequence of residues, or an object exposing an
+    Over F_p, f = sum_a f(a) * (1 - (X - a)**(p-1)), and C(p-1, k) = (-1)**k
+    mod p, so f has constant term f(0) and, for k = 1..p-1, coefficient
+    -sum_a f(a) * a**(p-1-k) at X**k (with 0**0 = 1).
+
+    Accepts any length-p sequence of integers, or an object exposing an
     ``images`` attribute (a permutation).
     """
     values: Sequence[int] = getattr(images, "images", images)
@@ -231,13 +199,10 @@ def interpolate(field: PrimeField, images) -> FpPoly:
         raise InputError(
             f"interpolation needs exactly {p} values, one per point, got {len(values)}"
         )
-    nums, denom_invs = _lagrange_basis(p)
-    out = [0] * p
-    for i, y in enumerate(values):
-        c = y % p * denom_invs[i] % p
-        if c == 0:
-            continue
-        num = nums[i]
-        for j in range(p):
-            out[j] = (out[j] + c * num[j]) % p
+    out = [values[0]] + [0] * (p - 1)
+    for a, y in enumerate(values):
+        t = y  # y * a**(p-1-k), for k = p-1 down to 1
+        for k in range(p - 1, 0, -1):
+            out[k] -= t
+            t = t * a % p
     return FpPoly(field, out)

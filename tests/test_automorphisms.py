@@ -1,10 +1,14 @@
 import gc
 import hashlib
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
 
 import burnside.automorphisms
+import burnside.cli
 from burnside import DiffSet, PrimeField, enumerate_diff_preserving, make_affine
 from burnside.automorphisms import (
     AutResult,
@@ -433,6 +437,28 @@ class TestAffineAssertions:
         assert exc.value.payload["expected"] == 5
 
 
+def _count_by_aut_command(dset):
+    """`aut` through cli.main; exit 2 comes back as the serialized violation."""
+    out, err = StringIO(), StringIO()
+    argv = ["aut", "--p", str(dset.field.p), "--set", ",".join(map(str, dset))]
+    with redirect_stdout(out), redirect_stderr(err):
+        code = burnside.cli.main(argv)
+    if code == 2:
+        failure = json.loads(err.getvalue())
+        raise PropositionViolated(failure["error"], payload=failure["counterexample"])
+    assert code == 0
+    return json.loads(out.getvalue())["result"]["automorphism_count"]
+
+
+# Every caller that checks Burnside's count law on the maps fixing 0: a
+# scan row, the enumeration, and the `aut` command.
+_COUNTERS = [
+    lambda dset: _scan_one(dset).automorphism_count,
+    lambda dset: len(enumerate_diff_preserving(dset.field, dset).automorphisms),
+    _count_by_aut_command,
+]
+
+
 class TestScan:
     def test_p5_summary(self):
         rows = scan_all_subsets(PrimeField(5))
@@ -486,17 +512,19 @@ class TestScan:
         # the counts of all solutions, p * |fixed| against p * |M(U)|.
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
                             lambda dset: [tuple(range(dset.field.p))])
-        assert _scan_one(DiffSet(PrimeField(5), (1,))).automorphism_count == 5
-        with pytest.raises(PropositionViolated, match="count disagrees") as exc:
-            _scan_one(DiffSet(PrimeField(5), (1, 4)))
-        assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
+        for count in _COUNTERS:
+            assert count(DiffSet(PrimeField(5), (1,))) == 5
+            with pytest.raises(PropositionViolated, match="count disagrees") as exc:
+                count(DiffSet(PrimeField(5), (1, 4)))
+            assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
 
     def test_row_rejects_a_non_affine_map(self, monkeypatch):
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
                             lambda dset: [(0, 2, 1, 3, 4)])
-        with pytest.raises(PropositionViolated, match="not affine") as exc:
-            _scan_one(DiffSet(PrimeField(5), (1,)))
-        assert exc.value.payload["permutation"] == [0, 2, 1, 3, 4]
+        for count in _COUNTERS:
+            with pytest.raises(PropositionViolated, match="not affine") as exc:
+                count(DiffSet(PrimeField(5), (1,)))
+            assert exc.value.payload["permutation"] == [0, 2, 1, 3, 4]
 
 
 class TestRandomizedCrossCheck:

@@ -202,7 +202,17 @@ class TestMalformedPayload:
         lambda d: d.pop("relabeling"),
         lambda d: d.update(embedding=[{"a": 1}]),
         lambda d: d.update(p="x"),
-    ], ids=["missing-relabeling", "embedding-without-b", "p-not-a-number"])
+        # Numbers that int() would truncate or parse: each must be an int.
+        lambda d: d.update(p=7.9),
+        lambda d: d.update(p=7.0),
+        lambda d: d.update(relabeling=[v + 0.5 for v in d["relabeling"]]),
+        lambda d: d.update(diff_set=[str(u) for u in d["diff_set"]]),
+        lambda d: d["embedding"][0].update(a=d["embedding"][0]["a"] + 0.25),
+        lambda d: d["embedding"][0].update(b=True),
+        lambda d: d.update(group_order=float(d["group_order"])),
+    ], ids=["missing-relabeling", "embedding-without-b", "p-not-a-number",
+            "p-float", "p-integral-float", "relabeling-floats", "diff-set-strings",
+            "a-float", "b-bool", "group-order-float"])
     def test_raises_input_error(self, edit):
         f = PrimeField(7)
         payload = classify(GroupSpec(f, (translation(f), make_affine((2, 0), f)))).to_payload()

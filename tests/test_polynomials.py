@@ -30,16 +30,12 @@ class TestConstruction:
         assert zero.is_zero
         assert zero.degree < 0
         assert FpPoly.constant(f, 3).degree == 0
-        assert FpPoly.x(f).degree == 1
+        assert FpPoly(f, (0, 1)).degree == 1
 
     def test_from_roots(self):
         f = PrimeField(7)
         # (X-1)(X-2)(X-4) = X^3 - 7X^2 + 14X - 8 = X^3 - 1 mod 7
         assert FpPoly.from_roots(f, (1, 2, 4)).coeffs == (6, 0, 0, 1)
-
-    def test_monomial_guard(self):
-        with pytest.raises(InputError):
-            FpPoly.monomial(PrimeField(5), -1)
 
 
 class TestArithmetic:
@@ -111,7 +107,7 @@ class TestMillerPower:
                 polys.append(FpPoly(f, coeffs))
             # binomial c*X**(n-1) + d*X**n: the recurrence with X**v factored out
             polys.append(FpPoly(f, [0] * (n - 1) + [rng.randrange(1, p), rng.randrange(1, p)]))
-            polys.append(FpPoly.monomial(f, n, rng.randrange(1, p)))
+            polys.append(FpPoly(f, (0,) * n + (rng.randrange(1, p),)))
         covered = 0
         for poly in polys:
             n = max(len(poly.coeffs) - 1, 0)
@@ -209,7 +205,7 @@ class TestInterpolation:
         with pytest.raises(InputError):
             interpolate(PrimeField(5), (0, 1, 2))
 
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_round_trip_exhaustive(self, p):
         f = PrimeField(p)
         for perm in all_perms(f):
@@ -217,6 +213,18 @@ class TestInterpolation:
             assert poly.degree <= p - 1
             for i in range(p):
                 assert poly.evaluate(i) == perm(i)
+
+    @pytest.mark.parametrize("p", [2, 5, 97])
+    def test_unreduced_values_interpolate_as_their_residues(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p * 17)
+        for _ in range(20):
+            values = [rng.randrange(-3 * p, 3 * p) for _ in range(p)]
+            residues = [v % p for v in values]
+            assert interpolate(f, values) == interpolate(f, residues)
+        # Every value negative or at least p.
+        values = [v - p if v % 2 else v + p for v in range(p)]
+        assert interpolate(f, values).coeffs == (0, 1)
 
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_round_trip_sampled(self, p):

@@ -180,7 +180,7 @@ class TestVanishingIdentity:
 
     def test_identity_polynomial(self):
         f = PrimeField(5)
-        x = FpPoly.x(f)
+        x = FpPoly(f, (0, 1))
         for dset in all_diff_sets(f):
             for w in range(1, 5):
                 assert check_vanishing_identity(x, dset, w)
@@ -226,7 +226,7 @@ class TestBinomialExpansion:
     def test_guard(self):
         f = PrimeField(5)
         with pytest.raises(InputError):
-            check_binomial_expansion(FpPoly.x(f), DiffSet(f, (1,)), 0)
+            check_binomial_expansion(FpPoly(f, (0, 1)), DiffSet(f, (1,)), 0)
 
     def test_modulus_mismatch(self):
         with pytest.raises(FieldMismatch):
