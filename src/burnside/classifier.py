@@ -66,8 +66,8 @@ class Classification:
             return cls(
                 field,
                 variant,
-                relabeling=Perm(field, tuple(map(_int, payload["relabeling"]))),
-                diff_set=DiffSet(field, tuple(map(_int, payload["diff_set"]))),
+                relabeling=Perm(field, tuple(payload["relabeling"])),
+                diff_set=DiffSet(field, tuple(payload["diff_set"])),
                 embedding=tuple(
                     AffineCoeffs(_int(c["a"]), _int(c["b"]))
                     for c in payload["embedding"]

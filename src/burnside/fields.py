@@ -51,6 +51,14 @@ class PrimeField:
         return range(1, self.p)
 
 
+def require_ints(values, what: str) -> None:
+    """InputError unless every entry's type is exactly int: a bool, a float
+    or a numeric string is rejected, never truncated or parsed."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise InputError(f"{what} entries must be integers, got {bad!r}")
+
+
 @dataclass(frozen=True)
 class DiffSet:
     """A non-empty proper subset of F_p \\ {0}, stored as a sorted tuple.
@@ -63,7 +71,9 @@ class DiffSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        elems = tuple(sorted({int(u) for u in self.elements}))
+        elems = tuple(self.elements)
+        require_ints(elems, "difference-set")
+        elems = tuple(sorted(set(elems)))
         object.__setattr__(self, "elements", elems)
         p = self.field.p
         if any(not 1 <= u <= p - 1 for u in elems):

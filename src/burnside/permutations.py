@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import FieldMismatch, InputError
-from .fields import PrimeField
+from .fields import PrimeField, require_ints
 
 
 class AffineCoeffs(NamedTuple):
@@ -30,7 +30,8 @@ class Perm:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(int(v) for v in self.images)
+        images = tuple(self.images)
+        require_ints(images, "image table")
         object.__setattr__(self, "images", images)
         p = self.field.p
         if len(images) != p or sorted(images) != list(range(p)):

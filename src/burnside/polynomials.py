@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatch, InputError
-from .fields import PrimeField
+from .fields import PrimeField, require_ints
 
 NEG_INFINITY = float("-inf")
 
@@ -28,7 +28,8 @@ class FpPoly:
 
     def __post_init__(self) -> None:
         p = self.field.p
-        cs = [int(c) % p for c in self.coeffs]
+        require_ints(self.coeffs, "coefficient")
+        cs = [c % p for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -141,26 +141,48 @@ def _accumulate(acc: list[int], poly: FpPoly, sign: int = 1) -> None:
     acc[:len(cs)] = [a + sign * c for a, c in zip(acc, cs)]
 
 
+def _shifted_power_identities(poly: FpPoly, dset: DiffSet, w: int) -> tuple[bool, bool]:
+    """(vanishing, binomial) for f = poly at exponent w, building
+    T = sum_u (f+u)**w once: sum_u f(X+u)**w - T and T - |U|*f**w -
+    sum_{k=1..w} C(w,k) S(k) f**(w-k) must both be zero polynomials. The
+    f**(w-k) come from schoolbook products, a cross-check of Miller's path."""
+    field, p = poly.field, poly.field.p
+    size = max(len(poly.coeffs) - 1, 0) * w + 1
+    total, shifted = [0] * size, [0] * size
+    for u in dset.elements:
+        _accumulate(total, (poly + FpPoly.constant(field, u)) ** w)
+        _accumulate(shifted, poly.shift(u) ** w)
+    vanishing = all((s - t) % p == 0 for s, t in zip(shifted, total))
+    _accumulate(total, poly ** w, -len(dset))
+    powers = [FpPoly.one(field)]
+    for _ in range(w - 1):
+        powers.append(powers[-1] * poly)
+    sums = power_sums(dset)
+    for k in range(1, w + 1):
+        coeff = binomial_mod_p(w, k, field) * sums[(k - 1) % (p - 1)]
+        _accumulate(total, powers[w - k], -coeff)
+    return vanishing, all(c % p == 0 for c in total)
+
+
+def _check_shifted_power_args(poly: FpPoly, dset: DiffSet, w: int, name: str) -> None:
+    if poly.field != dset.field:
+        raise FieldMismatch("polynomial and difference set use different moduli")
+    if w < 1:
+        raise InputError(f"{name} needs w >= 1, got {w}")
+
+
 def check_vanishing_identity(poly: FpPoly, dset: DiffSet, w: int) -> bool:
     """sum_u f(X+u)**w - sum_u (f(X)+u)**w is the zero polynomial.
 
     Coefficient-wise, not merely zero on points; requires deg(f)*w <= p-1
     so that vanishing on all of F_p forces the zero polynomial.
     """
-    p = poly.field.p
-    if poly.field != dset.field:
-        raise FieldMismatch("polynomial and difference set use different moduli")
-    if w < 1:
-        raise InputError(f"vanishing identity needs w >= 1, got {w}")
-    if poly.degree * w > p - 1:
+    _check_shifted_power_args(poly, dset, w, "vanishing identity")
+    if poly.degree * w > poly.field.p - 1:
         raise InputError(
-            f"degree hypothesis violated: deg(f)*w = {poly.degree * w} > {p - 1}"
+            f"degree hypothesis violated: deg(f)*w = {poly.degree * w} > {poly.field.p - 1}"
         )
-    acc = [0] * p
-    for u in dset.elements:
-        _accumulate(acc, poly.shift(u) ** w)
-        _accumulate(acc, (poly + FpPoly.constant(poly.field, u)) ** w, -1)
-    return all(c % p == 0 for c in acc)
+    return _shifted_power_identities(poly, dset, w)[0]
 
 
 def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
@@ -169,24 +191,8 @@ def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
     Pure ring algebra: holds for any polynomial whatsoever, so a failure
     means the polynomial arithmetic itself is broken.
     """
-    if poly.field != dset.field:
-        raise FieldMismatch("polynomial and difference set use different moduli")
-    if w < 1:
-        raise InputError(f"binomial expansion needs w >= 1, got {w}")
-    field = poly.field
-    p = field.p
-    acc = [0] * (max(len(poly.coeffs) - 1, 0) * w + 1)
-    for u in dset.elements:
-        _accumulate(acc, (poly + FpPoly.constant(field, u)) ** w)
-    _accumulate(acc, poly ** w, -len(dset))
-    powers = [FpPoly.one(field)]
-    for _ in range(w):
-        powers.append(powers[-1] * poly)
-    sums = power_sums(dset)
-    for k in range(1, w + 1):
-        coeff = binomial_mod_p(w, k, field) * sums[(k - 1) % (p - 1)]
-        _accumulate(acc, powers[w - k], -coeff)
-    return all(c % p == 0 for c in acc)
+    _check_shifted_power_args(poly, dset, w, "binomial expansion")
+    return _shifted_power_identities(poly, dset, w)[1]
 
 
 def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
@@ -207,17 +213,10 @@ def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
     for u in dset.elements:
         _accumulate(acc, FpPoly(field, (u, 1)) ** nw)
     acc[nw] -= len(dset)
-    total = FpPoly(field, acc)
-    for k in range(1, r):
-        coeff = total.coeffs[nw - k] if nw - k < len(total.coeffs) else 0
-        if coeff != 0:
-            return False
+    if any(c % p for c in acc[nw - r + 1:]):
+        return False
     expected = binomial_mod_p(nw, r, field) * power_sums(dset)[r - 1] % p
-    if expected == 0:
-        return False
-    if total.degree != nw - r:
-        return False
-    return total.coeffs[nw - r] == expected
+    return acc[nw - r] % p == expected != 0
 
 
 def check_contradiction_bound(p: int, n: int, r: int) -> bool:
@@ -273,17 +272,15 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         f"deg f = {n}, maximal w with n*w <= p-1 is {w_max}",
     ))
 
-    ok = check_vanishing_identity(poly, reduced, w_max)
+    vanishing, binomial = _shifted_power_identities(poly, reduced, w_max)
     steps.append(TraceStep(
-        f"vanishing_identity(w={w_max})", ok,
-        "difference of shifted powers is the zero polynomial" if ok
+        f"vanishing_identity(w={w_max})", vanishing,
+        "difference of shifted powers is the zero polynomial" if vanishing
         else "difference of shifted powers has a nonzero coefficient",
     ))
-
-    ok = check_binomial_expansion(poly, reduced, w_max)
     steps.append(TraceStep(
-        f"binomial_expansion(w={w_max})", ok,
-        "expansion matches the power-sum form" if ok else "expansion mismatch",
+        f"binomial_expansion(w={w_max})", binomial,
+        "expansion matches the power-sum form" if binomial else "expansion mismatch",
     ))
 
     r = min_nonzero_power_sum(reduced)

@@ -65,6 +65,15 @@ class TestDiffSet:
         assert 4 in d and 3 not in d
         assert len(d) == 3
 
+    # int() would truncate or parse each of these into a valid set.
+    @pytest.mark.parametrize("elements", [
+        (1.9, "2"), (1, 2.0), ("3",), (4, "1", 2), (True, 2),
+    ], ids=["float-and-string", "integral-float", "numeric-string",
+            "string-among-ints", "bool"])
+    def test_non_int_entries_rejected(self, elements):
+        with pytest.raises(InputError, match="must be integers"):
+            DiffSet(PrimeField(7), elements)
+
     def test_rejects_zero_member(self):
         with pytest.raises(InputError):
             DiffSet(PrimeField(5), (0, 1))

@@ -25,6 +25,14 @@ class TestPermBasics:
         with pytest.raises(InputError):
             Perm(f, (0, 1, 2))
 
+    # int() would truncate or parse each of these into a bijection.
+    @pytest.mark.parametrize("images", [
+        (0.9, 1.5, 2.2), (0, 1, 2.0), ("2", 0, 1), (0, "1", "2"), (False, True, 2),
+    ], ids=["floats", "integral-float", "numeric-string", "strings-among-ints", "bools"])
+    def test_non_int_entries_rejected(self, images):
+        with pytest.raises(InputError, match="must be integers"):
+            Perm(PrimeField(3), images)
+
     def test_identity(self):
         f = PrimeField(5)
         ident = Perm.identity(f)

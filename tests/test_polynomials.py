@@ -23,6 +23,14 @@ class TestConstruction:
         f = PrimeField(5)
         assert FpPoly(f, (-1, 7)).coeffs == (4, 2)
 
+    # int() would truncate or parse each of these into a coefficient.
+    @pytest.mark.parametrize("coeffs", [
+        (1.5, 2), (0, 1.0), ("3",), (True,),
+    ], ids=["float", "integral-float", "numeric-string", "bool"])
+    def test_non_int_coefficients_rejected(self, coeffs):
+        with pytest.raises(InputError, match="must be integers"):
+            FpPoly(PrimeField(5), coeffs)
+
     def test_zero_degree_sentinel(self):
         f = PrimeField(5)
         zero = FpPoly.zero(f)

@@ -1,3 +1,4 @@
+import math
 import random
 from hashlib import sha256
 
@@ -231,6 +232,79 @@ class TestBinomialExpansion:
     def test_modulus_mismatch(self):
         with pytest.raises(FieldMismatch):
             check_binomial_expansion(FpPoly(PrimeField(5), (1, 2)), DiffSet(PrimeField(7), (6,)), 2)
+
+
+def _shifted_power_oracle(poly, dset, w):
+    """(vanishing, binomial) from FpPoly +, * and == alone: powers by
+    repeated products (no Miller path), f(X+u) by Horner (no ``shift``)."""
+    field, p = poly.field, poly.field.p
+
+    def const(c):
+        return FpPoly.constant(field, c)
+
+    def power(q, e):
+        out = FpPoly.one(field)
+        for _ in range(e):
+            out = out * q
+        return out
+
+    def composed(u):
+        out = FpPoly.zero(field)
+        for c in reversed(poly.coeffs):
+            out = out * FpPoly(field, (u, 1)) + const(c)
+        return out
+
+    total = shifted = FpPoly.zero(field)
+    for u in dset.elements:
+        total = total + power(poly + const(u), w)
+        shifted = shifted + power(composed(u), w)
+    expansion = const(len(dset)) * power(poly, w)
+    for k in range(1, w + 1):
+        s_k = sum(pow(u, k, p) for u in dset.elements)
+        expansion = expansion + const(math.comb(w, k) * s_k) * power(poly, w - k)
+    return shifted == total, expansion == total
+
+
+class TestShiftedPowerIdentities:
+    """Both public checks read one shared build of sum_u (f+u)**w; each must
+    agree with an oracle that builds every polynomial independently."""
+
+    @staticmethod
+    def _assert_agrees(poly, dset, w):
+        vanishing, binomial = _shifted_power_oracle(poly, dset, w)
+        assert check_vanishing_identity(poly, dset, w) == vanishing
+        assert check_binomial_expansion(poly, dset, w) == binomial
+        return vanishing, binomial
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_affine_exhaustive(self, p):
+        # f = aX + b vanishes up to w exactly when S_k(aU) = S_k(U) for
+        # k <= w, so a outside M(U) gives failing vanishing verdicts.
+        f = PrimeField(p)
+        verdicts = set()
+        for dset in all_diff_sets(f):
+            for w in range(1, p):
+                for a in range(1, p):
+                    poly = FpPoly(f, ((a + w) % p, a))
+                    verdicts.add(self._assert_agrees(poly, dset, w))
+        assert verdicts == {(True, True), (False, True)}
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_random_polynomials(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p * 211)
+        sets = list(all_diff_sets(f))
+        for _ in range(60):
+            degree = rng.randrange(0, 4)
+            coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+            w = rng.randrange(1, (p - 1) // max(degree, 1) + 1)
+            self._assert_agrees(FpPoly(f, tuple(coeffs)), rng.choice(sets), w)
+
+    def test_cube_mod_5_fails_vanishing_only(self):
+        # x -> x^3 permutes F_5 but does not preserve {1}.
+        f = PrimeField(5)
+        cube = FpPoly(f, (0, 0, 0, 1))
+        assert self._assert_agrees(cube, DiffSet(f, (1,)), 1) == (False, True)
 
 
 class TestLeadingCoefficient:
