@@ -3,23 +3,25 @@
 A transitive permutation group of prime degree is doubly transitive or
 solvable. Given generators, ``classify`` either detects double
 transitivity from the orbit of one ordered pair, or builds a solvability
-certificate: a relabeling turning some order-p element into translation
-by one, the invariant difference set carved out by the pair orbit, and
-the affine coefficients of every (conjugated) generator. The certificate
-is cheap to re-check independently, which ``verify_certificate`` does.
+certificate: a relabeling turning some p-cycle into translation by one,
+the invariant difference set carved out by the pair orbit, and the affine
+coefficients of every (conjugated) generator, which also give the group
+order. ``verify_certificate`` re-checks the certificate independently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .automorphisms import check_preserves
-from .errors import BurnsideError, CapExceeded, InputError, InternalInvariantViolation
-from .fields import DiffSet, PrimeField
+from .errors import BurnsideError, InputError, InternalInvariantViolation
+from .fields import DiffSet, PrimeField, require_ints
 from .groups import (
     GroupSpec,
-    derived_series,
+    bfs_elements,
     enumerate_group,
     orbit_of_pair,
     transitivity_tests,
@@ -55,38 +57,33 @@ class Classification:
     def from_payload(cls, payload: dict) -> "Classification":
         """Inverse of ``to_payload``; malformed payloads raise InputError.
 
-        Every number must be an int (not a bool): a float or a numeric
-        string is rejected, never truncated or parsed.
+        The variant must be one of the three verdict constants. Every
+        number must be an int (not a bool): a float or a numeric string is
+        rejected, never truncated or parsed.
         """
         try:
             field = PrimeField(payload["p"])
             variant = payload["variant"]
+            if variant not in (NOT_TRANSITIVE, DOUBLY_TRANSITIVE, SOLVABLE_AFFINE):
+                raise InputError(f"unknown classification variant {variant!r}")
             if variant != SOLVABLE_AFFINE:
                 return cls(field, variant)
+            embedding = tuple(AffineCoeffs(c["a"], c["b"]) for c in payload["embedding"])
+            group_order = payload["group_order"]
+            require_ints([v for c in embedding for v in c] + [group_order],
+                         "embedding and group_order")
             return cls(
                 field,
                 variant,
                 relabeling=Perm(field, tuple(payload["relabeling"])),
                 diff_set=DiffSet(field, tuple(payload["diff_set"])),
-                embedding=tuple(
-                    AffineCoeffs(_int(c["a"]), _int(c["b"]))
-                    for c in payload["embedding"]
-                ),
-                group_order=_int(payload["group_order"]),
+                embedding=embedding,
+                group_order=group_order,
             )
         except InputError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed classification payload: {exc!r}") from exc
-
-
-def _int(value) -> int:
-    """The value itself; InputError unless it is an int and not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(
-            f"malformed classification payload: {value!r} is not an integer"
-        )
-    return value
 
 
 def extract_difference_set(spec: GroupSpec) -> DiffSet:
@@ -112,9 +109,13 @@ def classify(spec: GroupSpec) -> Classification:
     """Decide the dichotomy for the generated group.
 
     Intransitive input gets its own verdict since the dichotomy does not
-    apply. In the solvable branch every internal failure (enumeration cap
-    p(p-1) exceeded, a conjugated generator that is not affine) would
-    contradict the theorem and raises InternalInvariantViolation.
+    apply. Otherwise the relabeling comes from the first p-cycle that
+    ``bfs_elements`` yields, so the group is never listed whole. Relabelled,
+    the group holds the translations, the kernel of a*i + b -> a, and F_p*
+    is cyclic, so its order is p times the lcm of the multiplicative orders
+    of the embedding's a's. A failure (no p-cycle among the first p(p-1)
+    elements, a conjugated generator that is not affine) would contradict
+    the theorem and raises InternalInvariantViolation.
     """
     field = spec.field
     p = field.p
@@ -124,25 +125,13 @@ def classify(spec: GroupSpec) -> Classification:
     if doubly:
         return Classification(field, DOUBLY_TRANSITIVE)
 
-    cap = p * (p - 1)
-    try:
-        enum = enumerate_group(spec, cap)
-    except CapExceeded as exc:
-        raise InternalInvariantViolation(
-            "group is not doubly transitive yet exceeds order p(p-1)",
-            payload={
-                "p": p,
-                "cap": exc.cap,
-                "partial_count": exc.partial_count,
-                "generators": [list(g.images) for g in spec.generators],
-            },
-        ) from exc
-
-    tau = next((g for g in enum.elements if g.order() == p), None)
+    elements = islice(bfs_elements(field, spec.generators), p * (p - 1))
+    tau = next((g for g in elements if g.cycle_type() == (p,)), None)
     if tau is None:
         raise InternalInvariantViolation(
-            "transitive group of degree p with no element of order p",
-            payload={"p": p, "order": enum.order},
+            "transitive, not doubly transitive group with no p-cycle among "
+            "its first p(p-1) elements",
+            payload={"p": p, "generators": [list(g.images) for g in spec.generators]},
         )
 
     lam = relabel_to_translation(tau)
@@ -170,7 +159,9 @@ def classify(spec: GroupSpec) -> Classification:
         relabeling=lam,
         diff_set=dset,
         embedding=tuple(embedding),
-        group_order=enum.order,
+        group_order=p * math.lcm(
+            *(make_affine((c.a, 0), field).order() for c in embedding)
+        ),
     )
 
 
@@ -178,9 +169,11 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
     """Re-derive everything a classification claims; True only if all holds.
 
     For the solvable branch: the conjugated generators must equal their
-    claimed affine maps, preserve the witness set's differences, and the
-    enumerated group's derived series must reach the trivial group. Never
-    raises; any mismatch or internal error yields False.
+    claimed affine maps and preserve the witness set's differences, and
+    ``group_order`` must match an enumeration of the group. Affine
+    conjugates put the group inside AGL(1, p), which is solvable, so no
+    derived series is needed. Never raises; any mismatch or internal error
+    yields False.
     """
     try:
         field = spec.field
@@ -212,8 +205,6 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
             if not check_preserves(conj, dset):
                 return False
         enum = enumerate_group(spec, cap=p * (p - 1))
-        if classification.group_order != enum.order:
-            return False
-        return derived_series(enum)[-1] == 1
+        return classification.group_order == enum.order
     except BurnsideError:
         return False

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, FieldMismatch, InputError
 from .fields import PrimeField
@@ -100,37 +101,37 @@ def transitivity_tests(spec: GroupSpec) -> tuple[bool, bool]:
     return transitive, doubly
 
 
+def bfs_elements(field: PrimeField, seeds: Iterable[Perm]) -> Iterator[Perm]:
+    """The group the seeds generate, lazily and breadth first: the identity,
+    the distinct seeds, then each new product h * g in queue order."""
+    seed_list = list(seeds)
+    identity = Perm.identity(field)
+    seen = {identity.images}
+    queue = deque([identity])
+    yield identity
+    while queue:
+        h = queue.popleft()
+        for g in seed_list:
+            q = h.compose(g)
+            if q.images not in seen:
+                seen.add(q.images)
+                queue.append(q)
+                yield q
+
+
 def closure(field: PrimeField, seeds: Iterable[Perm], cap: int) -> list[Perm]:
-    """BFS closure of the seeds under composition, identity included.
+    """The first ``cap`` elements of ``bfs_elements``, i.e. the whole group.
 
     Raises CapExceeded when more than ``cap`` distinct elements appear.
     """
     if cap < 1:
         raise InputError(f"enumeration cap must be >= 1, got {cap}")
-    seed_list = [g for g in seeds]
-    identity = Perm.identity(field)
-    elements: dict[tuple[int, ...], Perm] = {identity.images: identity}
-    queue: deque[Perm] = deque()
-    for g in seed_list:
-        if g.images not in elements:
-            elements[g.images] = g
-            queue.append(g)
+    elements = list(islice(bfs_elements(field, seeds), cap + 1))
     if len(elements) > cap:
         raise CapExceeded(
             f"group closure exceeded cap {cap}", len(elements), cap
         )
-    while queue:
-        h = queue.popleft()
-        for g in seed_list:
-            q = h.compose(g)
-            if q.images not in elements:
-                elements[q.images] = q
-                if len(elements) > cap:
-                    raise CapExceeded(
-                        f"group closure exceeded cap {cap}", len(elements), cap
-                    )
-                queue.append(q)
-    return list(elements.values())
+    return elements
 
 
 def enumerate_group(spec: GroupSpec, cap: int) -> EnumeratedGroup:

@@ -15,7 +15,9 @@ from burnside.classifier import (
 )
 from burnside.errors import InputError
 from burnside.groups import derived_series, enumerate_group
-from burnside.permutations import AffineCoeffs, Perm
+from burnside.permutations import AffineCoeffs, Perm, relabel_to_translation
+from conftest import random_perm
+from test_groups import affine_generating_sets
 
 
 def translation(field):
@@ -210,15 +212,77 @@ class TestMalformedPayload:
         lambda d: d["embedding"][0].update(a=d["embedding"][0]["a"] + 0.25),
         lambda d: d["embedding"][0].update(b=True),
         lambda d: d.update(group_order=float(d["group_order"])),
+        # The variant must be one of the three verdict constants.
+        lambda d: d.update(variant="FOO"),
+        lambda d: d.update(variant=None),
+        lambda d: d.update(variant=5),
+        lambda d: d.update(variant=["SOLVABLE_AFFINE"]),
     ], ids=["missing-relabeling", "embedding-without-b", "p-not-a-number",
             "p-float", "p-integral-float", "relabeling-floats", "diff-set-strings",
-            "a-float", "b-bool", "group-order-float"])
+            "a-float", "b-bool", "group-order-float", "variant-unknown",
+            "variant-none", "variant-int", "variant-list"])
     def test_raises_input_error(self, edit):
         f = PrimeField(7)
         payload = classify(GroupSpec(f, (translation(f), make_affine((2, 0), f)))).to_payload()
         edit(payload)
         with pytest.raises(InputError):
             Classification.from_payload(payload)
+
+
+class TestEnumerationOracle:
+    """classify reads |H| from its embedding and stops at the first p-cycle;
+    the full enumeration is the oracle for both."""
+
+    @staticmethod
+    def check(spec):
+        """Compare a subgroup of a conjugate of AGL(1, p) with its
+        enumeration; True if it is on the solvable branch."""
+        p = spec.field.p
+        c = classify(spec)
+        enum = enumerate_group(spec, p * (p - 1))
+        # the reference rule: tau is the first element of order p listed
+        tau = next((g for g in enum.elements if g.order() == p), None)
+        if tau is None:  # no translations: a point is fixed
+            assert c.variant == NOT_TRANSITIVE
+            return False
+        if enum.order == p * (p - 1):  # all of AGL(1, p)
+            assert c.variant == DOUBLY_TRANSITIVE
+            return False
+        assert c.variant == SOLVABLE_AFFINE
+        assert c.group_order == enum.order
+        assert c.relabeling == relabel_to_translation(tau)
+        return True
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_affine_generating_sets(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p)
+        solvable = 0
+        for gens in affine_generating_sets(p):
+            sigma = random_perm(f, rng)
+            for spec in (GroupSpec(f, gens),
+                         GroupSpec(f, tuple(g.conjugate(sigma) for g in gens))):
+                solvable += self.check(spec)
+        # every set but those generating AGL(1, p) is solvable
+        primitive = sum(make_affine((m, 0), f).order() == p - 1 for m in range(2, p))
+        total = (p - 1) + (p - 2) * (1 + (p - 1) * p)
+        assert solvable == 2 * (total - primitive * (1 + (p - 1) * p))
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
+    def test_relabelled_sets_without_p_cycle_generator(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p)
+        solvable = 0
+        for _ in range(40):
+            gens = tuple(
+                make_affine((rng.randrange(2, p), rng.randrange(p)), f)
+                for _ in range(rng.choice((2, 3)))
+            )
+            sigma = random_perm(f, rng)
+            spec = GroupSpec(f, tuple(g.conjugate(sigma) for g in gens))
+            assert all(g.cycle_type() != (p,) for g in spec.generators)
+            solvable += self.check(spec)
+        assert solvable > 0
 
 
 class TestLargestDegree:

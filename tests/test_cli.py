@@ -13,6 +13,7 @@ from burnside import verify_certificate
 from burnside.classifier import Classification
 from burnside.cli import main, parse_group_file
 from burnside.errors import InputError
+from burnside.permutations import Perm
 
 D5_FILE = """\
 # dihedral group of order 10
@@ -134,6 +135,18 @@ class TestClassifyCommand:
         failure = json.loads(err)
         assert "counterexample" in failure
         assert "permutation" in failure["counterexample"]
+
+    def test_no_p_cycle_exits_2(self, capsys, d5_path, monkeypatch):
+        # Inject a fault: a breadth-first search that yields only the
+        # identity finds no p-cycle, which contradicts the theorem.
+        monkeypatch.setattr(burnside.classifier, "bfs_elements",
+                            lambda field, seeds: iter([Perm.identity(field)]))
+        code, out, err = run_cli(capsys, "classify", "--group", d5_path)
+        assert code == 2
+        assert out == ""
+        counterexample = json.loads(err)["counterexample"]
+        assert counterexample == {
+            "p": 5, "generators": [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]}
 
 
 class TestAutCommand:
@@ -308,6 +321,9 @@ class TestGoldenReportBytes:
          "22cb5dfbe1cdb9722e0cb8306435ec60eb821649340213100c2975472b1f1aa6"),
         (("classify", "--group", "-"), "p=7\n1,2,3,4,5,6,0\n0,2,4,6,1,3,5\n",
          "e69b38a47a52bc8c6dbbb090de4c1c39b4e42c239067f70ab78a37a61d527698"),
+        # x -> 2x+1 and x -> 2x: order 21, no 7-cycle among the generators
+        (("classify", "--group", "-"), "p=7\n2,4,6,1,3,5,0\n0,2,4,6,1,3,5\n",
+         "f15f17ab0b01ad8b4c543ea65ad0c84d068c460c818812eeb24fa5e53f316769"),
         (("classify", "--group", "-"), "p=5\n1,2,3,4,0\n1,0,2,3,4\n",
          "67ed852824d9ee6a274b9eed86d6afe6c39e8aa53c6182e6adca0ced7cb14e16"),
         (("classify", "--group", "-"), "p=5\n1,0,2,3,4\n",
@@ -317,7 +333,8 @@ class TestGoldenReportBytes:
         (("interp", "--p", "97", "--perm", _AFFINE_97), None,
          "b475de80edf9b1c2334125c2928d1d0f7661c20c59e04646b85623b7ca589aa1"),
     ], ids=["aut-paley-7", "aut-sparse-19", "aut-squares-97", "classify-d5",
-            "classify-frobenius-21", "classify-s5", "classify-intransitive",
+            "classify-frobenius-21", "classify-no-p-cycle-generator-21",
+            "classify-s5", "classify-intransitive",
             "interp-transposition-5", "interp-affine-97"])
     def test_report_bytes(self, capsys, monkeypatch, argv, stdin, digest):
         if stdin is not None:
