@@ -12,6 +12,13 @@ product of the cell with U's packed neighbour row taken mod X**p - 1
 multiplier stabilizing U; anything else is reported as a violation, since
 it would contradict a theorem. The multiplier stabilizer M(U) is computed
 apart from the search, from U alone.
+
+A scan of every valid set mod p searches one set per orbit of
+F_p* x {U -> U, U -> U^c} (``scan_orbits``); ``scan_all_subsets`` searches
+them all and is kept as its oracle. Every row field but the set and its
+size is an orbit invariant: Aut(aU) = a Aut(U) a^-1 and Aut(U^c) = Aut(U);
+M(aU) = M(U^c) = M(U); S_k(aU) = a^k S_k(U) and S_k(U^c) = -S_k(U) for
+k <= p-2, so the least k with a nonzero power sum S_k agrees.
 """
 
 from __future__ import annotations
@@ -317,11 +324,16 @@ def _assert_theorem(dset: DiffSet, perms, count: int, stabilizer_size: int) -> N
         )
 
 
+def _canonical_subsets(p: int):
+    """Every non-empty proper subset of 1..p-1 as a tuple, in (size, lex) order."""
+    for size in range(1, p - 1):
+        yield from itertools.combinations(range(1, p), size)
+
+
 def all_diff_sets(field: PrimeField):
     """Every valid difference set mod p, in canonical (size, lex) order."""
-    for size in range(1, field.p - 1):
-        for combo in itertools.combinations(range(1, field.p), size):
-            yield DiffSet(field, combo)
+    for combo in _canonical_subsets(field.p):
+        yield DiffSet(field, combo)
 
 
 def _checked_maps_fixing_zero(dset: DiffSet) -> tuple[list[Perm], tuple[int, ...]]:
@@ -350,16 +362,8 @@ def _scan_one(dset: DiffSet) -> ScanRow:
     )
 
 
-def scan_all_subsets(
-    field: PrimeField, jobs: int = 1, prime_cap: int = SCAN_PRIME_CAP
-) -> list[ScanRow]:
-    """Run the enumeration over every valid set mod p, one row each.
-
-    Rows come back in canonical subset order regardless of the worker
-    count, so serialized scans are byte-identical for any ``jobs``. At
-    most ``min(jobs, subsets, os.cpu_count())`` worker processes start;
-    with one, the scan runs in this process.
-    """
+def _check_scan(field: PrimeField, jobs: int, prime_cap: int) -> None:
+    """Raise InputError unless a scan mod p with this many jobs may run."""
     p = field.p
     if p < 3:
         raise InputError(f"no difference set exists mod {p}; scan needs p >= 3")
@@ -370,13 +374,83 @@ def scan_all_subsets(
         )
     if jobs < 1:
         raise InputError(f"worker count must be >= 1, got {jobs}")
-    tasks = list(all_diff_sets(field))
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+
+
+def _scan_sets(dsets: list[DiffSet], jobs: int) -> list[ScanRow]:
+    """``_scan_one`` of each set, in order.
+
+    At most ``min(jobs, len(dsets), os.cpu_count())`` worker processes
+    start; with one, the sets are scanned in this process.
+    """
+    workers = min(jobs, len(dsets), os.cpu_count() or 1)
     if workers == 1:
-        return [_scan_one(task) for task in tasks]
+        return [_scan_one(dset) for dset in dsets]
     global ProcessPoolExecutor
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(tasks) // (workers * 8))
+    chunk = max(1, len(dsets) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_one, tasks, chunksize=chunk))
+        return list(pool.map(_scan_one, dsets, chunksize=chunk))
+
+
+def scan_all_subsets(
+    field: PrimeField, jobs: int = 1, prime_cap: int = SCAN_PRIME_CAP
+) -> list[ScanRow]:
+    """Run the enumeration over every valid set mod p, one row each.
+
+    Every set is searched; this is the oracle for ``scan_orbits``. Rows
+    come back in canonical subset order regardless of the worker count,
+    so serialized scans are byte-identical for any ``jobs``. At most
+    ``min(jobs, subsets, os.cpu_count())`` worker processes start; with
+    one, the scan runs in this process.
+    """
+    _check_scan(field, jobs, prime_cap)
+    return _scan_sets(list(all_diff_sets(field)), jobs)
+
+
+def scan_orbits(
+    field: PrimeField, jobs: int = 1, prime_cap: int = SCAN_PRIME_CAP
+) -> list[ScanRow]:
+    """The rows of ``scan_all_subsets``, searching one set per orbit.
+
+    The group F_p* x {U -> U, U -> U^c} acts on the valid sets, and every
+    row field but ``elements`` and ``size`` is constant on an orbit:
+
+    - Aut(aU) = a Aut(U) a^-1 and Aut(U^c) = Aut(U), so the automorphism
+      counts agree;
+    - M(aU) = M(U^c) = M(U), since F_p* is abelian and each a permutes it;
+    - S_k(aU) = a^k S_k(U), and S_k(U^c) = -S_k(U) for k <= p-2, where the
+      k-th powers of F_p* sum to 0; S_(p-1) = |U| mod p is nonzero for
+      every valid set, so the least k with S_k != 0 agrees.
+
+    The sets are walked in canonical order, each as a bitmask (bit u-1
+    for u in U), so the first set met of an orbit is its least member. It
+    becomes the orbit's representative, and the masks of all a*U and
+    a*U^c are entered in a table of 2**(p-1) slots that maps each mask to
+    its orbit. Only the representatives are searched, each with the count
+    law and the power sums checked, on at most
+    ``min(jobs, orbits, os.cpu_count())`` worker processes. Every other
+    row copies its representative's row, so rows come back in canonical
+    order and are the same for any ``jobs``.
+    """
+    _check_scan(field, jobs, prime_cap)
+    p = field.p
+    full = (1 << p - 1) - 1
+    bit = [0, *(1 << u - 1 for u in range(1, p))]
+    orbit_of = [None] * (full + 1)
+    reps, walk = [], []
+    for combo in _canonical_subsets(p):
+        orbit = orbit_of[sum(map(bit.__getitem__, combo))]
+        if orbit is None:
+            orbit = len(reps)
+            reps.append(DiffSet(field, combo))
+            for a in range(1, p):
+                image = sum(bit[a * u % p] for u in combo)
+                orbit_of[image] = orbit_of[image ^ full] = orbit
+        walk.append((combo, orbit))
+    # Each row is built directly: dataclasses.replace costs twice as much.
+    invariants = [
+        (r.stabilizer_size, r.automorphism_count, r.all_affine, r.min_power_index)
+        for r in _scan_sets(reps, jobs)
+    ]
+    return [ScanRow(combo, len(combo), *invariants[orbit]) for combo, orbit in walk]

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -20,6 +21,7 @@ from burnside.automorphisms import (
     mult_stabilizer,
     naive_enumerate,
     scan_all_subsets,
+    scan_orbits,
 )
 from burnside.errors import InputError, PropositionViolated
 from burnside.permutations import Perm, recognize_affine
@@ -450,13 +452,28 @@ def _count_by_aut_command(dset):
     return json.loads(out.getvalue())["result"]["automorphism_count"]
 
 
+def _count_by_orbit_scan(dset):
+    """dset's row of ``scan_orbits``, with the walk cut down to dset alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(burnside.automorphisms, "_canonical_subsets",
+                   lambda p: iter([dset.elements]))
+        (row,) = scan_orbits(dset.field)
+    return row.automorphism_count
+
+
 # Every caller that checks Burnside's count law on the maps fixing 0: a
-# scan row, the enumeration, and the `aut` command.
+# scan row, the orbit scan, the enumeration, and the `aut` command.
 _COUNTERS = [
     lambda dset: _scan_one(dset).automorphism_count,
+    _count_by_orbit_scan,
     lambda dset: len(enumerate_diff_preserving(dset.field, dset).automorphisms),
     _count_by_aut_command,
 ]
+
+
+@functools.cache
+def _exhaustive_scan(p):
+    return scan_all_subsets(PrimeField(p))
 
 
 class TestScan:
@@ -502,6 +519,30 @@ class TestScan:
         assert fake_pool == started
         assert rows == scan_all_subsets(PrimeField(p), jobs=1)
 
+    @pytest.mark.parametrize("p, jobs, cpus, started", [
+        (7, 10_000, 4, [4]),
+        (3, 10_000, 4, []),     # one orbit mod 3: {1} and {2} = 2*{1}
+    ])
+    def test_orbit_worker_count_clamped(self, fake_pool, monkeypatch, p, jobs, cpus, started):
+        monkeypatch.setattr(burnside.automorphisms.os, "cpu_count", lambda: cpus)
+        assert scan_orbits(PrimeField(p), jobs=jobs) == _exhaustive_scan(p)
+        assert fake_pool == started
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_orbit_scan_matches_exhaustive(self, p, jobs):
+        assert scan_orbits(PrimeField(p), jobs=jobs) == _exhaustive_scan(p)
+
+    def test_orbit_scan_guards(self):
+        with pytest.raises(InputError, match="capped at p <= 13"):
+            scan_orbits(PrimeField(17))
+        with pytest.raises(InputError, match="p >= 3"):
+            scan_orbits(PrimeField(2))
+        with pytest.raises(InputError, match="worker count"):
+            scan_orbits(PrimeField(5), jobs=0)
+        with pytest.raises(InputError, match="capped at p <= 11"):
+            scan_orbits(PrimeField(13), prime_cap=11)
+
     def test_parallel_matches_sequential(self):
         sequential = scan_all_subsets(PrimeField(7), jobs=1)
         parallel = scan_all_subsets(PrimeField(7), jobs=2)
@@ -517,6 +558,25 @@ class TestScan:
             with pytest.raises(PropositionViolated, match="count disagrees") as exc:
                 count(DiffSet(PrimeField(5), (1, 4)))
             assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
+
+    def test_scans_report_the_same_counterexample(self, monkeypatch, capsys):
+        # {1, 4} = -{1, 4} is the first orbit representative mod 5 with
+        # |M(U)| > 1, so the identity-only search fails there first in
+        # both scans; `scan` exits 2 with that counterexample.
+        monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
+                            lambda dset: [tuple(range(dset.field.p))])
+        payload = {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
+        for scan in (scan_all_subsets, scan_orbits):
+            with pytest.raises(PropositionViolated, match="count disagrees") as exc:
+                scan(PrimeField(5))
+            assert exc.value.payload == payload
+        assert burnside.cli.main(["scan", "--p", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "automorphism count disagrees with p * |stabilizer|",
+            "counterexample": payload,
+        }
 
     def test_row_rejects_a_non_affine_map(self, monkeypatch):
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",

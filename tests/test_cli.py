@@ -11,7 +11,8 @@ import burnside.automorphisms
 import burnside.classifier
 from burnside import verify_certificate
 from burnside.classifier import Classification
-from burnside.cli import main, parse_group_file
+from burnside.automorphisms import SCAN_PRIME_CAP
+from burnside.cli import _render_scan_json, main, parse_group_file
 from burnside.errors import InputError
 from burnside.permutations import Perm
 
@@ -259,14 +260,41 @@ class TestScanCommand:
         assert all(len(pair) == 2 for pair in pairs)  # U != U^c
         assert result["complement_classes"] == len(pairs)
 
+    # The digests were taken from the exhaustive scan, which searched every set.
     @pytest.mark.parametrize("p, digest", [
         ("11", "f3eb227c82457471a701118ba707aa177f937b090182ff392a877101026cbeca"),
         ("13", "b42d33f76bc7f932e786be3560167194414f7220e8edf802bea6a6f1d53b45da"),
+        ("17", "4daba45d01951d700cff0cf952f77e5306038e2ef8698be5392d53edce5197c7"),
     ])
     def test_report_bytes(self, capsys, p, digest):
-        code, out, _ = run_cli(capsys, "scan", "--p", p, "--jobs", "1")
+        extra = ["--unsafe-cap"] if int(p) > SCAN_PRIME_CAP else []
+        code, out, _ = run_cli(capsys, "scan", "--p", p, "--jobs", "1", *extra)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+    def test_writer_matches_json_dumps(self, capsys, p):
+        code, out, _ = run_cli(capsys, "scan", "--p", str(p), "--unsafe-cap")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_writer_on_any_row_values(self):
+        row = {"diff_set": [2, 30, 41], "size": 3, "stabilizer_size": 1,
+               "automorphism_count": 0, "all_affine": False, "min_power_index": 12}
+        for rows in ([row], [row, {**row, "diff_set": [5], "all_affine": True}]):
+            report = {"command": "scan", "arguments": {"p": 43}, "input_sha256": "00",
+                      "result": {"p": 43, "violations": 0, "rows": rows}}
+            assert _render_scan_json(report) == json.dumps(report, indent=2) + "\n"
+
+    def test_text_bytes(self, capsys):
+        # The text rendering does not go through the JSON writer; all but its
+        # timing line is pinned.
+        code, out, _ = run_cli(capsys, "scan", "--p", "11", "--format", "text")
+        assert code == 0
+        body, elapsed = out.rsplit("elapsed_seconds: ", 1)
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "32e6b1d7f76a05af084881816d68a5ed0b4e20416c2c04b24b0f052149f45d34")
+        assert elapsed.endswith("\n") and "\n" not in elapsed[:-1]
 
     def test_cap_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--p", "17")
