@@ -3,8 +3,13 @@
 Coefficient lists are indexed by exponent and never carry trailing zeros.
 The zero polynomial has an empty list and degree negative infinity, so
 degree comparisons can never silently treat it as a constant. The
-constructor reduces every coefficient mod p, so sums, products and
+constructor reduces every coefficient mod p, so sums, products, shifts and
 interpolation hand it plain integer sums.
+
+The arithmetic itself lives in three kernels on plain coefficient lists,
+``mul_coeffs``, ``pow_coeffs`` and ``shift_coeffs``; the ``FpPoly``
+operators wrap them, and the trace calls them directly so that no
+intermediate result is validated and reduced a second time.
 """
 
 from __future__ import annotations
@@ -27,12 +32,8 @@ class FpPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = self.field.p
         require_ints(self.coeffs, "coefficient")
-        cs = [c % p for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", canonical(self.coeffs, self.field.p))
 
     @classmethod
     def zero(cls, field: PrimeField) -> "FpPoly":
@@ -45,17 +46,6 @@ class FpPoly:
     @classmethod
     def constant(cls, field: PrimeField, c: int) -> "FpPoly":
         return cls(field, (c,))
-
-    @classmethod
-    def from_roots(cls, field: PrimeField, roots: Iterable[int]) -> "FpPoly":
-        """Expand the monic product of (X - r) over the given roots."""
-        p = field.p
-        coeffs = [1]
-        for r in roots:
-            coeffs.insert(0, 0)
-            for j in range(len(coeffs) - 1):
-                coeffs[j] = (coeffs[j] - coeffs[j + 1] * r) % p
-        return cls(field, coeffs)
 
     @property
     def degree(self) -> int | float:
@@ -85,40 +75,13 @@ class FpPoly:
 
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         self._check_field(other)
-        if self.is_zero or other.is_zero:
-            return FpPoly.zero(self.field)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return FpPoly(self.field, out)
+        return FpPoly(self.field, mul_coeffs(self.coeffs, other.coeffs))
 
     def __pow__(self, exponent: int) -> "FpPoly":
-        """f**e. For a binomial f = c*X**v + d*X**(v+1) (c != 0, d may be 0)
-        with deg(f)*e <= p-1, by J.C.P. Miller's power recurrence (Knuth,
-        TAOCP vol. 2, section 4.7), which for a linear factor is the binomial
-        ratio: O(e) coefficient operations, and every k it divides by is at
-        most e <= p-1, hence a unit. Every other f, or deg(f)*e >= p, by
-        square-and-multiply."""
+        """f**e, by ``pow_coeffs``."""
         if exponent < 0:
             raise InputError(f"polynomial power must be >= 0, got {exponent}")
-        cs, p = self.coeffs, self.field.p
-        if cs and (len(cs) - 1) * exponent <= p - 1:
-            v = next(i for i, c in enumerate(cs) if c)
-            if len(cs) - v <= 2:
-                return FpPoly(self.field, _binomial_power(cs, v, exponent, p))
-        result = FpPoly.one(self.field)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return FpPoly(self.field, pow_coeffs(self.coeffs, exponent, self.field.p))
 
     def evaluate(self, x: int) -> int:
         p = self.field.p
@@ -128,18 +91,8 @@ class FpPoly:
         return acc
 
     def shift(self, u: int) -> "FpPoly":
-        """The composition f(X + u), via Horner rebasing; degree preserved."""
-        p = self.field.p
-        acc: list[int] = []
-        for c in reversed(self.coeffs):
-            # acc := acc * (X + u) + c
-            new = [0] * (len(acc) + 1)
-            for j, a in enumerate(acc):
-                new[j + 1] = (new[j + 1] + a) % p
-                new[j] = (new[j] + a * u) % p
-            new[0] = (new[0] + c) % p
-            acc = new
-        return FpPoly(self.field, acc)
+        """The composition f(X + u), by ``shift_coeffs``; degree preserved."""
+        return FpPoly(self.field, shift_coeffs(self.coeffs, u))
 
     def render(self) -> str:
         """Human-readable form "c0 + c1*X + c2*X^2 + ..." (render-only)."""
@@ -158,6 +111,68 @@ class FpPoly:
         return " + ".join(terms)
 
 
+def canonical(coeffs: Iterable[int], p: int) -> tuple[int, ...]:
+    """The coefficients reduced mod p, trailing zeros stripped."""
+    cs = [c % p for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The schoolbook product of two coefficient lists, as plain integer
+    sums (unreduced). Canonical factors mod p give a product whose leading
+    coefficient is nonzero mod p: F_p has no zero divisors."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a  # the outer loop runs over the shorter factor
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
+    return out
+
+
+def pow_coeffs(coeffs: Sequence[int], e: int, p: int) -> list[int]:
+    """f**e, reduced mod p, for canonical coefficients of f and e >= 0.
+
+    For a binomial f = c*X**v + d*X**(v+1) (c != 0, d may be 0) with
+    deg(f)*e <= p-1, by J.C.P. Miller's power recurrence (Knuth, TAOCP
+    vol. 2, section 4.7), which for a linear factor is the binomial ratio:
+    O(e) coefficient operations, and every k it divides by is at most
+    e <= p-1, hence a unit. Every other f, or deg(f)*e >= p, by
+    square-and-multiply.
+    """
+    if coeffs and (len(coeffs) - 1) * e <= p - 1:
+        v = next(i for i, c in enumerate(coeffs) if c)
+        if len(coeffs) - v <= 2:
+            return _binomial_power(coeffs, v, e, p)
+    result, base = [1], coeffs
+    while e:
+        if e & 1:
+            result = [c % p for c in mul_coeffs(result, base)]
+        e >>= 1
+        if e:
+            base = [c % p for c in mul_coeffs(base, base)]
+    return result
+
+
+def shift_coeffs(coeffs: Sequence[int], u: int) -> list[int]:
+    """f(X + u) by Horner rebasing, as plain integer sums (unreduced); the
+    leading coefficient is unchanged."""
+    acc: list[int] = []
+    for c in reversed(coeffs):
+        # acc := acc * (X + u) + c
+        new = [0] + acc
+        for j, a in enumerate(acc):
+            new[j] += a * u
+        new[0] += c
+        acc = new
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _inverses(p: int) -> tuple[int, ...]:
     """k**-1 mod p at index k, for k = 1..p-1 (index 0 holds 0)."""
@@ -174,14 +189,17 @@ def _binomial_power(coeffs: Sequence[int], v: int, e: int, p: int) -> list[int]:
     unit, so it is exact mod p. f**e = c**e * X**(v*e) * g.
     """
     c = coeffs[v]
-    g = [pow(c, e, p)]  # c**e, carried through every g_k
+    x = pow(c, e, p)  # c**e, carried through every g_k
+    out = [0] * (v * e) + [x]
     if len(coeffs) - v == 2:
         inv = _inverses(p)
         h = coeffs[v + 1] * inv[c] % p
+        append = out.append
         e1 = e + 1
         for k in range(1, e + 1):
-            g.append(g[-1] * (e1 - k) * h * inv[k] % p)
-    return [0] * (v * e) + g
+            x = x * (e1 - k) * h * inv[k] % p
+            append(x)
+    return out
 
 
 def interpolate(field: PrimeField, images) -> FpPoly:

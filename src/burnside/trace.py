@@ -13,6 +13,7 @@ signal, not an input rejection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .automorphisms import check_preserves
 from .errors import FieldMismatch, InputError
@@ -26,7 +27,14 @@ from .fields import (
     unpack_powers,
 )
 from .permutations import Perm
-from .polynomials import FpPoly, interpolate
+from .polynomials import (
+    FpPoly,
+    canonical,
+    interpolate,
+    mul_coeffs,
+    pow_coeffs,
+    shift_coeffs,
+)
 
 AFFINE = "AFFINE"
 VIOLATION = "VIOLATION"
@@ -135,33 +143,38 @@ def check_power_sum_identity(perm: Perm, dset: DiffSet, w: int) -> bool:
     return _power_sum_identities(perm, dset)[(w - 1) % (perm.field.p - 1)]
 
 
-def _accumulate(acc: list[int], poly: FpPoly, sign: int = 1) -> None:
-    """acc += sign * poly, coefficient-wise and unreduced."""
-    cs = poly.coeffs
-    acc[:len(cs)] = [a + sign * c for a, c in zip(acc, cs)]
+def _shifted_power_identities(poly: FpPoly, dset: DiffSet, w: int,
+                              sums: tuple[int, ...]) -> tuple[bool, bool]:
+    """(vanishing, binomial) for f = poly at exponent w, with sums the power
+    sums of dset, building T = sum_u (f+u)**w once: sum_u f(X+u)**w - T and
+    T - sum_{k=0..w} c_k f**(w-k), c_0 = |U| and c_k = C(w,k) S(k), must both
+    be zero polynomials.
 
+    Each power is built once per base: for f = aX + b with a in M(U) the
+    bases f+u and f(X+u) = aX + (au+b) run over the same |U| polynomials.
+    The binomial side is evaluated by Horner with schoolbook products, a
+    cross-check of Miller's path."""
+    field, p, cs = poly.field, poly.field.p, poly.coeffs
+    memo: dict[tuple[int, ...], list[int]] = {}
 
-def _shifted_power_identities(poly: FpPoly, dset: DiffSet, w: int) -> tuple[bool, bool]:
-    """(vanishing, binomial) for f = poly at exponent w, building
-    T = sum_u (f+u)**w once: sum_u f(X+u)**w - T and T - |U|*f**w -
-    sum_{k=1..w} C(w,k) S(k) f**(w-k) must both be zero polynomials. The
-    f**(w-k) come from schoolbook products, a cross-check of Miller's path."""
-    field, p = poly.field, poly.field.p
-    size = max(len(poly.coeffs) - 1, 0) * w + 1
-    total, shifted = [0] * size, [0] * size
-    for u in dset.elements:
-        _accumulate(total, (poly + FpPoly.constant(field, u)) ** w)
-        _accumulate(shifted, poly.shift(u) ** w)
-    vanishing = all((s - t) % p == 0 for s, t in zip(shifted, total))
-    _accumulate(total, poly ** w, -len(dset))
-    powers = [FpPoly.one(field)]
-    for _ in range(w - 1):
-        powers.append(powers[-1] * poly)
-    sums = power_sums(dset)
+    def power(base: list[int]) -> list[int]:
+        key = canonical(base, p)
+        if key not in memo:
+            memo[key] = pow_coeffs(key, w, p)
+        return memo[key]
+
+    # a power is shorter than the others only when its base is zero
+    total = canonical(map(sum, zip_longest(
+        *[power([(cs[0] if cs else 0) + u, *cs[1:]]) for u in dset.elements],
+        fillvalue=0)), p)
+    shifted = canonical(map(sum, zip_longest(
+        *[power(shift_coeffs(cs, u)) for u in dset.elements], fillvalue=0)), p)
+    expansion = [len(dset)]
     for k in range(1, w + 1):
-        coeff = binomial_mod_p(w, k, field) * sums[(k - 1) % (p - 1)]
-        _accumulate(total, powers[w - k], -coeff)
-    return vanishing, all(c % p == 0 for c in total)
+        expansion = mul_coeffs(expansion, cs) or [0]
+        expansion[0] += binomial_mod_p(w, k, field) * sums[(k - 1) % (p - 1)]
+        expansion = [c % p for c in expansion]
+    return shifted == total, canonical(expansion, p) == total
 
 
 def _check_shifted_power_args(poly: FpPoly, dset: DiffSet, w: int, name: str) -> None:
@@ -182,7 +195,7 @@ def check_vanishing_identity(poly: FpPoly, dset: DiffSet, w: int) -> bool:
         raise InputError(
             f"degree hypothesis violated: deg(f)*w = {poly.degree * w} > {poly.field.p - 1}"
         )
-    return _shifted_power_identities(poly, dset, w)[0]
+    return _shifted_power_identities(poly, dset, w, power_sums(dset))[0]
 
 
 def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
@@ -192,7 +205,19 @@ def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
     means the polynomial arithmetic itself is broken.
     """
     _check_shifted_power_args(poly, dset, w, "binomial expansion")
-    return _shifted_power_identities(poly, dset, w)[1]
+    return _shifted_power_identities(poly, dset, w, power_sums(dset))[1]
+
+
+def _leading_coefficient(dset: DiffSet, nw: int, r: int, sums: tuple[int, ...]) -> bool:
+    """check_leading_coefficient for r <= nw <= p-1, with r and sums read
+    from dset by the caller."""
+    p = dset.field.p
+    acc = [sum(column) for column in zip(*(pow_coeffs((u, 1), nw, p) for u in dset.elements))]
+    acc[nw] -= len(dset)
+    if any(c % p for c in acc[nw - r + 1:]):
+        return False
+    expected = binomial_mod_p(nw, r, dset.field) * sums[r - 1] % p
+    return acc[nw - r] % p == expected != 0
 
 
 def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
@@ -202,21 +227,13 @@ def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
     at X**(nw-k) for 1 <= k < r, leading coefficient C(nw, r)*S(r) != 0 at
     X**(nw-r), hence degree exactly nw - r.
     """
-    field = dset.field
-    p = field.p
+    p = dset.field.p
     nw = n * w
     r = min_nonzero_power_sum(dset)
     if not r <= nw <= p - 1:
         raise InputError(f"leading-coefficient check needs r <= n*w <= p-1, "
                          f"got r={r}, n*w={nw}, p={p}")
-    acc = [0] * (nw + 1)
-    for u in dset.elements:
-        _accumulate(acc, FpPoly(field, (u, 1)) ** nw)
-    acc[nw] -= len(dset)
-    if any(c % p for c in acc[nw - r + 1:]):
-        return False
-    expected = binomial_mod_p(nw, r, field) * power_sums(dset)[r - 1] % p
-    return acc[nw - r] % p == expected != 0
+    return _leading_coefficient(dset, nw, r, power_sums(dset))
 
 
 def check_contradiction_bound(p: int, n: int, r: int) -> bool:
@@ -272,7 +289,9 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         f"deg f = {n}, maximal w with n*w <= p-1 is {w_max}",
     ))
 
-    vanishing, binomial = _shifted_power_identities(poly, reduced, w_max)
+    sums = power_sums(reduced)
+    r = min_nonzero_power_sum(reduced)
+    vanishing, binomial = _shifted_power_identities(poly, reduced, w_max, sums)
     steps.append(TraceStep(
         f"vanishing_identity(w={w_max})", vanishing,
         "difference of shifted powers is the zero polynomial" if vanishing
@@ -283,11 +302,10 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         "expansion matches the power-sum form" if binomial else "expansion mismatch",
     ))
 
-    r = min_nonzero_power_sum(reduced)
     half = (p - 1) // 2
 
     if r <= n * w_max:
-        ok = check_leading_coefficient(reduced, n, w_max)
+        ok = _leading_coefficient(reduced, n * w_max, r, sums)
         steps.append(TraceStep(
             f"leading_coefficient(nw={n * w_max})", ok,
             f"degree n*w-r = {n * w_max - r} with leading coefficient "
@@ -316,7 +334,7 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         degree=n,
         w_max=w_max,
         min_power_index=r,
-        power_sums=power_sums(reduced)[:half],
+        power_sums=sums[:half],
         steps=tuple(steps),
         verdict=verdict,
     )

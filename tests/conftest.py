@@ -8,12 +8,21 @@ import pytest
 import burnside.automorphisms
 from burnside import DiffSet, PrimeField
 from burnside.permutations import Perm
+from burnside.polynomials import FpPoly
 
 
 def qr_set(field: PrimeField) -> DiffSet:
     """The nonzero quadratic residues mod p as a difference set."""
     p = field.p
     return DiffSet(field, tuple(sorted({i * i % p for i in range(1, p)})))
+
+
+def poly_from_roots(field: PrimeField, roots) -> FpPoly:
+    """The monic product of (X - r) over the roots, by FpPoly products."""
+    out = FpPoly.one(field)
+    for r in roots:
+        out = out * FpPoly(field, (-r, 1))
+    return out
 
 
 def all_perms(field: PrimeField):

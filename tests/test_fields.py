@@ -13,7 +13,7 @@ from burnside.fields import (
     vandermonde_det,
 )
 
-from conftest import qr_set
+from conftest import poly_from_roots, qr_set
 
 
 class TestPrimeField:
@@ -173,13 +173,11 @@ class TestNewton:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_direct_expansion(self, p):
         # e_k from Newton must match the coefficients of prod (X - u).
-        from burnside.polynomials import FpPoly
-
         f = PrimeField(p)
         for dset in all_diff_sets(f):
             m = len(dset)
             es = elementary_symmetric_via_newton(dset, m)
-            poly = FpPoly.from_roots(f, dset.elements)
+            poly = poly_from_roots(f, dset.elements)
             for k in range(1, m + 1):
                 sign = 1 if k % 2 == 0 else -1
                 assert es[k - 1] == sign * poly.coeffs[m - k] % p

@@ -40,11 +40,6 @@ class TestConstruction:
         assert FpPoly.constant(f, 3).degree == 0
         assert FpPoly(f, (0, 1)).degree == 1
 
-    def test_from_roots(self):
-        f = PrimeField(7)
-        # (X-1)(X-2)(X-4) = X^3 - 7X^2 + 14X - 8 = X^3 - 1 mod 7
-        assert FpPoly.from_roots(f, (1, 2, 4)).coeffs == (6, 0, 0, 1)
-
 
 class TestArithmetic:
     def test_square_of_linear(self):

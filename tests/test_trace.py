@@ -300,6 +300,29 @@ class TestShiftedPowerIdentities:
             w = rng.randrange(1, (p - 1) // max(degree, 1) + 1)
             self._assert_agrees(FpPoly(f, tuple(coeffs)), rng.choice(sets), w)
 
+    @pytest.mark.parametrize("p, h", [(97, 1), (97, 8), (61, 6)])
+    def test_affine_at_trace_shapes(self, p, h):
+        # The trace's own case: f = aX + b at w = p-1, U the order-h subgroup
+        # (M(U) = U). With a in M(U) the bases f+u and f(X+u) are the same
+        # |U| polynomials; with a outside, aU != U and vanishing fails.
+        f = PrimeField(p)
+        inside = _subgroup(p, h)
+        outside = next(a for a in range(2, p) if a not in inside)
+        dset = DiffSet(f, tuple(inside))
+        assert self._assert_agrees(FpPoly(f, (40, inside[-1])), dset, p - 1) == (True, True)
+        assert self._assert_agrees(FpPoly(f, (40, outside)), dset, p - 1) == (False, True)
+
+    def test_quadratic_square_and_multiply(self):
+        # f = X**2 + X + 3 has three terms, so every power takes
+        # square-and-multiply. U is a cycle of u -> u**2 + u, so the bases
+        # f(X+u) have the constant terms f(u) = 3 + u' of the bases f+u'
+        # and differ from them only in X: a power memo must key on the
+        # whole base.
+        f = PrimeField(31)
+        dset = DiffSet(f, (1, 2, 6, 8, 10, 11, 12, 17, 27))
+        for w in (2, 3, 8, 15):
+            assert self._assert_agrees(FpPoly(f, (3, 1, 1)), dset, w) == (False, True)
+
     def test_cube_mod_5_fails_vanishing_only(self):
         # x -> x^3 permutes F_5 but does not preserve {1}.
         f = PrimeField(5)
