@@ -14,8 +14,8 @@ it would contradict a theorem. The multiplier stabilizer M(U) is computed
 apart from the search, from U alone.
 
 A scan of every valid set mod p searches one set per orbit of
-F_p* x {U -> U, U -> U^c} (``scan_orbits``); ``scan_all_subsets`` searches
-them all and is kept as its oracle. Every row field but the set and its
+F_p* x {U -> U, U -> U^c} (``walk_orbits``, and ``scan_orbits`` for its
+rows); ``scan_all_subsets`` searches them all and is kept as its oracle. Every row field but the set and its
 size is an orbit invariant: Aut(aU) = a Aut(U) a^-1 and Aut(U^c) = Aut(U);
 M(aU) = M(U^c) = M(U); S_k(aU) = a^k S_k(U) and S_k(U^c) = -S_k(U) for
 k <= p-2, so the least k with a nonzero power sum S_k agrees.
@@ -324,7 +324,7 @@ def _assert_theorem(dset: DiffSet, perms, count: int, stabilizer_size: int) -> N
         )
 
 
-def _canonical_subsets(p: int):
+def canonical_subsets(p: int):
     """Every non-empty proper subset of 1..p-1 as a tuple, in (size, lex) order."""
     for size in range(1, p - 1):
         yield from itertools.combinations(range(1, p), size)
@@ -332,7 +332,7 @@ def _canonical_subsets(p: int):
 
 def all_diff_sets(field: PrimeField):
     """Every valid difference set mod p, in canonical (size, lex) order."""
-    for combo in _canonical_subsets(field.p):
+    for combo in canonical_subsets(field.p):
         yield DiffSet(field, combo)
 
 
@@ -408,10 +408,10 @@ def scan_all_subsets(
     return _scan_sets(list(all_diff_sets(field)), jobs)
 
 
-def scan_orbits(
+def walk_orbits(
     field: PrimeField, jobs: int = 1, prime_cap: int = SCAN_PRIME_CAP
-) -> list[ScanRow]:
-    """The rows of ``scan_all_subsets``, searching one set per orbit.
+) -> tuple[list[ScanRow], list[int]]:
+    """The checked row of each orbit representative, and each set's orbit.
 
     The group F_p* x {U -> U, U -> U^c} acts on the valid sets, and every
     row field but ``elements`` and ``size`` is constant on an orbit:
@@ -423,34 +423,52 @@ def scan_orbits(
       k-th powers of F_p* sum to 0; S_(p-1) = |U| mod p is nonzero for
       every valid set, so the least k with S_k != 0 agrees.
 
-    The sets are walked in canonical order, each as a bitmask (bit u-1
-    for u in U), so the first set met of an orbit is its least member. It
-    becomes the orbit's representative, and the masks of all a*U and
-    a*U^c are entered in a table of 2**(p-1) slots that maps each mask to
-    its orbit. Only the representatives are searched, each with the count
-    law and the power sums checked, on at most
-    ``min(jobs, orbits, os.cpu_count())`` worker processes. Every other
-    row copies its representative's row, so rows come back in canonical
-    order and are the same for any ``jobs``.
+    The sets are walked in ``canonical_subsets`` order, each as a bitmask
+    (bit u-1 for u in U), so the first set met of an orbit is its least
+    member. It becomes the orbit's representative, and the masks of all
+    a*U and a*U^c are entered in a table of 2**(p-1) slots that maps each
+    mask to its orbit. Only the representatives are searched, each with
+    the count law and the power sums checked, on at most
+    ``min(jobs, orbits, os.cpu_count())`` worker processes. Returns the
+    representatives' rows, in orbit order, and the orbit index of every
+    set in canonical order; both are the same for any ``jobs``.
     """
     _check_scan(field, jobs, prime_cap)
     p = field.p
     full = (1 << p - 1) - 1
-    bit = [0, *(1 << u - 1 for u in range(1, p))]
+    # scaled[a-1][u] is the bit of a*u: the mask of aU is the sum over U.
+    scaled = [[0, *(1 << a * u % p - 1 for u in range(1, p))] for a in range(1, p)]
+    bit = scaled[0].__getitem__
     orbit_of = [None] * (full + 1)
-    reps, walk = [], []
-    for combo in _canonical_subsets(p):
-        orbit = orbit_of[sum(map(bit.__getitem__, combo))]
+    reps, orbits = [], []
+    for combo in canonical_subsets(p):
+        orbit = orbit_of[sum(map(bit, combo))]
         if orbit is None:
             orbit = len(reps)
             reps.append(DiffSet(field, combo))
-            for a in range(1, p):
-                image = sum(bit[a * u % p] for u in combo)
+            for row in scaled:
+                image = sum(map(row.__getitem__, combo))
                 orbit_of[image] = orbit_of[image ^ full] = orbit
-        walk.append((combo, orbit))
+        orbits.append(orbit)
+    return _scan_sets(reps, jobs), orbits
+
+
+def scan_orbits(
+    field: PrimeField, jobs: int = 1, prime_cap: int = SCAN_PRIME_CAP
+) -> list[ScanRow]:
+    """The rows of ``scan_all_subsets``, searching one set per orbit.
+
+    Every row copies its orbit representative's row (``walk_orbits``) but
+    for the set and its size, so rows come back in canonical order and are
+    the same for any ``jobs``.
+    """
+    reps, orbits = walk_orbits(field, jobs, prime_cap)
     # Each row is built directly: dataclasses.replace costs twice as much.
     invariants = [
         (r.stabilizer_size, r.automorphism_count, r.all_affine, r.min_power_index)
-        for r in _scan_sets(reps, jobs)
+        for r in reps
     ]
-    return [ScanRow(combo, len(combo), *invariants[orbit]) for combo, orbit in walk]
+    return [
+        ScanRow(combo, len(combo), *invariants[orbit])
+        for combo, orbit in zip(canonical_subsets(field.p), orbits)
+    ]

@@ -19,6 +19,12 @@ Structured (JSON) reports are deterministic: identical inputs render to
 identical bytes, with timing kept out of them. The plain-text rendering
 is a convenience and carries no stability guarantee. BURNSIDE_JOBS is
 honored as a fallback for --jobs.
+
+A report is written to stdout or --output as a sequence of text chunks:
+one string for every command but a JSON scan, whose rows are formatted
+one at a time as they are written, so no copy of the whole report is
+held. Every check runs before the first byte is written, so a failed
+command writes nothing and creates no --output file.
 """
 
 from __future__ import annotations
@@ -30,12 +36,14 @@ import json
 import os
 import sys
 import time
-from typing import IO, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .automorphisms import (
     SCAN_PRIME_CAP,
+    ScanRow,
+    canonical_subsets,
     enumerate_diff_preserving,
-    scan_orbits,
+    walk_orbits,
 )
 from .classifier import classify
 from .errors import InputError, InternalInvariantViolation
@@ -198,6 +206,14 @@ def _cmd_trace(args) -> tuple[dict, dict, str, int]:
     return payload, arguments, digest, code
 
 
+class _ScanRows(NamedTuple):
+    """The rows of a scan report, one per set, each from its orbit's row."""
+
+    sets: Iterable[tuple[int, ...]]  # every set, in canonical order
+    orbits: list[int]  # the orbit index of each set
+    reps: list[ScanRow]  # the checked row of each orbit's representative
+
+
 def _cmd_scan(args) -> tuple[dict, dict, str, int]:
     field = PrimeField(args.p)
     jobs = args.jobs
@@ -208,25 +224,33 @@ def _cmd_scan(args) -> tuple[dict, dict, str, int]:
         except ValueError:
             raise InputError(f"BURNSIDE_JOBS must be an integer, got {raw!r}") from None
     cap = field.p if args.unsafe_cap else SCAN_PRIME_CAP
-    rows = scan_orbits(field, jobs=jobs, prime_cap=cap)
-    payload = {
-        "p": field.p,
-        "subsets": len(rows),
-        # U != U^c for every valid U, so the rows split into exactly len/2 pairs.
-        "complement_classes": len(rows) // 2,
-        "max_automorphism_count": max(r.automorphism_count for r in rows),
-        "violations": 0,
-        "rows": [
+    reps, orbits = walk_orbits(field, jobs=jobs, prime_cap=cap)
+    sets = canonical_subsets(field.p)
+    if args.format == "json":
+        rows = _ScanRows(sets, orbits, reps)
+    else:
+        tails = [
             {
-                "diff_set": list(r.elements),
-                "size": r.size,
                 "stabilizer_size": r.stabilizer_size,
                 "automorphism_count": r.automorphism_count,
                 "all_affine": r.all_affine,
                 "min_power_index": r.min_power_index,
             }
-            for r in rows
-        ],
+            for r in reps
+        ]
+        rows = [
+            {"diff_set": list(combo), "size": len(combo), **tails[orbit]}
+            for combo, orbit in zip(sets, orbits)
+        ]
+    payload = {
+        "p": field.p,
+        "subsets": len(orbits),
+        # U != U^c for every valid U, so the sets split into exactly len/2 pairs.
+        "complement_classes": len(orbits) // 2,
+        # An orbit invariant, so the representatives hold every value.
+        "max_automorphism_count": max(r.automorphism_count for r in reps),
+        "violations": 0,
+        "rows": rows,
     }
     arguments = {"p": field.p}
     return payload, arguments, _digest(f"scan p={field.p}"), 0
@@ -258,32 +282,39 @@ _COMMANDS = {
 }
 
 
-def _render_scan_json(report: dict) -> str:
-    """``json.dumps(report, indent=2) + "\\n"`` for a scan report, written faster.
+def _scan_json_chunks(report: dict) -> Iterator[str]:
+    """``json.dumps(report, indent=2) + "\\n"`` for a scan report, in chunks.
 
-    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder. A scan
-    report is almost all rows of one shape (ints, a non-empty int list and
-    a bool), so the report is dumped without its rows and each row is
-    written from a template in the same layout.
+    ``report["result"]["rows"]`` is a ``_ScanRows`` with at least one set.
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder, and a
+    scan report is almost all rows of one shape (a non-empty int list, ints
+    and a bool). So the report is dumped without its rows, the tail of each
+    orbit's rows (``stabilizer_size`` to ``min_power_index``) is formatted
+    once, and each row is yielded as its set, its size and its orbit's
+    tail, in the same layout. No row dict and no whole-report string is
+    built.
     """
     result = report["result"]
+    rows = result["rows"]
     head = json.dumps({**report, "result": {**result, "rows": []}}, indent=2)
     before, after = head.rsplit('"rows": []', 1)
-    sep = ",\n          "
-    rows = ",\n".join(
-        f"""      {{
-        "diff_set": [
-          {sep.join(map(str, row["diff_set"]))}
-        ],
-        "size": {row["size"]},
-        "stabilizer_size": {row["stabilizer_size"]},
-        "automorphism_count": {row["automorphism_count"]},
-        "all_affine": {"true" if row["all_affine"] else "false"},
-        "min_power_index": {row["min_power_index"]}
+    tails = [
+        f""",
+        "stabilizer_size": {r.stabilizer_size},
+        "automorphism_count": {r.automorphism_count},
+        "all_affine": {"true" if r.all_affine else "false"},
+        "min_power_index": {r.min_power_index}
       }}"""
-        for row in result["rows"]
-    )
-    return f'{before}"rows": [\n{rows}\n    ]{after}\n'
+        for r in rows.reps
+    ]
+    sep = ",\n          "
+    yield f'{before}"rows": ['
+    lead = "\n"
+    for combo, orbit in zip(rows.sets, rows.orbits):
+        yield (f'{lead}      {{\n        "diff_set": [\n          {sep.join(map(str, combo))}'
+               f'\n        ],\n        "size": {len(combo)}{tails[orbit]}')
+        lead = ",\n"
+    yield f"\n    ]{after}\n"
 
 
 def _render_text(report: dict, elapsed: float) -> str:
@@ -343,21 +374,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "result": result,
     }
     if args.format == "text":
-        rendered = _render_text(report, elapsed)
+        chunks: Iterable[str] = [_render_text(report, elapsed)]
     elif args.command == "scan":
-        rendered = _render_scan_json(report)
+        chunks = _scan_json_chunks(report)
     else:
-        rendered = json.dumps(report, indent=2) + "\n"
+        chunks = [json.dumps(report, indent=2) + "\n"]
 
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(rendered)
+        sys.stdout.writelines(chunks)
 
     if code != 0:
         print("trace verdict VIOLATION: a checked identity failed on valid "

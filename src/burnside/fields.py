@@ -158,13 +158,16 @@ def power_sum(dset: DiffSet, k: int) -> int:
     return power_sums(dset)[(k - 1) % (dset.field.p - 1)]
 
 
-def min_nonzero_power_sum(dset: DiffSet) -> int:
+def min_nonzero_power_sum(dset: DiffSet, sums: tuple[int, ...] | None = None) -> int:
     """Smallest k in 1..p-1 whose power sum is nonzero.
 
-    A valid set always has one (its Vandermonde matrix is nonsingular), so
-    an all-zero scan signals a bug.
+    ``sums`` is the set's ``power_sums`` vector when the caller already
+    holds it. A valid set always has a nonzero power sum (its Vandermonde
+    matrix is nonsingular), so an all-zero vector signals a bug.
     """
-    for k, s in enumerate(power_sums(dset), start=1):
+    if sums is None:
+        sums = power_sums(dset)
+    for k, s in enumerate(sums, start=1):
         if s:
             return k
     raise InternalInvariantViolation(

@@ -229,11 +229,12 @@ def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
     """
     p = dset.field.p
     nw = n * w
-    r = min_nonzero_power_sum(dset)
+    sums = power_sums(dset)
+    r = min_nonzero_power_sum(dset, sums)
     if not r <= nw <= p - 1:
         raise InputError(f"leading-coefficient check needs r <= n*w <= p-1, "
                          f"got r={r}, n*w={nw}, p={p}")
-    return _leading_coefficient(dset, nw, r, power_sums(dset))
+    return _leading_coefficient(dset, nw, r, sums)
 
 
 def check_contradiction_bound(p: int, n: int, r: int) -> bool:
@@ -290,7 +291,7 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
     ))
 
     sums = power_sums(reduced)
-    r = min_nonzero_power_sum(reduced)
+    r = min_nonzero_power_sum(reduced, sums)
     vanishing, binomial = _shifted_power_identities(poly, reduced, w_max, sums)
     steps.append(TraceStep(
         f"vanishing_identity(w={w_max})", vanishing,

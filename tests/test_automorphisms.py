@@ -455,7 +455,7 @@ def _count_by_aut_command(dset):
 def _count_by_orbit_scan(dset):
     """dset's row of ``scan_orbits``, with the walk cut down to dset alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(burnside.automorphisms, "_canonical_subsets",
+        mp.setattr(burnside.automorphisms, "canonical_subsets",
                    lambda p: iter([dset.elements]))
         (row,) = scan_orbits(dset.field)
     return row.automorphism_count
@@ -559,10 +559,11 @@ class TestScan:
                 count(DiffSet(PrimeField(5), (1, 4)))
             assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
 
-    def test_scans_report_the_same_counterexample(self, monkeypatch, capsys):
+    def test_scans_report_the_same_counterexample(self, monkeypatch, capsys, tmp_path):
         # {1, 4} = -{1, 4} is the first orbit representative mod 5 with
         # |M(U)| > 1, so the identity-only search fails there first in
-        # both scans; `scan` exits 2 with that counterexample.
+        # both scans; `scan` exits 2 with that counterexample and writes
+        # no part of its report, to stdout or to --output.
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
                             lambda dset: [tuple(range(dset.field.p))])
         payload = {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
@@ -577,6 +578,12 @@ class TestScan:
             "error": "automorphism count disagrees with p * |stabilizer|",
             "counterexample": payload,
         }
+        target = tmp_path / "scan.json"
+        assert burnside.cli.main(["scan", "--p", "5", "--output", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["counterexample"] == payload
+        assert not target.exists()
 
     def test_row_rejects_a_non_affine_map(self, monkeypatch):
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",

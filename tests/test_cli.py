@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,8 +12,8 @@ import burnside.automorphisms
 import burnside.classifier
 from burnside import verify_certificate
 from burnside.classifier import Classification
-from burnside.automorphisms import SCAN_PRIME_CAP
-from burnside.cli import _render_scan_json, main, parse_group_file
+from burnside.automorphisms import SCAN_PRIME_CAP, ScanRow
+from burnside.cli import _scan_json_chunks, _ScanRows, main, parse_group_file
 from burnside.errors import InputError
 from burnside.permutations import Perm
 
@@ -279,12 +280,44 @@ class TestScanCommand:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_writer_on_any_row_values(self):
-        row = {"diff_set": [2, 30, 41], "size": 3, "stabilizer_size": 1,
-               "automorphism_count": 0, "all_affine": False, "min_power_index": 12}
-        for rows in ([row], [row, {**row, "diff_set": [5], "all_affine": True}]):
-            report = {"command": "scan", "arguments": {"p": 43}, "input_sha256": "00",
-                      "result": {"p": 43, "violations": 0, "rows": rows}}
-            assert _render_scan_json(report) == json.dumps(report, indent=2) + "\n"
+        # Each row is its own set and size followed by its orbit's fields,
+        # whatever their values.
+        tails = [
+            {"stabilizer_size": 1, "automorphism_count": 0, "all_affine": False,
+             "min_power_index": 12},
+            {"stabilizer_size": 2, "automorphism_count": 86, "all_affine": True,
+             "min_power_index": 3},
+        ]
+        reps = [ScanRow((), 0, *tail.values()) for tail in tails]
+        for sets, orbits in (
+            ([(2, 30, 41)], [0]),
+            ([(2, 30, 41), (5,), (1, 7)], [0, 1, 0]),
+        ):
+            head = {"command": "scan", "arguments": {"p": 43}, "input_sha256": "00"}
+            rows = [{"diff_set": list(s), "size": len(s), **tails[o]}
+                    for s, o in zip(sets, orbits)]
+            report = {**head, "result": {"p": 43, "violations": 0, "rows": rows}}
+            streamed = {**head, "result": {"p": 43, "violations": 0,
+                                           "rows": _ScanRows(iter(sets), orbits, reps)}}
+            chunks = list(_scan_json_chunks(streamed))
+            assert len(chunks) == len(sets) + 2  # the head, one per row, the end
+            assert "".join(chunks) == json.dumps(report, indent=2) + "\n"
+
+    def test_streamed_file_peak_below_its_size(self, capsys, tmp_path):
+        # The rows are written one at a time, so the traced peak of a
+        # p = 17 scan stays below the 19.4 MB it writes.
+        target = tmp_path / "scan.json"
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--p", "17", "--unsafe-cap", "--output", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert peak < target.stat().st_size
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "4daba45d01951d700cff0cf952f77e5306038e2ef8698be5392d53edce5197c7")
 
     def test_text_bytes(self, capsys):
         # The text rendering does not go through the JSON writer; all but its
@@ -403,6 +436,19 @@ class TestDispatchPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["result"]["automorphism_count"] == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--p", "5"],
+        ["aut", "--p", "5", "--set", "1"],
+    ])
+    def test_output_into_missing_directory_exits_1(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write output:")
+        assert "Traceback" not in err
+        assert not target.parent.exists()
 
     def test_input_digest_present(self, capsys):
         _, out, _ = run_cli(capsys, "scan", "--p", "5")

@@ -2,7 +2,7 @@ import pytest
 
 from burnside import DiffSet, PrimeField
 from burnside.automorphisms import all_diff_sets
-from burnside.errors import InputError
+from burnside.errors import InputError, InternalInvariantViolation
 from burnside.fields import (
     binomial_mod_p,
     elementary_symmetric_via_newton,
@@ -142,6 +142,14 @@ class TestPowerSums:
         assert min_nonzero_power_sum(DiffSet(PrimeField(7), (1, 2, 4))) == 3
         assert min_nonzero_power_sum(DiffSet(PrimeField(5), (1, 4))) == 2
         assert min_nonzero_power_sum(DiffSet(PrimeField(5), (1,))) == 1
+
+    def test_min_nonzero_reads_a_given_vector(self):
+        dset = DiffSet(PrimeField(7), (1, 2, 4))
+        assert min_nonzero_power_sum(dset, power_sums(dset)) == 3
+        # A valid set has a nonzero power sum, so an all-zero vector is a bug.
+        with pytest.raises(InternalInvariantViolation, match="every power sum vanished") as exc:
+            min_nonzero_power_sum(dset, (0,) * 6)
+        assert exc.value.payload == {"p": 7, "elements": [1, 2, 4]}
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_small_sets_have_small_min_index(self, p):
