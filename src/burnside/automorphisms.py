@@ -14,11 +14,12 @@ it would contradict a theorem. The multiplier stabilizer M(U) is computed
 apart from the search, from U alone.
 
 A scan of every valid set mod p searches one set per orbit of
-F_p* x {U -> U, U -> U^c} (``walk_orbits``, and ``scan_orbits`` for its
-rows); ``scan_all_subsets`` searches them all and is kept as its oracle. Every row field but the set and its
-size is an orbit invariant: Aut(aU) = a Aut(U) a^-1 and Aut(U^c) = Aut(U);
-M(aU) = M(U^c) = M(U); S_k(aU) = a^k S_k(U) and S_k(U^c) = -S_k(U) for
-k <= p-2, so the least k with a nonzero power sum S_k agrees.
+F_p* x {U -> U, U -> U^c} (``walk_orbits``); ``scan_all_subsets``
+searches them all and is kept as its oracle. Every row field but the set
+and its size is an orbit invariant: Aut(aU) = a Aut(U) a^-1 and
+Aut(U^c) = Aut(U); M(aU) = M(U^c) = M(U); S_k(aU) = a^k S_k(U) and
+S_k(U^c) = -S_k(U) for k <= p-2, so the least k with a nonzero power sum
+S_k agrees.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from .fields import DiffSet, PrimeField, min_nonzero_power_sum
 from .permutations import Perm, recognize_affine
 
 NAIVE_DEGREE_CAP = 8
-SCAN_PRIME_CAP = 13
+# A scan's walk holds a 2**(p-1)-slot orbit table and a per-set orbit
+# list: 4.2M slots each at p = 23 (about 40 s and a 121 MB peak RSS on a
+# 2-vCPU host), but 268M each at p = 29.
+SCAN_PRIME_CAP = 23
 # Imported by the first parallel scan: concurrent.futures.process pulls in
 # multiprocessing (about 2.5 MB resident), which no other command needs.
 ProcessPoolExecutor = None
@@ -362,15 +366,15 @@ def _scan_one(dset: DiffSet) -> ScanRow:
     )
 
 
-def _check_scan(field: PrimeField, jobs: int, prime_cap: int) -> None:
+def _check_scan(field: PrimeField, jobs: int) -> None:
     """Raise InputError unless a scan mod p with this many jobs may run."""
     p = field.p
     if p < 3:
         raise InputError(f"no difference set exists mod {p}; scan needs p >= 3")
-    if p > prime_cap:
+    if p > SCAN_PRIME_CAP:
         raise InputError(
-            f"subset scan is capped at p <= {prime_cap} "
-            f"({2 ** (p - 1) - 2} subsets at p={p}); raise the cap explicitly"
+            f"subset scan is capped at p <= {SCAN_PRIME_CAP} "
+            f"({2 ** (p - 1) - 2} subsets at p={p})"
         )
     if jobs < 1:
         raise InputError(f"worker count must be >= 1, got {jobs}")
@@ -393,24 +397,20 @@ def _scan_sets(dsets: list[DiffSet], jobs: int) -> list[ScanRow]:
         return list(pool.map(_scan_one, dsets, chunksize=chunk))
 
 
-def scan_all_subsets(
-    field: PrimeField, jobs: int = 1, prime_cap: int = SCAN_PRIME_CAP
-) -> list[ScanRow]:
+def scan_all_subsets(field: PrimeField, jobs: int = 1) -> list[ScanRow]:
     """Run the enumeration over every valid set mod p, one row each.
 
-    Every set is searched; this is the oracle for ``scan_orbits``. Rows
+    Every set is searched; this is the oracle for ``walk_orbits``. Rows
     come back in canonical subset order regardless of the worker count,
     so serialized scans are byte-identical for any ``jobs``. At most
     ``min(jobs, subsets, os.cpu_count())`` worker processes start; with
     one, the scan runs in this process.
     """
-    _check_scan(field, jobs, prime_cap)
+    _check_scan(field, jobs)
     return _scan_sets(list(all_diff_sets(field)), jobs)
 
 
-def walk_orbits(
-    field: PrimeField, jobs: int = 1, prime_cap: int = SCAN_PRIME_CAP
-) -> tuple[list[ScanRow], list[int]]:
+def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[int]]:
     """The checked row of each orbit representative, and each set's orbit.
 
     The group F_p* x {U -> U, U -> U^c} acts on the valid sets, and every
@@ -433,7 +433,7 @@ def walk_orbits(
     representatives' rows, in orbit order, and the orbit index of every
     set in canonical order; both are the same for any ``jobs``.
     """
-    _check_scan(field, jobs, prime_cap)
+    _check_scan(field, jobs)
     p = field.p
     full = (1 << p - 1) - 1
     # scaled[a-1][u] is the bit of a*u: the mask of aU is the sum over U.
@@ -452,23 +452,3 @@ def walk_orbits(
         orbits.append(orbit)
     return _scan_sets(reps, jobs), orbits
 
-
-def scan_orbits(
-    field: PrimeField, jobs: int = 1, prime_cap: int = SCAN_PRIME_CAP
-) -> list[ScanRow]:
-    """The rows of ``scan_all_subsets``, searching one set per orbit.
-
-    Every row copies its orbit representative's row (``walk_orbits``) but
-    for the set and its size, so rows come back in canonical order and are
-    the same for any ``jobs``.
-    """
-    reps, orbits = walk_orbits(field, jobs, prime_cap)
-    # Each row is built directly: dataclasses.replace costs twice as much.
-    invariants = [
-        (r.stabilizer_size, r.automorphism_count, r.all_affine, r.min_power_index)
-        for r in reps
-    ]
-    return [
-        ScanRow(combo, len(combo), *invariants[orbit])
-        for combo, orbit in zip(canonical_subsets(field.p), orbits)
-    ]

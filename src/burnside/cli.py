@@ -11,20 +11,20 @@ Group files: first significant line "p=<prime>", then one generator per
 line as a comma-separated image list; '#' starts a comment, blank lines
 are ignored.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 internal invariant
-violation (a theorem came out false, i.e. a bug; the counterexample is
-serialized to stderr).
+Exit codes: 0 success, 1 invalid input or usage (or output that cannot
+be written), 2 internal invariant violation (a theorem came out false,
+i.e. a bug; the counterexample is serialized to stderr). A trace whose
+verdict is VIOLATION still writes its report, then exits 2.
 
 Structured (JSON) reports are deterministic: identical inputs render to
 identical bytes, with timing kept out of them. The plain-text rendering
-is a convenience and carries no stability guarantee. BURNSIDE_JOBS is
-honored as a fallback for --jobs.
+is a convenience and carries no stability guarantee.
 
-A report is written to stdout or --output as a sequence of text chunks:
-one string for every command but a JSON scan, whose rows are formatted
-one at a time as they are written, so no copy of the whole report is
-held. Every check runs before the first byte is written, so a failed
-command writes nothing and creates no --output file.
+A report is written to stdout or --output as a sequence of text chunks.
+A scan report, in either format, formats its rows one at a time as they
+are written, so no copy of the whole report is held. Every check runs
+before the first byte is written, so a failed command writes nothing and
+creates no --output file.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import time
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .automorphisms import (
-    SCAN_PRIME_CAP,
     ScanRow,
     canonical_subsets,
     enumerate_diff_preserving,
@@ -130,9 +129,7 @@ def _build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", parents=[common],
                             help="enumerate over every valid set mod p")
     p_scan.add_argument("--p", required=True, type=int)
-    p_scan.add_argument("--jobs", type=int, default=None)
-    p_scan.add_argument("--unsafe-cap", action="store_true",
-                        help="lift the p <= %d scan cap" % SCAN_PRIME_CAP)
+    p_scan.add_argument("--jobs", type=int, default=1)
 
     p_interp = sub.add_parser("interp", parents=[common],
                               help="interpolate a permutation")
@@ -216,32 +213,7 @@ class _ScanRows(NamedTuple):
 
 def _cmd_scan(args) -> tuple[dict, dict, str, int]:
     field = PrimeField(args.p)
-    jobs = args.jobs
-    if jobs is None:
-        raw = os.environ.get("BURNSIDE_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise InputError(f"BURNSIDE_JOBS must be an integer, got {raw!r}") from None
-    cap = field.p if args.unsafe_cap else SCAN_PRIME_CAP
-    reps, orbits = walk_orbits(field, jobs=jobs, prime_cap=cap)
-    sets = canonical_subsets(field.p)
-    if args.format == "json":
-        rows = _ScanRows(sets, orbits, reps)
-    else:
-        tails = [
-            {
-                "stabilizer_size": r.stabilizer_size,
-                "automorphism_count": r.automorphism_count,
-                "all_affine": r.all_affine,
-                "min_power_index": r.min_power_index,
-            }
-            for r in reps
-        ]
-        rows = [
-            {"diff_set": list(combo), "size": len(combo), **tails[orbit]}
-            for combo, orbit in zip(sets, orbits)
-        ]
+    reps, orbits = walk_orbits(field, jobs=args.jobs)
     payload = {
         "p": field.p,
         "subsets": len(orbits),
@@ -250,7 +222,7 @@ def _cmd_scan(args) -> tuple[dict, dict, str, int]:
         # An orbit invariant, so the representatives hold every value.
         "max_automorphism_count": max(r.automorphism_count for r in reps),
         "violations": 0,
-        "rows": rows,
+        "rows": _ScanRows(canonical_subsets(field.p), orbits, reps),
     }
     arguments = {"p": field.p}
     return payload, arguments, _digest(f"scan p={field.p}"), 0
@@ -317,30 +289,49 @@ def _scan_json_chunks(report: dict) -> Iterator[str]:
     yield f"\n    ]{after}\n"
 
 
-def _render_text(report: dict, elapsed: float) -> str:
-    lines: list[str] = []
+def _text_chunks(report: dict, elapsed: float) -> Iterator[str]:
+    """The plain-text rendering of a report, one line per chunk.
 
-    def emit(key: str, value, indent: int) -> None:
+    Each scalar or flat list is a ``key: value`` line; a dict or a nested
+    list is a ``key:`` line over its items, indented two more spaces. A
+    ``_ScanRows`` value renders as the list of its row dicts would, but a
+    row at a time, as ``_scan_json_chunks`` writes it: each orbit's lines
+    from ``stabilizer_size`` on are rendered once, and each row is its
+    index, its set, its size and its orbit's lines.
+    """
+
+    def emit(key: str, value, indent: int) -> Iterator[str]:
         pad = "  " * indent
         if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
+            yield f"{pad}{key}:\n"
             for k, v in value.items():
-                emit(k, v, indent + 1)
+                yield from emit(k, v, indent + 1)
+        elif isinstance(value, _ScanRows):
+            yield f"{pad}{key}:\n"
+            tails = [
+                f"{pad}    stabilizer_size: {r.stabilizer_size}\n"
+                f"{pad}    automorphism_count: {r.automorphism_count}\n"
+                f"{pad}    all_affine: {r.all_affine}\n"
+                f"{pad}    min_power_index: {r.min_power_index}\n"
+                for r in value.reps
+            ]
+            for idx, (combo, orbit) in enumerate(zip(value.sets, value.orbits)):
+                yield (f"{pad}  [{idx}]:\n{pad}    diff_set: [{', '.join(map(str, combo))}]"
+                       f"\n{pad}    size: {len(combo)}\n{tails[orbit]}")
         elif isinstance(value, list):
             if all(not isinstance(v, (dict, list)) for v in value):
                 joined = ", ".join(str(v) for v in value)
-                lines.append(f"{pad}{key}: [{joined}]")
+                yield f"{pad}{key}: [{joined}]\n"
             else:
-                lines.append(f"{pad}{key}:")
+                yield f"{pad}{key}:\n"
                 for idx, v in enumerate(value):
-                    emit(f"[{idx}]", v, indent + 1)
+                    yield from emit(f"[{idx}]", v, indent + 1)
         else:
-            lines.append(f"{pad}{key}: {value}")
+            yield f"{pad}{key}: {value}\n"
 
     for key, value in report.items():
-        emit(key, value, 0)
-    lines.append(f"elapsed_seconds: {elapsed:.3f}")
-    return "\n".join(lines) + "\n"
+        yield from emit(key, value, 0)
+    yield f"elapsed_seconds: {elapsed:.3f}\n"
 
 
 # Built once per process: a parser keeps no state between parse_args calls,
@@ -374,21 +365,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "result": result,
     }
     if args.format == "text":
-        chunks: Iterable[str] = [_render_text(report, elapsed)]
+        chunks: Iterable[str] = _text_chunks(report, elapsed)
     elif args.command == "scan":
         chunks = _scan_json_chunks(report)
     else:
         chunks = [json.dumps(report, indent=2) + "\n"]
 
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.output:
+            # Whatever stdout still buffers is dropped: with its descriptor
+            # on os.devnull, the interpreter's last flush has nowhere to fail.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
     if code != 0:
         print("trace verdict VIOLATION: a checked identity failed on valid "

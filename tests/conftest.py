@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import functools
 import itertools
 import random
 
@@ -23,6 +24,19 @@ def poly_from_roots(field: PrimeField, roots) -> FpPoly:
     for r in roots:
         out = out * FpPoly(field, (-r, 1))
     return out
+
+
+@functools.cache
+def exhaustive_report_rows(p: int) -> list[dict]:
+    """The rows of a scan report mod p, from ``scan_all_subsets``; shared, so
+    read-only."""
+    return [
+        {"diff_set": list(r.elements), "size": r.size,
+         "stabilizer_size": r.stabilizer_size,
+         "automorphism_count": r.automorphism_count,
+         "all_affine": r.all_affine, "min_power_index": r.min_power_index}
+        for r in burnside.automorphisms.scan_all_subsets(PrimeField(p))
+    ]
 
 
 def all_perms(field: PrimeField):

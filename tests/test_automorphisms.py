@@ -1,4 +1,3 @@
-import functools
 import gc
 import hashlib
 import json
@@ -21,12 +20,12 @@ from burnside.automorphisms import (
     mult_stabilizer,
     naive_enumerate,
     scan_all_subsets,
-    scan_orbits,
+    walk_orbits,
 )
 from burnside.errors import InputError, PropositionViolated
 from burnside.permutations import Perm, recognize_affine
 
-from conftest import all_perms, qr_set, random_perm
+from conftest import all_perms, exhaustive_report_rows, qr_set, random_perm
 
 
 def preserves_biconditional(perm, dset):
@@ -453,11 +452,11 @@ def _count_by_aut_command(dset):
 
 
 def _count_by_orbit_scan(dset):
-    """dset's row of ``scan_orbits``, with the walk cut down to dset alone."""
+    """dset's row of ``walk_orbits``, with the walk cut down to dset alone."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(burnside.automorphisms, "canonical_subsets",
                    lambda p: iter([dset.elements]))
-        (row,) = scan_orbits(dset.field)
+        (row,), _ = walk_orbits(dset.field)
     return row.automorphism_count
 
 
@@ -469,11 +468,6 @@ _COUNTERS = [
     lambda dset: len(enumerate_diff_preserving(dset.field, dset).automorphisms),
     _count_by_aut_command,
 ]
-
-
-@functools.cache
-def _exhaustive_scan(p):
-    return scan_all_subsets(PrimeField(p))
 
 
 class TestScan:
@@ -494,8 +488,8 @@ class TestScan:
         ]
 
     def test_prime_cap(self):
-        with pytest.raises(InputError):
-            scan_all_subsets(PrimeField(17))
+        with pytest.raises(InputError, match="capped at p <= 23"):
+            scan_all_subsets(PrimeField(29))
 
     def test_jobs_guard(self):
         with pytest.raises(InputError):
@@ -525,23 +519,26 @@ class TestScan:
     ])
     def test_orbit_worker_count_clamped(self, fake_pool, monkeypatch, p, jobs, cpus, started):
         monkeypatch.setattr(burnside.automorphisms.os, "cpu_count", lambda: cpus)
-        assert scan_orbits(PrimeField(p), jobs=jobs) == _exhaustive_scan(p)
+        walk = walk_orbits(PrimeField(p), jobs=jobs)
         assert fake_pool == started
+        assert walk == walk_orbits(PrimeField(p), jobs=1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_orbit_scan_matches_exhaustive(self, p, jobs):
-        assert scan_orbits(PrimeField(p), jobs=jobs) == _exhaustive_scan(p)
+        # The rows `scan` writes from the orbit walk, against every set searched.
+        out = StringIO()
+        with redirect_stdout(out):
+            assert burnside.cli.main(["scan", "--p", str(p), "--jobs", str(jobs)]) == 0
+        assert json.loads(out.getvalue())["result"]["rows"] == exhaustive_report_rows(p)
 
     def test_orbit_scan_guards(self):
-        with pytest.raises(InputError, match="capped at p <= 13"):
-            scan_orbits(PrimeField(17))
+        with pytest.raises(InputError, match="capped at p <= 23"):
+            walk_orbits(PrimeField(29))
         with pytest.raises(InputError, match="p >= 3"):
-            scan_orbits(PrimeField(2))
+            walk_orbits(PrimeField(2))
         with pytest.raises(InputError, match="worker count"):
-            scan_orbits(PrimeField(5), jobs=0)
-        with pytest.raises(InputError, match="capped at p <= 11"):
-            scan_orbits(PrimeField(13), prime_cap=11)
+            walk_orbits(PrimeField(5), jobs=0)
 
     def test_parallel_matches_sequential(self):
         sequential = scan_all_subsets(PrimeField(7), jobs=1)
@@ -567,7 +564,7 @@ class TestScan:
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
                             lambda dset: [tuple(range(dset.field.p))])
         payload = {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
-        for scan in (scan_all_subsets, scan_orbits):
+        for scan in (scan_all_subsets, walk_orbits):
             with pytest.raises(PropositionViolated, match="count disagrees") as exc:
                 scan(PrimeField(5))
             assert exc.value.payload == payload

@@ -12,10 +12,12 @@ import burnside.automorphisms
 import burnside.classifier
 from burnside import verify_certificate
 from burnside.classifier import Classification
-from burnside.automorphisms import SCAN_PRIME_CAP, ScanRow
-from burnside.cli import _scan_json_chunks, _ScanRows, main, parse_group_file
+from burnside.automorphisms import ScanRow
+from burnside.cli import _scan_json_chunks, _ScanRows, _text_chunks, main, parse_group_file
 from burnside.errors import InputError
 from burnside.permutations import Perm
+
+from conftest import exhaustive_report_rows
 
 D5_FILE = """\
 # dihedral group of order 10
@@ -238,16 +240,8 @@ class TestScanCommand:
         monkeypatch.setattr(burnside.automorphisms.os, "cpu_count", lambda: 4)
         _, one, _ = run_cli(capsys, "scan", "--p", "7", "--jobs", "1")
         _, many, _ = run_cli(capsys, "scan", "--p", "7", "--jobs", "100000")
-        monkeypatch.setenv("BURNSIDE_JOBS", "100000")
-        _, env, _ = run_cli(capsys, "scan", "--p", "7")
-        assert fake_pool == [4, 4]
-        assert one == many == env
-
-    def test_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("BURNSIDE_JOBS", "2")
-        code, out, _ = run_cli(capsys, "scan", "--p", "5")
-        assert code == 0
-        assert json.loads(out)["result"]["subsets"] == 14
+        assert fake_pool == [4]
+        assert one == many
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_complement_classes_counts_pairs(self, capsys, p):
@@ -268,14 +262,13 @@ class TestScanCommand:
         ("17", "4daba45d01951d700cff0cf952f77e5306038e2ef8698be5392d53edce5197c7"),
     ])
     def test_report_bytes(self, capsys, p, digest):
-        extra = ["--unsafe-cap"] if int(p) > SCAN_PRIME_CAP else []
-        code, out, _ = run_cli(capsys, "scan", "--p", p, "--jobs", "1", *extra)
+        code, out, _ = run_cli(capsys, "scan", "--p", p, "--jobs", "1")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
     def test_writer_matches_json_dumps(self, capsys, p):
-        code, out, _ = run_cli(capsys, "scan", "--p", str(p), "--unsafe-cap")
+        code, out, _ = run_cli(capsys, "scan", "--p", str(p))
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
@@ -309,7 +302,7 @@ class TestScanCommand:
         target = tmp_path / "scan.json"
         tracemalloc.start()
         try:
-            code = main(["scan", "--p", "17", "--unsafe-cap", "--output", str(target)])
+            code = main(["scan", "--p", "17", "--output", str(target)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -329,10 +322,60 @@ class TestScanCommand:
             "32e6b1d7f76a05af084881816d68a5ed0b4e20416c2c04b24b0f052149f45d34")
         assert elapsed.endswith("\n") and "\n" not in elapsed[:-1]
 
+    def test_text_bytes_p13(self, capsys):
+        # Taken from the text renderer that built every row dict first.
+        code, out, _ = run_cli(capsys, "scan", "--p", "13", "--format", "text")
+        assert code == 0
+        body = out.rsplit("elapsed_seconds: ", 1)[0]
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "e62b392cf2da723541289b8d99e43d6fa52ecf8a0eadffbd9c447c979001d9f5")
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_text_writer_matches_generic_renderer(self, capsys, p):
+        # The streamed rows against the generic renderer on row dicts from
+        # the exhaustive scan; only the timing line may differ.
+        code, out, _ = run_cli(capsys, "scan", "--p", str(p), "--format", "text")
+        assert code == 0
+        _, json_out, _ = run_cli(capsys, "scan", "--p", str(p))
+        report = json.loads(json_out)
+        report["result"]["rows"] = exhaustive_report_rows(p)
+        expected = "".join(_text_chunks(report, 0.0))
+        assert out.rsplit("elapsed_seconds: ", 1)[0] == expected.rsplit("elapsed_seconds: ", 1)[0]
+
+    def test_streamed_text_peak_below_its_size(self, capsys, tmp_path):
+        # Text rows are written one at a time too: the traced peak of a
+        # p = 17 text scan stays below the 11.4 MB it writes.
+        target = tmp_path / "scan.txt"
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--p", "17", "--format", "text", "--output", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert peak < target.stat().st_size
+
+    # Refused before any 2**(p-1)-slot table is built: from p = 67 on, such
+    # a list is past the interpreter's maximum size.
+    @pytest.mark.parametrize("p", [29, 67, 97])
+    def test_cap_is_one_line(self, capsys, p):
+        code, out, err = run_cli(capsys, "scan", "--p", str(p))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: subset scan is capped at p <= 23")
+        assert err.count("\n") == 1
+
     def test_cap_exits_1(self, capsys):
-        code, _, err = run_cli(capsys, "scan", "--p", "17")
+        code, _, err = run_cli(capsys, "scan", "--p", "29")
         assert code == 1
         assert "cap" in err
+
+    def test_unsafe_cap_is_gone(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--p", "13", "--unsafe-cap")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --unsafe-cap" in err
 
     @pytest.mark.parametrize("jobs", ["1", "4"])
     def test_p2_exits_1(self, capsys, jobs):
@@ -449,6 +492,29 @@ class TestDispatchPlumbing:
         assert err.startswith("error: cannot write output:")
         assert "Traceback" not in err
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("argv, kept", [
+        (["scan", "--p", "13"], 100),
+        (["scan", "--p", "13", "--format", "text"], 100),
+        # The whole report is still in stdout's buffer when the flush fails.
+        (["aut", "--p", "5", "--set", "1"], 0),
+    ], ids=["scan-json", "scan-text", "aut"])
+    def test_closed_stdout_exits_1(self, argv, kept):
+        # The reader goes away after `kept` bytes, with stdout block-buffered
+        # as it is by default: one error line, and no traceback from the
+        # write or the interpreter's flush at exit.
+        src = os.path.dirname(os.path.dirname(burnside.automorphisms.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen([sys.executable, "-m", "burnside.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(kept)) == kept
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            err = proc.stderr.read().decode()
+        assert err.startswith("error: cannot write output:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_input_digest_present(self, capsys):
         _, out, _ = run_cli(capsys, "scan", "--p", "5")
