@@ -14,9 +14,10 @@ it would contradict a theorem. The multiplier stabilizer M(U) is computed
 apart from the search, from U alone.
 
 A scan of every valid set mod p searches one set per orbit of
-F_p* x {U -> U, U -> U^c} (``walk_orbits``); ``scan_all_subsets``
-searches them all and is kept as its oracle. Every row field but the set
-and its size is an orbit invariant: Aut(aU) = a Aut(U) a^-1 and
+F_p* x {U -> U, U -> U^c} (``walk_orbits``, the only code that starts
+worker processes); ``scan_all_subsets`` searches them all, in this
+process, and is kept as its oracle. Every row field but the set and its
+size is an orbit invariant: Aut(aU) = a Aut(U) a^-1 and
 Aut(U^c) = Aut(U); M(aU) = M(U^c) = M(U); S_k(aU) = a^k S_k(U) and
 S_k(U^c) = -S_k(U) for k <= p-2, so the least k with a nonzero power sum
 S_k agrees.
@@ -38,9 +39,6 @@ NAIVE_DEGREE_CAP = 8
 # list: 4.2M slots each at p = 23 (about 40 s and a 121 MB peak RSS on a
 # 2-vCPU host), but 268M each at p = 29.
 SCAN_PRIME_CAP = 23
-# Imported by the first parallel scan: concurrent.futures.process pulls in
-# multiprocessing (about 2.5 MB resident), which no other command needs.
-ProcessPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -366,8 +364,8 @@ def _scan_one(dset: DiffSet) -> ScanRow:
     )
 
 
-def _check_scan(field: PrimeField, jobs: int) -> None:
-    """Raise InputError unless a scan mod p with this many jobs may run."""
+def _check_scan(field: PrimeField) -> None:
+    """Raise InputError unless a scan mod p may run."""
     p = field.p
     if p < 3:
         raise InputError(f"no difference set exists mod {p}; scan needs p >= 3")
@@ -376,38 +374,34 @@ def _check_scan(field: PrimeField, jobs: int) -> None:
             f"subset scan is capped at p <= {SCAN_PRIME_CAP} "
             f"({2 ** (p - 1) - 2} subsets at p={p})"
         )
-    if jobs < 1:
-        raise InputError(f"worker count must be >= 1, got {jobs}")
 
 
 def _scan_sets(dsets: list[DiffSet], jobs: int) -> list[ScanRow]:
     """``_scan_one`` of each set, in order.
 
     At most ``min(jobs, len(dsets), os.cpu_count())`` worker processes
-    start; with one, the sets are scanned in this process.
+    start; with one, the sets are scanned in this process. The pool is
+    imported only here: concurrent.futures.process pulls in
+    multiprocessing (about 2.5 MB resident), which no other command needs.
     """
     workers = min(jobs, len(dsets), os.cpu_count() or 1)
     if workers == 1:
         return [_scan_one(dset) for dset in dsets]
-    global ProcessPoolExecutor
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(dsets) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_scan_one, dsets, chunksize=chunk))
 
 
-def scan_all_subsets(field: PrimeField, jobs: int = 1) -> list[ScanRow]:
-    """Run the enumeration over every valid set mod p, one row each.
+def scan_all_subsets(field: PrimeField) -> list[ScanRow]:
+    """Run the enumeration over every valid set mod p, one row each, in
+    canonical subset order.
 
-    Every set is searched; this is the oracle for ``walk_orbits``. Rows
-    come back in canonical subset order regardless of the worker count,
-    so serialized scans are byte-identical for any ``jobs``. At most
-    ``min(jobs, subsets, os.cpu_count())`` worker processes start; with
-    one, the scan runs in this process.
+    Every set is searched, in this process; this is the oracle for
+    ``walk_orbits``, and it shares none of the walk's orbit or worker code.
     """
-    _check_scan(field, jobs)
-    return _scan_sets(list(all_diff_sets(field)), jobs)
+    _check_scan(field)
+    return [_scan_one(dset) for dset in all_diff_sets(field)]
 
 
 def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[int]]:
@@ -433,7 +427,9 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
     representatives' rows, in orbit order, and the orbit index of every
     set in canonical order; both are the same for any ``jobs``.
     """
-    _check_scan(field, jobs)
+    _check_scan(field)
+    if jobs < 1:
+        raise InputError(f"worker count must be >= 1, got {jobs}")
     p = field.p
     full = (1 << p - 1) - 1
     # scaled[a-1][u] is the bit of a*u: the mask of aU is the sum over U.

@@ -170,10 +170,10 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
 
     For the solvable branch: the conjugated generators must equal their
     claimed affine maps and preserve the witness set's differences, and
-    ``group_order`` must match an enumeration of the group. Affine
-    conjugates put the group inside AGL(1, p), which is solvable, so no
-    derived series is needed. Never raises; any mismatch or internal error
-    yields False.
+    ``group_order`` must be an int, as ``from_payload`` requires, and match
+    an enumeration of the group. Affine conjugates put the group inside
+    AGL(1, p), which is solvable, so no derived series is needed. Never
+    raises; any mismatch or internal error yields False.
     """
     try:
         field = spec.field
@@ -204,6 +204,7 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
                 return False
             if not check_preserves(conj, dset):
                 return False
+        require_ints([classification.group_order], "group_order")
         enum = enumerate_group(spec, cap=p * (p - 1))
         return classification.group_order == enum.order
     except BurnsideError:

@@ -9,7 +9,7 @@ Commands
 
 Group files: first significant line "p=<prime>", then one generator per
 line as a comma-separated image list; '#' starts a comment, blank lines
-are ignored.
+and a leading UTF-8 byte order mark are ignored.
 
 Exit codes: 0 success, 1 invalid input or usage (or output that cannot
 be written), 2 internal invariant violation (a theorem came out false,
@@ -46,7 +46,7 @@ from .automorphisms import (
 )
 from .classifier import classify
 from .errors import InputError, InternalInvariantViolation
-from .fields import DiffSet, PrimeField
+from .fields import DiffSet, PrimeField, parse_ints
 from .groups import GroupSpec
 from .permutations import Perm, recognize_affine
 from .polynomials import interpolate
@@ -58,6 +58,8 @@ def parse_group_file(stream: IO[str], name: str = "<group>") -> GroupSpec:
     field: Optional[PrimeField] = None
     generators: list[Perm] = []
     for lineno, raw in enumerate(stream, start=1):
+        if lineno == 1:
+            raw = raw.removeprefix("\ufeff")  # a UTF-8 byte order mark
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -85,13 +87,6 @@ def parse_group_file(stream: IO[str], name: str = "<group>") -> GroupSpec:
     if not generators:
         raise InputError(f"{name}: no generators given")
     return GroupSpec(field, tuple(generators))
-
-
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise InputError(f"cannot parse {what} {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,7 +165,7 @@ def _cmd_classify(args) -> tuple[dict, dict, str, int]:
 
 def _cmd_aut(args) -> tuple[dict, dict, str, int]:
     field = PrimeField(args.p)
-    dset = DiffSet(field, _parse_int_list(args.set, "difference set"))
+    dset = DiffSet(field, parse_ints(args.set, "difference set"))
     result = enumerate_diff_preserving(field, dset)
     payload = {
         "p": field.p,
@@ -188,7 +183,7 @@ def _cmd_aut(args) -> tuple[dict, dict, str, int]:
 
 def _cmd_trace(args) -> tuple[dict, dict, str, int]:
     field = PrimeField(args.p)
-    dset = DiffSet(field, _parse_int_list(args.set, "difference set"))
+    dset = DiffSet(field, parse_ints(args.set, "difference set"))
     perm = Perm.from_text(field, args.perm)
     report = run_trace(field, dset, perm)
     payload = report.to_payload()

@@ -20,14 +20,10 @@ class FieldMismatch(InputError):
 
 
 class CapExceeded(BurnsideError):
-    """A bounded group enumeration outgrew its element cap.
+    """A bounded group enumeration outgrew its element cap, ``cap``."""
 
-    Carries the partial element count seen before aborting.
-    """
-
-    def __init__(self, message: str, partial_count: int, cap: int):
+    def __init__(self, message: str, cap: int):
         super().__init__(message)
-        self.partial_count = partial_count
         self.cap = cap
 
 

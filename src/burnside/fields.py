@@ -59,6 +59,15 @@ def require_ints(values, what: str) -> None:
         raise InputError(f"{what} entries must be integers, got {bad!r}")
 
 
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integer list in ``text``; InputError naming
+    ``what`` if any entry is not an integer."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise InputError(f"cannot parse {what} {text!r}") from None
+
+
 @dataclass(frozen=True)
 class DiffSet:
     """A non-empty proper subset of F_p \\ {0}, stored as a sorted tuple.

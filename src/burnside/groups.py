@@ -128,9 +128,7 @@ def closure(field: PrimeField, seeds: Iterable[Perm], cap: int) -> list[Perm]:
         raise InputError(f"enumeration cap must be >= 1, got {cap}")
     elements = list(islice(bfs_elements(field, seeds), cap + 1))
     if len(elements) > cap:
-        raise CapExceeded(
-            f"group closure exceeded cap {cap}", len(elements), cap
-        )
+        raise CapExceeded(f"group closure exceeded cap {cap}", cap)
     return elements
 
 

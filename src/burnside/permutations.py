@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import FieldMismatch, InputError
-from .fields import PrimeField, require_ints
+from .fields import PrimeField, parse_ints, require_ints
 
 
 class AffineCoeffs(NamedTuple):
@@ -46,11 +46,7 @@ class Perm:
     @classmethod
     def from_text(cls, field: PrimeField, text: str) -> "Perm":
         """Parse the comma-separated image list "pi(0),pi(1),...,pi(p-1)"."""
-        try:
-            images = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise InputError(f"cannot parse permutation {text!r}") from None
-        return cls(field, images)
+        return cls(field, parse_ints(text, "permutation"))
 
     def __call__(self, i: int) -> int:
         return self.images[i]

@@ -7,7 +7,8 @@ and binomial-expansion identities for the interpolating polynomial, and
 the leading-coefficient degree comparison that pins the degree to one.
 Each step is checked on the actual numbers and logged; the verdict must
 come out AFFINE on every valid input, so a VIOLATION verdict is a bug
-signal, not an input rejection.
+signal, not an input rejection. For a bijection the multiset identity is
+the difference check ``check_preserves``, run on the reduced set.
 """
 
 from __future__ import annotations
@@ -89,24 +90,16 @@ def reduce_by_complement(dset: DiffSet) -> DiffSet:
     return dset.complement()
 
 
-def _multiset_identity(perm: Perm, dset: DiffSet) -> bool:
-    """The multiset identity, for a permutation already known to preserve U."""
-    p = perm.field.p
-    images = perm.images
-    target = set(dset.elements)
-    for i in range(p):
-        base = images[i]
-        if {(images[(i + u) % p] - base) % p for u in dset.elements} != target:
-            return False
-    return True
-
-
 def check_multiset_identity(perm: Perm, dset: DiffSet) -> bool:
     """For every i, the shifted-image differences reproduce U exactly:
-    {perm(i+u) - perm(i) : u in U} = U."""
+    {perm(i+u) - perm(i) : u in U} = U.
+
+    For a bijection this is ``check_preserves``: the |U| differences at i
+    are distinct, so they lie in U exactly when they are U. Raises
+    InputError when perm does not preserve U-differences."""
     if not check_preserves(perm, dset):
         raise InputError("permutation does not preserve U-differences")
-    return _multiset_identity(perm, dset)
+    return True
 
 
 def _power_sum_identities(perm: Perm, dset: DiffSet) -> list[bool]:
@@ -269,7 +262,11 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         f"|U|={len(dset)} -> |U|={len(reduced)} <= (p-1)/2 = {(p - 1) // 2}",
     ))
 
-    ok = _multiset_identity(perm, reduced)
+    # The input check above is on U; this step is on the reduced set, which
+    # for a dense U is U^c. So it re-checks the complement reduction: a
+    # faulty reduction shows here as a failed step and a VIOLATION verdict
+    # (exit 2), not as an input error.
+    ok = check_preserves(perm, reduced)
     steps.append(TraceStep(
         "multiset_identity", ok,
         "shifted-image differences reproduce U at every point" if ok

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import concurrent.futures
 import functools
 import itertools
 import random
@@ -83,7 +84,7 @@ def fake_pool(monkeypatch):
     """Patch the scan's process pool; returns max_workers of each pool made."""
     started = []
     monkeypatch.setattr(
-        burnside.automorphisms,
+        concurrent.futures,
         "ProcessPoolExecutor",
         lambda max_workers: FakePool(max_workers, started),
     )

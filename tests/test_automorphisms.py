@@ -492,32 +492,25 @@ class TestScan:
             scan_all_subsets(PrimeField(29))
 
     def test_jobs_guard(self):
-        with pytest.raises(InputError):
-            scan_all_subsets(PrimeField(5), jobs=0)
+        with pytest.raises(InputError, match="worker count"):
+            walk_orbits(PrimeField(5), jobs=0)
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_p2_has_no_sets(self, jobs):
         with pytest.raises(InputError, match="p >= 3"):
-            scan_all_subsets(PrimeField(2), jobs=jobs)
+            scan_all_subsets(PrimeField(2))
+        with pytest.raises(InputError, match="p >= 3"):
+            walk_orbits(PrimeField(2), jobs=jobs)
 
     @pytest.mark.parametrize("p, jobs, cpus, started", [
         (7, 10_000, 4, [4]),    # bounded by the machine
-        (3, 10_000, 4, [2]),    # bounded by the 2 subsets mod 3
+        (3, 10_000, 4, []),     # one orbit mod 3: {1} and {2} = 2*{1}
         (7, 3, 8, [3]),         # the request itself is the bound
         (7, 10_000, None, []),  # unknown CPU count: run in this process
         (7, 10_000, 1, []),
+        (5, 10_000, 4, [3]),    # bounded by the 3 orbits mod 5
     ])
     def test_worker_count_clamped(self, fake_pool, monkeypatch, p, jobs, cpus, started):
-        monkeypatch.setattr(burnside.automorphisms.os, "cpu_count", lambda: cpus)
-        rows = scan_all_subsets(PrimeField(p), jobs=jobs)
-        assert fake_pool == started
-        assert rows == scan_all_subsets(PrimeField(p), jobs=1)
-
-    @pytest.mark.parametrize("p, jobs, cpus, started", [
-        (7, 10_000, 4, [4]),
-        (3, 10_000, 4, []),     # one orbit mod 3: {1} and {2} = 2*{1}
-    ])
-    def test_orbit_worker_count_clamped(self, fake_pool, monkeypatch, p, jobs, cpus, started):
         monkeypatch.setattr(burnside.automorphisms.os, "cpu_count", lambda: cpus)
         walk = walk_orbits(PrimeField(p), jobs=jobs)
         assert fake_pool == started
@@ -537,12 +530,11 @@ class TestScan:
             walk_orbits(PrimeField(29))
         with pytest.raises(InputError, match="p >= 3"):
             walk_orbits(PrimeField(2))
-        with pytest.raises(InputError, match="worker count"):
-            walk_orbits(PrimeField(5), jobs=0)
 
     def test_parallel_matches_sequential(self):
-        sequential = scan_all_subsets(PrimeField(7), jobs=1)
-        parallel = scan_all_subsets(PrimeField(7), jobs=2)
+        # A real two-worker pool, against the walk in this process.
+        sequential = walk_orbits(PrimeField(7), jobs=1)
+        parallel = walk_orbits(PrimeField(7), jobs=2)
         assert sequential == parallel
 
     def test_row_checks_the_maps_fixing_zero(self, monkeypatch):

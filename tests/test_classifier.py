@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -175,6 +176,15 @@ class TestVerifyCertificate:
             group_order=20,
         )
         assert not verify_certificate(spec, tampered)
+
+    @pytest.mark.parametrize("order", [5.0, True])
+    def test_non_integer_order_rejected(self, order):
+        # from_payload rejects these too; 5.0 == 5 would otherwise pass
+        f = PrimeField(5)
+        spec = GroupSpec(f, (translation(f),))
+        c = classify(spec)
+        assert c.group_order == 5
+        assert not verify_certificate(spec, dataclasses.replace(c, group_order=order))
 
     def test_wrong_variant_rejected(self):
         f = PrimeField(5)

@@ -117,6 +117,25 @@ class TestClassifyCommand:
         assert "not UTF-8" in err
         assert out == ""
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_byte_order_mark_ignored(self, capsys, monkeypatch, tmp_path, d5_path, source):
+        raw = b"\xef\xbb\xbf" + D5_FILE.encode()
+        if source == "file":
+            path = tmp_path / "bom.grp"
+            path.write_bytes(raw)
+            group = str(path)
+        else:
+            stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+            group = "-"
+        code, out, err = run_cli(capsys, "classify", "--group", group)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        _, plain, _ = run_cli(capsys, "classify", "--group", d5_path)
+        assert report["result"] == json.loads(plain)["result"]
+        # the digest is of the text as read, mark included
+        assert report["input_sha256"] == hashlib.sha256(raw).hexdigest()
+
     def test_bad_modulus_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.grp"
         path.write_text("p=6\n0,1,2,3,4,5\n")
@@ -176,6 +195,7 @@ class TestAutCommand:
     def test_unparsable_set_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "aut", "--p", "7", "--set", "1,x")
         assert code == 1
+        assert err == "error: cannot parse difference set '1,x'\n"
 
     @pytest.mark.parametrize("p, elements, stabilizer", [
         # Sparse sets whose position-order backtracking took 10 s and 23 s
@@ -220,6 +240,11 @@ class TestTraceCommand:
         )
         assert code == 1
         assert "does not preserve" in err
+
+    def test_unparsable_perm_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, "trace", "--p", "5", "--set", "1", "--perm", "1,0,x")
+        assert code == 1
+        assert err == "error: cannot parse permutation '1,0,x'\n"
 
 
 class TestScanCommand:
@@ -531,7 +556,7 @@ class TestDispatchPlumbing:
         assert run_cli(capsys, "aut", "--p", "5", "--set", "1") == first
 
     def test_import_leaves_process_pool_unloaded(self):
-        # only a parallel scan needs multiprocessing; see automorphisms.ProcessPoolExecutor
+        # only a parallel scan needs multiprocessing; see automorphisms._scan_sets
         src = os.path.dirname(os.path.dirname(burnside.automorphisms.__file__))
         probe = ("import sys, burnside.cli; "
                  "print('concurrent.futures.process' in sys.modules)")

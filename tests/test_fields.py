@@ -8,6 +8,7 @@ from burnside.fields import (
     elementary_symmetric_via_newton,
     is_prime,
     min_nonzero_power_sum,
+    parse_ints,
     power_sum,
     power_sums,
     vandermonde_det,
@@ -32,6 +33,17 @@ class TestPrimeField:
 
     def test_is_prime_small(self):
         assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+class TestParseInts:
+    def test_comma_separated(self):
+        assert parse_ints("3, -1,0", "image list") == (3, -1, 0)
+
+    @pytest.mark.parametrize("text", ["", "1,,2", "1,x", "1.0", "1;2"])
+    def test_rejected_with_what_and_text(self, text):
+        with pytest.raises(InputError) as exc:
+            parse_ints(text, "difference set")
+        assert str(exc.value) == f"cannot parse difference set {text!r}"
 
 
 class TestBinomial:

@@ -139,7 +139,6 @@ class TestEnumeration:
         with pytest.raises(CapExceeded) as exc:
             enumerate_group(s_p(PrimeField(5)), 20)
         assert exc.value.cap == 20
-        assert exc.value.partial_count > 20
 
     def test_cap_guard(self):
         with pytest.raises(InputError):

@@ -1,9 +1,11 @@
+import json
 import math
 import random
 from hashlib import sha256
 
 import pytest
 
+import burnside.trace
 from burnside import (
     DiffSet,
     PrimeField,
@@ -19,6 +21,7 @@ from burnside.permutations import Perm
 from burnside.polynomials import FpPoly
 from burnside.trace import (
     AFFINE,
+    VIOLATION,
     _power_sum_identities,
     check_binomial_expansion,
     check_contradiction_bound,
@@ -87,6 +90,18 @@ class TestMultisetIdentity:
         f = PrimeField(7)
         with pytest.raises(InputError):
             check_multiset_identity(Perm(f, (1, 0, 2, 3, 4, 5, 6)), DiffSet(f, (1, 2, 4)))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_difference_check_is_the_multiset_identity(self, p):
+        # For a bijection, "every difference lies in U" is "the differences are U".
+        f = PrimeField(p)
+        for perm in all_perms(f):
+            for dset in all_diff_sets(f):
+                rebuilt = all(
+                    {(perm((i + u) % p) - perm(i)) % p for u in dset} == set(dset.elements)
+                    for i in range(p)
+                )
+                assert check_preserves(perm, dset) == rebuilt
 
 
 class TestPowerSumIdentity:
@@ -442,6 +457,41 @@ class TestRunTrace:
         f5, f7 = PrimeField(5), PrimeField(7)
         with pytest.raises(InputError):
             run_trace(f5, DiffSet(f7, (1,)), Perm.identity(f5))
+
+
+# A dense U and a map that preserves it: the multiset step runs on U^c.
+_DENSE_ARGV = ["trace", "--p", "13", "--set", "1,2,3,4,9,10,11,12",
+               "--perm", ",".join(str((12 * i + 5) % 13) for i in range(13))]
+
+
+@pytest.fixture
+def broken_reduction(monkeypatch):
+    """A complement reduction that drops the least element of U^c."""
+    monkeypatch.setattr(burnside.trace, "reduce_by_complement",
+                        lambda dset: DiffSet(dset.field, dset.complement().elements[1:]))
+
+
+class TestBrokenReduction:
+    # The input check is on U, the multiset step on the reduced set, so a
+    # faulty reduction is a VIOLATION (exit 2), never an input error.
+    def test_multiset_step_fails(self, broken_reduction):
+        f = PrimeField(13)
+        report = run_trace(f, DiffSet(f, (1, 2, 3, 4, 9, 10, 11, 12)), make_affine((12, 5), f))
+        assert report.reduced_set.elements == (6, 7, 8)
+        step = next(s for s in report.steps if s.name == "multiset_identity")
+        assert (step.passed, step.detail) == (False, "some point fails the multiset identity")
+        assert report.verdict == VIOLATION
+
+    def test_main_writes_the_report_and_exits_2(self, broken_reduction, capsys):
+        assert main(_DENSE_ARGV) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["result"]["verdict"] == VIOLATION
+        assert err == ("trace verdict VIOLATION: a checked identity failed on valid "
+                       "input; this is a bug\n")
+
+    def test_main_exits_0_with_the_real_reduction(self, capsys):
+        assert main(_DENSE_ARGV) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["verdict"] == AFFINE
 
 
 def _subgroup(p, h):
