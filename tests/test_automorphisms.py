@@ -516,6 +516,24 @@ class TestScan:
         assert fake_pool == started
         assert walk == walk_orbits(PrimeField(p), jobs=1)
 
+    @pytest.mark.parametrize("p, jobs, cpus, started", [
+        (7, 10_000, 4, [4]),
+        (3, 10_000, 4, []),     # one orbit mod 3: {1} and {2} = 2*{1}
+    ])
+    def test_orbit_worker_count_clamped(self, fake_pool, monkeypatch, p, jobs, cpus, started):
+        # `scan --jobs` reaches the orbit walk's clamp and writes the --jobs 1 report.
+        monkeypatch.setattr(burnside.automorphisms.os, "cpu_count", lambda: cpus)
+
+        def scan(k):
+            out = StringIO()
+            with redirect_stdout(out):
+                assert burnside.cli.main(["scan", "--p", str(p), "--jobs", str(k)]) == 0
+            return out.getvalue()
+
+        report = scan(jobs)
+        assert fake_pool == started
+        assert report == scan(1)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_orbit_scan_matches_exhaustive(self, p, jobs):
