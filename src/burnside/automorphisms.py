@@ -326,15 +326,24 @@ def _assert_theorem(dset: DiffSet, perms, count: int, stabilizer_size: int) -> N
         )
 
 
-def canonical_subsets(p: int):
-    """Every non-empty proper subset of 1..p-1 as a tuple, in (size, lex) order."""
-    for size in range(1, p - 1):
-        yield from itertools.combinations(range(1, p), size)
+def canonical_subsets(labels):
+    """Every non-empty proper subset of 1..p-1, in (size, lex) order, as a
+    tuple of labels.
+
+    ``labels`` is the sequence of the labels of 1, ..., p-1 in order: the
+    residues themselves (``field.nonzero()``), their bits or their decimal
+    texts. A set's tuple holds its members' labels, ascending by member, so
+    the order is the same whatever the labels are; each caller builds its
+    labels once and does no per-element work per set.
+    """
+    return itertools.chain.from_iterable(
+        itertools.combinations(labels, size) for size in range(1, len(labels))
+    )
 
 
 def all_diff_sets(field: PrimeField):
     """Every valid difference set mod p, in canonical (size, lex) order."""
-    for combo in canonical_subsets(field.p):
+    for combo in canonical_subsets(field.nonzero()):
         yield DiffSet(field, combo)
 
 
@@ -419,9 +428,11 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
 
     The sets are walked in ``canonical_subsets`` order, each as a bitmask
     (bit u-1 for u in U), so the first set met of an orbit is its least
-    member. It becomes the orbit's representative, and the masks of all
-    a*U and a*U^c are entered in a table of 2**(p-1) slots that maps each
-    mask to its orbit. Only the representatives are searched, each with
+    member. The masks are the sums of the tuples of the same walk over the
+    bits of 1..p-1, so no member is looked up one by one. That first set
+    becomes the orbit's representative, and the masks of all a*U and
+    a*U^c are entered in a table of 2**(p-1) slots that maps each mask to
+    its orbit. Only the representatives are searched, each with
     the count law and the power sums checked, on at most
     ``min(jobs, orbits, os.cpu_count())`` worker processes. Returns the
     representatives' rows, in orbit order, and the orbit index of every
@@ -434,11 +445,11 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
     full = (1 << p - 1) - 1
     # scaled[a-1][u] is the bit of a*u: the mask of aU is the sum over U.
     scaled = [[0, *(1 << a * u % p - 1 for u in range(1, p))] for a in range(1, p)]
-    bit = scaled[0].__getitem__
+    masks = map(sum, canonical_subsets(scaled[0][1:]))
     orbit_of = [None] * (full + 1)
     reps, orbits = [], []
-    for combo in canonical_subsets(p):
-        orbit = orbit_of[sum(map(bit, combo))]
+    for mask, combo in zip(masks, canonical_subsets(field.nonzero())):
+        orbit = orbit_of[mask]
         if orbit is None:
             orbit = len(reps)
             reps.append(DiffSet(field, combo))

@@ -9,7 +9,8 @@ Commands
 
 Group files: first significant line "p=<prime>", then one generator per
 line as a comma-separated image list; '#' starts a comment, blank lines
-and a leading UTF-8 byte order mark are ignored.
+and a leading UTF-8 byte order mark are ignored. Every integer, in a file
+or an option, is a plain ASCII decimal (``fields.parse_int``).
 
 Exit codes: 0 success, 1 invalid input or usage (or output that cannot
 be written), 2 internal invariant violation (a theorem came out false,
@@ -46,7 +47,7 @@ from .automorphisms import (
 )
 from .classifier import classify
 from .errors import InputError, InternalInvariantViolation
-from .fields import DiffSet, PrimeField, parse_ints
+from .fields import DiffSet, PrimeField, parse_int, parse_ints
 from .groups import GroupSpec
 from .permutations import Perm, recognize_affine
 from .polynomials import interpolate
@@ -70,7 +71,7 @@ def parse_group_file(stream: IO[str], name: str = "<group>") -> GroupSpec:
                 )
             text = line.split("=", 1)[1].strip()
             try:
-                p = int(text)
+                p = parse_int(text)
             except ValueError:
                 raise InputError(f"{name}:{lineno}: bad modulus {text!r}") from None
             try:
@@ -87,6 +88,15 @@ def parse_group_file(stream: IO[str], name: str = "<group>") -> GroupSpec:
     if not generators:
         raise InputError(f"{name}: no generators given")
     return GroupSpec(field, tuple(generators))
+
+
+def _int_option(text: str) -> int:
+    """An integer option's value, a plain decimal as ``parse_int`` reads it;
+    anything else is the usage error argparse gives for ``type=int``."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,23 +122,23 @@ def _build_parser() -> _Parser:
 
     p_aut = sub.add_parser("aut", parents=[common],
                            help="enumerate difference-preserving permutations")
-    p_aut.add_argument("--p", required=True, type=int)
+    p_aut.add_argument("--p", required=True, type=_int_option)
     p_aut.add_argument("--set", required=True, metavar="u1,u2,...")
 
     p_trace = sub.add_parser("trace", parents=[common],
                              help="replay the affinity argument for one input")
-    p_trace.add_argument("--p", required=True, type=int)
+    p_trace.add_argument("--p", required=True, type=_int_option)
     p_trace.add_argument("--set", required=True, metavar="u1,u2,...")
     p_trace.add_argument("--perm", required=True, metavar="i0,i1,...")
 
     p_scan = sub.add_parser("scan", parents=[common],
                             help="enumerate over every valid set mod p")
-    p_scan.add_argument("--p", required=True, type=int)
-    p_scan.add_argument("--jobs", type=int, default=1)
+    p_scan.add_argument("--p", required=True, type=_int_option)
+    p_scan.add_argument("--jobs", type=_int_option, default=1)
 
     p_interp = sub.add_parser("interp", parents=[common],
                               help="interpolate a permutation")
-    p_interp.add_argument("--p", required=True, type=int)
+    p_interp.add_argument("--p", required=True, type=_int_option)
     p_interp.add_argument("--perm", required=True, metavar="i0,i1,...")
 
     return parser
@@ -199,9 +209,14 @@ def _cmd_trace(args) -> tuple[dict, dict, str, int]:
 
 
 class _ScanRows(NamedTuple):
-    """The rows of a scan report, one per set, each from its orbit's row."""
+    """The rows of a scan report, one per set, each from its orbit's row.
 
-    sets: Iterable[tuple[int, ...]]  # every set, in canonical order
+    Each set is the tuple of its members' decimal texts, as
+    ``canonical_subsets`` yields them over the texts of 1..p-1, so the
+    writers join a row's set without formatting any member.
+    """
+
+    sets: Iterable[tuple[str, ...]]  # every set, in canonical order
     orbits: list[int]  # the orbit index of each set
     reps: list[ScanRow]  # the checked row of each orbit's representative
 
@@ -217,7 +232,8 @@ def _cmd_scan(args) -> tuple[dict, dict, str, int]:
         # An orbit invariant, so the representatives hold every value.
         "max_automorphism_count": max(r.automorphism_count for r in reps),
         "violations": 0,
-        "rows": _ScanRows(canonical_subsets(field.p), orbits, reps),
+        "rows": _ScanRows(canonical_subsets([str(u) for u in field.nonzero()]),
+                          orbits, reps),
     }
     arguments = {"p": field.p}
     return payload, arguments, _digest(f"scan p={field.p}"), 0
@@ -257,9 +273,9 @@ def _scan_json_chunks(report: dict) -> Iterator[str]:
     scan report is almost all rows of one shape (a non-empty int list, ints
     and a bool). So the report is dumped without its rows, the tail of each
     orbit's rows (``stabilizer_size`` to ``min_power_index``) is formatted
-    once, and each row is yielded as its set, its size and its orbit's
-    tail, in the same layout. No row dict and no whole-report string is
-    built.
+    once, and each row is yielded as its set's member texts joined, its
+    size and its orbit's tail, in the same layout. No row dict, no member
+    ``str`` and no whole-report string is built per row.
     """
     result = report["result"]
     rows = result["rows"]
@@ -278,7 +294,7 @@ def _scan_json_chunks(report: dict) -> Iterator[str]:
     yield f'{before}"rows": ['
     lead = "\n"
     for combo, orbit in zip(rows.sets, rows.orbits):
-        yield (f'{lead}      {{\n        "diff_set": [\n          {sep.join(map(str, combo))}'
+        yield (f'{lead}      {{\n        "diff_set": [\n          {sep.join(combo)}'
                f'\n        ],\n        "size": {len(combo)}{tails[orbit]}')
         lead = ",\n"
     yield f"\n    ]{after}\n"
@@ -292,7 +308,7 @@ def _text_chunks(report: dict, elapsed: float) -> Iterator[str]:
     ``_ScanRows`` value renders as the list of its row dicts would, but a
     row at a time, as ``_scan_json_chunks`` writes it: each orbit's lines
     from ``stabilizer_size`` on are rendered once, and each row is its
-    index, its set, its size and its orbit's lines.
+    index, its set's member texts joined, its size and its orbit's lines.
     """
 
     def emit(key: str, value, indent: int) -> Iterator[str]:
@@ -311,7 +327,7 @@ def _text_chunks(report: dict, elapsed: float) -> Iterator[str]:
                 for r in value.reps
             ]
             for idx, (combo, orbit) in enumerate(zip(value.sets, value.orbits)):
-                yield (f"{pad}  [{idx}]:\n{pad}    diff_set: [{', '.join(map(str, combo))}]"
+                yield (f"{pad}  [{idx}]:\n{pad}    diff_set: [{', '.join(combo)}]"
                        f"\n{pad}    size: {len(combo)}\n{tails[orbit]}")
         elif isinstance(value, list):
             if all(not isinstance(v, (dict, list)) for v in value):

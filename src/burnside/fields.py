@@ -7,6 +7,7 @@ from one packed table of x**w mod p, whose layout only this module knows.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,13 +60,31 @@ def require_ints(values, what: str) -> None:
         raise InputError(f"{what} entries must be integers, got {bad!r}")
 
 
+# A plain decimal: an optional sign and ASCII digits, with surrounding
+# ASCII whitespace. int() alone also reads "1_0", "\u0663" and "\uff11".
+_DECIMAL = r"\s*[+-]?[0-9]+\s*"
+_DECIMAL_ONE = re.compile(_DECIMAL, re.ASCII)
+_DECIMAL_LIST = re.compile(rf"{_DECIMAL}(?:,{_DECIMAL})*", re.ASCII)
+
+
+def parse_int(text: str) -> int:
+    """The plain decimal in ``text``; ValueError for anything else, or for
+    more digits than int() converts."""
+    if _DECIMAL_ONE.fullmatch(text) is None:
+        raise ValueError(f"not a plain decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """The comma-separated integer list in ``text``; InputError naming
-    ``what`` if any entry is not an integer."""
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise InputError(f"cannot parse {what} {text!r}") from None
+    """The comma-separated list of plain decimals in ``text``; InputError
+    naming ``what`` if any entry is something else. The whole list is
+    checked by one regular expression before any entry is converted."""
+    if _DECIMAL_LIST.fullmatch(text) is not None:
+        try:
+            return tuple(map(int, text.split(",")))
+        except ValueError:  # an entry past int()'s digit limit
+            pass
+    raise InputError(f"cannot parse {what} {text!r}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from burnside.automorphisms import (
     _scan_one,
     all_diff_sets,
     assert_all_affine,
+    canonical_subsets,
     check_preserves,
     mult_stabilizer,
     naive_enumerate,
@@ -452,10 +453,12 @@ def _count_by_aut_command(dset):
 
 
 def _count_by_orbit_scan(dset):
-    """dset's row of ``walk_orbits``, with the walk cut down to dset alone."""
+    """dset's row of ``walk_orbits``, with the walk cut down to dset alone.
+
+    Each walk the scan makes yields only dset, in that walk's labels."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(burnside.automorphisms, "canonical_subsets",
-                   lambda p: iter([dset.elements]))
+                   lambda labels: iter([tuple(labels[u - 1] for u in dset.elements)]))
         (row,), _ = walk_orbits(dset.field)
     return row.automorphism_count
 
@@ -468,6 +471,20 @@ _COUNTERS = [
     lambda dset: len(enumerate_diff_preserving(dset.field, dset).automorphisms),
     _count_by_aut_command,
 ]
+
+
+class TestCanonicalSubsets:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_same_order_over_any_labels(self, p):
+        # The walk reads bits and the writers read texts in the order of
+        # the residues themselves; each tuple maps back to the same set.
+        sets = list(canonical_subsets(range(1, p)))
+        assert len(sets) == len(set(sets)) == 2 ** (p - 1) - 2
+        assert sets == sorted(sets, key=lambda s: (len(s), s))
+        bits = list(canonical_subsets([1 << u - 1 for u in range(1, p)]))
+        assert [tuple(b.bit_length() for b in combo) for combo in bits] == sets
+        texts = list(canonical_subsets([str(u) for u in range(1, p)]))
+        assert [tuple(map(int, combo)) for combo in texts] == sets
 
 
 class TestScan:

@@ -71,6 +71,19 @@ class TestGroupFileParsing:
         with pytest.raises(InputError, match="missing"):
             parse_group_file(io.StringIO(""))
 
+    @pytest.mark.parametrize("modulus", ["\u0665", "\uff15", "0_5", " +5 "])
+    def test_modulus_is_a_plain_decimal(self, capsys, tmp_path, modulus):
+        # int() reads each of these as 5; only the last is a plain decimal.
+        path = tmp_path / "c5.grp"
+        path.write_text(f"p={modulus}\n1,2,3,4,0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", "--group", str(path))
+        if modulus == " +5 ":
+            assert code == 0
+            assert json.loads(out)["arguments"]["p"] == 5
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"error: {path}:1: bad modulus {modulus.strip()!r}\n"
+
 
 class TestClassifyCommand:
     def test_dihedral(self, capsys, d5_path):
@@ -197,6 +210,27 @@ class TestAutCommand:
         assert code == 1
         assert err == "error: cannot parse difference set '1,x'\n"
 
+    @pytest.mark.parametrize("text", ["1_0,\u0663", "\u0663", "\uff11", "1,\xa02"])
+    def test_set_entries_are_plain_decimals(self, capsys, text):
+        # int() reads these as {3, 10}, {3}, {1} and {1, 2}.
+        code, out, err = run_cli(capsys, "aut", "--p", "13", "--set", text)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse difference set {text!r}\n"
+
+    @pytest.mark.parametrize("option, value, argv", [
+        ("--p", "1_3", ["aut", "--set", "1"]),
+        ("--p", "\uff11\uff13", ["aut", "--set", "1"]),
+        ("--p", "\u0667", ["trace", "--set", "1", "--perm", "0,1,2,3,4,5,6"]),
+        ("--p", "0_5", ["interp", "--perm", "0,1,2,3,4"]),
+        ("--jobs", "\u0662", ["scan", "--p", "5"]),
+    ])
+    def test_int_options_are_plain_decimals(self, capsys, option, value, argv):
+        # int() reads each value as a prime or a worker count; the error is
+        # argparse's own for a value int() rejects.
+        code, out, err = run_cli(capsys, *argv, option, value)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"argument {option}: invalid int value: {value!r}\n")
+
     @pytest.mark.parametrize("p, elements, stabilizer", [
         # Sparse sets whose position-order backtracking took 10 s and 23 s
         # with pi(0) free, and about 0.5 s and 1 s with pi(0) = 0 pinned.
@@ -315,8 +349,10 @@ class TestScanCommand:
             rows = [{"diff_set": list(s), "size": len(s), **tails[o]}
                     for s, o in zip(sets, orbits)]
             report = {**head, "result": {"p": 43, "violations": 0, "rows": rows}}
+            # The writer joins each set's member texts, as the scan hands them over.
+            texts = [tuple(map(str, s)) for s in sets]
             streamed = {**head, "result": {"p": 43, "violations": 0,
-                                           "rows": _ScanRows(iter(sets), orbits, reps)}}
+                                           "rows": _ScanRows(iter(texts), orbits, reps)}}
             chunks = list(_scan_json_chunks(streamed))
             assert len(chunks) == len(sets) + 2  # the head, one per row, the end
             assert "".join(chunks) == json.dumps(report, indent=2) + "\n"

@@ -8,6 +8,7 @@ from burnside.fields import (
     elementary_symmetric_via_newton,
     is_prime,
     min_nonzero_power_sum,
+    parse_int,
     parse_ints,
     power_sum,
     power_sums,
@@ -39,11 +40,31 @@ class TestParseInts:
     def test_comma_separated(self):
         assert parse_ints("3, -1,0", "image list") == (3, -1, 0)
 
-    @pytest.mark.parametrize("text", ["", "1,,2", "1,x", "1.0", "1;2"])
+    def test_surrounding_whitespace_and_sign(self):
+        assert parse_ints(" +7 ,\t-0\n", "image list") == (7, 0)
+        assert parse_int(" -12\n") == -12
+
+    # Each of these but the first seven is an integer list to int(): digit
+    # grouping, Arabic-Indic and full-width digits, and non-ASCII spaces.
+    @pytest.mark.parametrize("text", [
+        "", "1,,2", "1,x", "1.0", "1;2", "1 2", "+-1", "1_0", "1_0,\u0663",
+        "\u0663", "\uff11", "1,\xa02", "\u20031",
+    ])
     def test_rejected_with_what_and_text(self, text):
         with pytest.raises(InputError) as exc:
             parse_ints(text, "difference set")
         assert str(exc.value) == f"cannot parse difference set {text!r}"
+        if "," not in text:
+            with pytest.raises(ValueError):
+                parse_int(text)
+
+    def test_past_the_digit_limit(self):
+        # A plain decimal too long for int() is a parse error, not a traceback.
+        text = "1" * 5000
+        with pytest.raises(InputError, match="cannot parse difference set"):
+            parse_ints(f"2,{text}", "difference set")
+        with pytest.raises(ValueError):
+            parse_int(text)
 
 
 class TestBinomial:
