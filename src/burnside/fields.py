@@ -144,14 +144,16 @@ def binomial_mod_p(n: int, k: int, field: PrimeField) -> int:
 
 
 def _slot_width(p: int) -> int:
-    return ((p - 2) * (p - 1)).bit_length()
+    return ((p - 1) ** 3).bit_length()
 
 
 @lru_cache(maxsize=None)
 def packed_powers(p: int) -> tuple[int, ...]:
     """Row x, for x = 0..2p-1 (period p), holds x**w mod p in slot w-1 for
-    w = 1..p-1. A slot of a sum of at most p-2 rows is at most (p-2)*(p-1),
-    which fits the slot width: sums never carry from one slot into the next.
+    w = 1..p-1. A sum of rows with non-negative integer weights of total
+    weight at most (p-1)**2 (say p-1 rows, each times a residue) has every
+    slot at most (p-1)**3, which fits the slot width: such sums never carry
+    from one slot into the next.
     """
     slot = _slot_width(p)
     rows = []
@@ -164,8 +166,8 @@ def packed_powers(p: int) -> tuple[int, ...]:
 
 
 def unpack_powers(packed: int, p: int) -> tuple[int, ...]:
-    """Slot w-1 of a sum of at most p-2 packed rows, reduced mod p, for
-    w = 1..p-1."""
+    """Slot w-1 of a weighted sum of packed rows, of total weight at most
+    (p-1)**2, reduced mod p, for w = 1..p-1."""
     slot = _slot_width(p)
     mask = (1 << slot) - 1
     return tuple([(packed >> s & mask) % p for s in range(0, slot * (p - 1), slot)])

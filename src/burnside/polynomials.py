@@ -10,16 +10,20 @@ The arithmetic itself lives in three kernels on plain coefficient lists,
 ``mul_coeffs``, ``pow_coeffs`` and ``shift_coeffs``; the ``FpPoly``
 operators wrap them, and the trace calls them directly so that no
 intermediate result is validated and reduced a second time.
+
+Interpolation reads its sums of f(a) * a**w from the packed power rows of
+``fields``: one big-integer multiply-add per point, not p**2 Python steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatch, InputError
-from .fields import PrimeField, require_ints
+from .fields import PrimeField, packed_powers, require_ints, unpack_powers
 
 NEG_INFINITY = float("-inf")
 
@@ -207,7 +211,9 @@ def interpolate(field: PrimeField, images) -> FpPoly:
 
     Over F_p, f = sum_a f(a) * (1 - (X - a)**(p-1)), and C(p-1, k) = (-1)**k
     mod p, so f has constant term f(0) and, for k = 1..p-1, coefficient
-    -sum_a f(a) * a**(p-1-k) at X**k (with 0**0 = 1).
+    -sum_a f(a) * a**(p-1-k) at X**k (with 0**0 = 1). At k = p-1 that is
+    -sum_a f(a); below it, every sum over a >= 1 is one slot of the packed
+    power rows weighted by the residues f(a) (``fields.packed_powers``).
 
     Accepts any length-p sequence of integers, or an object exposing an
     ``images`` attribute (a permutation).
@@ -218,10 +224,8 @@ def interpolate(field: PrimeField, images) -> FpPoly:
         raise InputError(
             f"interpolation needs exactly {p} values, one per point, got {len(values)}"
         )
-    out = [values[0]] + [0] * (p - 1)
-    for a, y in enumerate(values):
-        t = y  # y * a**(p-1-k), for k = p-1 down to 1
-        for k in range(p - 1, 0, -1):
-            out[k] -= t
-            t = t * a % p
-    return FpPoly(field, out)
+    require_ints(values, "interpolation value")
+    ys = [y % p for y in values]
+    # slot w-1 holds sum_{a >= 1} ys[a] * a**w
+    sums = unpack_powers(sum(map(mul, ys[1:], packed_powers(p)[1:p])), p)
+    return FpPoly(field, [ys[0], *[-s for s in reversed(sums[:-1])], -sum(ys)])

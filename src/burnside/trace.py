@@ -14,6 +14,7 @@ the difference check ``check_preserves``, run on the reduced set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
 
 from .automorphisms import check_preserves
@@ -213,6 +214,23 @@ def _leading_coefficient(dset: DiffSet, nw: int, r: int, sums: tuple[int, ...]) 
     return acc[nw - r] % p == expected != 0
 
 
+@lru_cache(maxsize=64)
+def _reduced_facts(dset: DiffSet, nw: int) -> tuple[tuple[int, ...], int, bool | None]:
+    """(power sums, r, leading-coefficient verdict at nw) of a set, with r
+    the least nonzero power-sum index; the verdict is None unless
+    r <= nw <= p-1.
+
+    Everything here depends on the set and nw alone, and traces of several
+    maps on one set repeat them. An all-zero power-sum vector raises, and a
+    raise is never cached, so it raises again on every call.
+    """
+    sums = power_sums(dset)
+    r = min_nonzero_power_sum(dset, sums)
+    if not r <= nw <= dset.field.p - 1:
+        return sums, r, None
+    return sums, r, _leading_coefficient(dset, nw, r, sums)
+
+
 def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
     """The tail of L(X) = sum_u ((X+u)**(n*w) - X**(n*w)).
 
@@ -220,14 +238,12 @@ def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
     at X**(nw-k) for 1 <= k < r, leading coefficient C(nw, r)*S(r) != 0 at
     X**(nw-r), hence degree exactly nw - r.
     """
-    p = dset.field.p
     nw = n * w
-    sums = power_sums(dset)
-    r = min_nonzero_power_sum(dset, sums)
-    if not r <= nw <= p - 1:
+    _, r, verdict = _reduced_facts(dset, nw)
+    if verdict is None:
         raise InputError(f"leading-coefficient check needs r <= n*w <= p-1, "
-                         f"got r={r}, n*w={nw}, p={p}")
-    return _leading_coefficient(dset, nw, r, sums)
+                         f"got r={r}, n*w={nw}, p={dset.field.p}")
+    return verdict
 
 
 def check_contradiction_bound(p: int, n: int, r: int) -> bool:
@@ -287,8 +303,7 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         f"deg f = {n}, maximal w with n*w <= p-1 is {w_max}",
     ))
 
-    sums = power_sums(reduced)
-    r = min_nonzero_power_sum(reduced, sums)
+    sums, r, leading = _reduced_facts(reduced, n * w_max)
     vanishing, binomial = _shifted_power_identities(poly, reduced, w_max, sums)
     steps.append(TraceStep(
         f"vanishing_identity(w={w_max})", vanishing,
@@ -303,11 +318,10 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
     half = (p - 1) // 2
 
     if r <= n * w_max:
-        ok = _leading_coefficient(reduced, n * w_max, r, sums)
         steps.append(TraceStep(
-            f"leading_coefficient(nw={n * w_max})", ok,
+            f"leading_coefficient(nw={n * w_max})", leading,
             f"degree n*w-r = {n * w_max - r} with leading coefficient "
-            f"C({n * w_max},{r})*S({r})" if ok else "leading-coefficient claim fails",
+            f"C({n * w_max},{r})*S({r})" if leading else "leading-coefficient claim fails",
         ))
         forces = n * w_max - r <= n * (w_max - r)
         steps.append(TraceStep(

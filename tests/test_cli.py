@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -471,6 +472,13 @@ class TestInterpCommand:
 
 _SQUARES_97 = ",".join(map(str, sorted({i * i % 97 for i in range(1, 97)})))
 _AFFINE_97 = ",".join(str((5 * i + 3) % 97) for i in range(97))
+_POWER5_97 = ",".join(str(i ** 5 % 97) for i in range(97))  # degree 5
+
+
+def _shuffled(p, seed):
+    table = list(range(p))
+    random.Random(seed).shuffle(table)
+    return ",".join(map(str, table))
 
 
 class TestGoldenReportBytes:
@@ -497,10 +505,15 @@ class TestGoldenReportBytes:
          "e0a8a9b95eb4ab32b058c084d00dcf706c91ec0c1cb53b8ab79816cf54b7f8a0"),
         (("interp", "--p", "97", "--perm", _AFFINE_97), None,
          "b475de80edf9b1c2334125c2928d1d0f7661c20c59e04646b85623b7ca589aa1"),
+        (("interp", "--p", "97", "--perm", _POWER5_97), None,
+         "91b230cc8d64e337dbd4a6c3ff335d8002fd7057a1d5cd802ec8b82d8229ca20"),
+        (("interp", "--p", "97", "--perm", _shuffled(97, 97)), None,
+         "9ef746c8bfa113c8e41caf2ff591b3e900187ed077e1d7233e711090aa04b877"),
     ], ids=["aut-paley-7", "aut-sparse-19", "aut-squares-97", "classify-d5",
             "classify-frobenius-21", "classify-no-p-cycle-generator-21",
             "classify-s5", "classify-intransitive",
-            "interp-transposition-5", "interp-affine-97"])
+            "interp-transposition-5", "interp-affine-97",
+            "interp-power5-97", "interp-shuffled-97"])
     def test_report_bytes(self, capsys, monkeypatch, argv, stdin, digest):
         if stdin is not None:
             monkeypatch.setattr("sys.stdin", io.StringIO(stdin))

@@ -166,7 +166,8 @@ class TestPowerSums:
 
     @pytest.mark.parametrize("size", [1, 95])
     def test_vector_at_p97(self, size):
-        # 95 = p-2 is the most packed rows a sum can hold without a carry.
+        # 95 = p-2 is the largest set, so the most packed rows a power-sum
+        # vector adds up.
         dset = DiffSet(PrimeField(97), range(1, size + 1))
         want = tuple(sum(pow(u, k, 97) for u in dset) % 97 for k in range(1, 97))
         assert power_sums(dset) == want

@@ -183,6 +183,19 @@ class TestShift:
         assert poly.shift(0) == poly
 
 
+def _interpolate_oracle(field, values):
+    """The closed form f = sum_a f(a) * (1 - (X - a)**(p-1)), term by term:
+    -sum_a f(a) * a**(p-1-k) at X**k for k = 1..p-1, f(0) at X**0."""
+    p = field.p
+    out = [values[0]] + [0] * (p - 1)
+    for a, y in enumerate(values):
+        t = y  # y * a**(p-1-k), for k = p-1 down to 1
+        for k in range(p - 1, 0, -1):
+            out[k] -= t
+            t = t * a % p
+    return FpPoly(field, out)
+
+
 class TestInterpolation:
     def test_affine_map_interpolates_to_itself(self):
         f = PrimeField(5)
@@ -228,6 +241,30 @@ class TestInterpolation:
         # Every value negative or at least p.
         values = [v - p if v % 2 else v + p for v in range(p)]
         assert interpolate(f, values).coeffs == (0, 1)
+
+    @pytest.mark.parametrize("p", [p for p in range(2, 98) if is_prime(p)])
+    def test_matches_term_by_term_oracle(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p * 7)
+        for _ in range(5):
+            table = list(range(p))
+            rng.shuffle(table)
+            assert interpolate(f, table) == _interpolate_oracle(f, table)
+            values = [rng.randrange(-3 * p, 3 * p) for _ in range(p)]
+            assert interpolate(f, values) == _interpolate_oracle(f, values)
+
+    def test_largest_weighted_row_sum_does_not_carry(self):
+        # Every value p-1: each slot of the weighted row sum reaches its
+        # largest size, and the polynomial is the constant p-1.
+        f = PrimeField(97)
+        values = [96] * 97
+        assert interpolate(f, values) == _interpolate_oracle(f, values)
+        assert interpolate(f, values).coeffs == (96,)
+
+    @pytest.mark.parametrize("values", [(0, 1, 2, 3, 4.0), (True, 1, 2, 3, 4)])
+    def test_non_int_values_rejected(self, values):
+        with pytest.raises(InputError, match="interpolation value"):
+            interpolate(PrimeField(5), values)
 
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_round_trip_sampled(self, p):

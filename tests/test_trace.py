@@ -15,7 +15,7 @@ from burnside import (
 )
 from burnside.automorphisms import all_diff_sets, check_preserves
 from burnside.cli import main
-from burnside.errors import FieldMismatch, InputError
+from burnside.errors import FieldMismatch, InputError, InternalInvariantViolation
 from burnside.fields import min_nonzero_power_sum
 from burnside.permutations import Perm
 from burnside.polynomials import FpPoly
@@ -545,3 +545,34 @@ class TestGoldenTraceBytes:
             digest.update(capsys.readouterr().out.encode())
         assert len(argvs) == 600
         assert digest.hexdigest() == self.GOLDEN
+
+
+class TestReducedFacts:
+    def test_golden_sample_cold_and_warm(self, capsys):
+        facts = burnside.trace._reduced_facts
+        facts.cache_clear()
+        for _ in range(2):
+            digest = sha256()
+            for argv in _golden_traces():
+                assert main(argv) == 0
+                digest.update(capsys.readouterr().out.encode())
+            assert digest.hexdigest() == TestGoldenTraceBytes.GOLDEN
+        assert facts.cache_info().hits > 0
+
+    def test_all_zero_power_sums_raise_on_every_call(self, monkeypatch):
+        # A valid set always has a nonzero power sum; if none is, every call
+        # must report it, so the failure is never cached.
+        f = PrimeField(7)
+        dset = DiffSet(f, (1, 2, 4))
+        facts = burnside.trace._reduced_facts
+        facts.cache_clear()
+        monkeypatch.setattr(burnside.trace, "power_sums", lambda d: (0,) * (d.field.p - 1))
+        for _ in range(2):
+            with pytest.raises(InternalInvariantViolation, match="every power sum vanished"):
+                check_leading_coefficient(dset, 1, 3)
+            with pytest.raises(InternalInvariantViolation, match="every power sum vanished"):
+                run_trace(f, dset, make_affine((2, 3), f))
+        assert facts.cache_info().currsize == 0
+
+    def test_cache_size_is_fixed(self):
+        assert burnside.trace._reduced_facts.cache_info().maxsize == 64
