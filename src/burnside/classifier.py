@@ -3,15 +3,15 @@
 A transitive permutation group of prime degree is doubly transitive or
 solvable. Given generators, ``classify`` either detects double
 transitivity from the orbit of one ordered pair, or builds a solvability
-certificate: a relabeling turning some p-cycle into translation by one,
-the invariant difference set carved out by the pair orbit, and the affine
-coefficients of every (conjugated) generator, which also give the group
-order. ``verify_certificate`` re-checks the certificate independently.
+certificate: a relabeling turning some p-cycle into translation by one
+and the affine coefficients of every (conjugated) generator. The
+multipliers of those coefficients generate the invariant difference set
+and give the group order. ``verify_certificate`` re-checks the
+certificate independently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -19,13 +19,7 @@ from typing import Optional
 from .automorphisms import check_preserves
 from .errors import BurnsideError, InputError, InternalInvariantViolation
 from .fields import DiffSet, PrimeField, require_ints
-from .groups import (
-    GroupSpec,
-    bfs_elements,
-    enumerate_group,
-    orbit_of_pair,
-    transitivity_tests,
-)
+from .groups import GroupSpec, bfs_elements, enumerate_group, orbit_of_point, transitivity_tests
 from .permutations import AffineCoeffs, Perm, make_affine, recognize_affine, relabel_to_translation
 
 NOT_TRANSITIVE = "NOT_TRANSITIVE"
@@ -86,36 +80,20 @@ class Classification:
             raise InputError(f"malformed classification payload: {exc!r}") from exc
 
 
-def extract_difference_set(spec: GroupSpec) -> DiffSet:
-    """Differences realized by the orbit of (1, 0) under the group.
-
-    Meant for groups containing translation by one and known not to be
-    doubly transitive; then the orbit is exactly the pairs whose
-    difference lies in the returned set, which is non-empty and proper.
-    """
-    p = spec.field.p
-    pairs = orbit_of_pair(spec, (1, 0))
-    diffs = sorted({(i - j) % p for i, j in pairs})
-    if len(diffs) == p - 1:
-        raise InternalInvariantViolation(
-            "pair orbit touches every difference class despite the group "
-            "not being doubly transitive",
-            payload={"p": p, "differences": diffs},
-        )
-    return DiffSet(spec.field, tuple(diffs))
-
-
 def classify(spec: GroupSpec) -> Classification:
     """Decide the dichotomy for the generated group.
 
     Intransitive input gets its own verdict since the dichotomy does not
     apply. Otherwise the relabeling comes from the first p-cycle that
     ``bfs_elements`` yields, so the group is never listed whole. Relabelled,
-    the group holds the translations, the kernel of a*i + b -> a, and F_p*
-    is cyclic, so its order is p times the lcm of the multiplicative orders
-    of the embedding's a's. A failure (no p-cycle among the first p(p-1)
-    elements, a conjugated generator that is not affine) would contradict
-    the theorem and raises InternalInvariantViolation.
+    the group is T.A inside AGL(1, p), with T the translations and A the
+    group the embedding's multipliers a generate. The orbit of (1, 0) is
+    {(a + b, b) : a in A}, so its differences are A itself: U is the orbit
+    of 1 under x -> a*x, and the group order is p*|U|. A failure (no
+    p-cycle among the first p(p-1) elements, a conjugated generator that
+    is not affine, or A = F_p*, which would make the group AGL(1, p) and
+    doubly transitive) would contradict the theorem and raises
+    InternalInvariantViolation.
     """
     field = spec.field
     p = field.p
@@ -136,8 +114,6 @@ def classify(spec: GroupSpec) -> Classification:
 
     lam = relabel_to_translation(tau)
     conjugated = tuple(g.conjugate(lam) for g in spec.generators)
-    dset = extract_difference_set(GroupSpec(field, conjugated))
-
     embedding = []
     for g in conjugated:
         coeffs = recognize_affine(g)
@@ -145,23 +121,25 @@ def classify(spec: GroupSpec) -> Classification:
             raise InternalInvariantViolation(
                 "conjugated generator of a non-doubly-transitive group "
                 "is not affine",
-                payload={
-                    "p": p,
-                    "permutation": list(g.images),
-                    "diff_set": list(dset.elements),
-                },
+                payload={"p": p, "permutation": list(g.images)},
             )
         embedding.append(coeffs)
 
+    multipliers = GroupSpec(field, tuple(make_affine((c.a, 0), field) for c in embedding))
+    units = orbit_of_point(multipliers, 1)
+    if len(units) == p - 1:
+        raise InternalInvariantViolation(
+            "the embedding's multipliers generate all of F_p* although the "
+            "group is not doubly transitive",
+            payload={"p": p, "embedding": [{"a": c.a, "b": c.b} for c in embedding]},
+        )
     return Classification(
         field,
         SOLVABLE_AFFINE,
         relabeling=lam,
-        diff_set=dset,
+        diff_set=DiffSet(field, tuple(units)),
         embedding=tuple(embedding),
-        group_order=p * math.lcm(
-            *(make_affine((c.a, 0), field).order() for c in embedding)
-        ),
+        group_order=p * len(units),
     )
 
 

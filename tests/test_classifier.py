@@ -12,10 +12,9 @@ from burnside.classifier import (
     DOUBLY_TRANSITIVE,
     NOT_TRANSITIVE,
     SOLVABLE_AFFINE,
-    extract_difference_set,
 )
 from burnside.errors import InputError
-from burnside.groups import derived_series, enumerate_group
+from burnside.groups import derived_series, enumerate_group, orbit_of_pair
 from burnside.permutations import AffineCoeffs, Perm, relabel_to_translation
 from conftest import random_perm
 from test_groups import affine_generating_sets
@@ -27,6 +26,21 @@ def translation(field):
 
 def dihedral(field):
     return GroupSpec(field, (translation(field), make_affine((field.p - 1, 0), field)))
+
+
+def pair_orbit_differences(spec, relabeling):
+    """The differences of the orbit of (1, 0) under the relabelled group:
+    the slow oracle for the multiplier group that classify reads U from."""
+    p = spec.field.p
+    relabelled = GroupSpec(spec.field, tuple(g.conjugate(relabeling) for g in spec.generators))
+    return tuple(sorted({(i - j) % p for i, j in orbit_of_pair(relabelled, (1, 0))}))
+
+
+def check_against_oracles(spec, c):
+    """classify's U and |H| against the pair orbit and the enumeration."""
+    p = spec.field.p
+    assert c.diff_set.elements == pair_orbit_differences(spec, c.relabeling)
+    assert c.group_order == enumerate_group(spec, p * (p - 1)).order
 
 
 def symmetric(field):
@@ -95,20 +109,28 @@ class TestClassify:
             assert (p * (p - 1)) % c.group_order == 0
 
 
-class TestExtractDifferenceSet:
+class TestDifferenceSet:
+    # U is the multiplier group of the embedding: the differences of the
+    # orbit of (1, 0), which pair_orbit_differences lists the slow way.
     def test_translation_only(self):
         f = PrimeField(5)
         spec = GroupSpec(f, (translation(f),))
-        assert extract_difference_set(spec).elements == (1,)
+        c = classify(spec)
+        assert c.diff_set.elements == (1,)
+        check_against_oracles(spec, c)
 
     def test_dihedral(self):
-        f = PrimeField(5)
-        assert extract_difference_set(dihedral(f)).elements == (1, 4)
+        spec = dihedral(PrimeField(5))
+        c = classify(spec)
+        assert c.diff_set.elements == (1, 4)
+        check_against_oracles(spec, c)
 
     def test_frobenius(self):
         f = PrimeField(7)
         spec = GroupSpec(f, (translation(f), make_affine((2, 0), f)))
-        assert extract_difference_set(spec).elements == (1, 2, 4)
+        c = classify(spec)
+        assert c.diff_set.elements == (1, 2, 4)
+        check_against_oracles(spec, c)
 
 
 class TestVerifyCertificate:
@@ -240,8 +262,9 @@ class TestMalformedPayload:
 
 
 class TestEnumerationOracle:
-    """classify reads |H| from its embedding and stops at the first p-cycle;
-    the full enumeration is the oracle for both."""
+    """classify reads U and |H| from its embedding's multipliers and stops
+    at the first p-cycle; the full enumeration and the pair orbit of the
+    relabelled group are the oracles."""
 
     @staticmethod
     def check(spec):
@@ -260,6 +283,7 @@ class TestEnumerationOracle:
             return False
         assert c.variant == SOLVABLE_AFFINE
         assert c.group_order == enum.order
+        assert c.diff_set.elements == pair_orbit_differences(spec, c.relabeling)
         assert c.relabeling == relabel_to_translation(tau)
         return True
 
@@ -386,4 +410,5 @@ class TestCertificateProperty:
         c = classify(spec)
         assert c.variant == SOLVABLE_AFFINE
         assert c.group_order == order
+        check_against_oracles(spec, c)
         assert verify_certificate(spec, c)

@@ -185,6 +185,19 @@ class TestClassifyCommand:
         assert counterexample == {
             "p": 5, "generators": [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]}
 
+    def test_full_multiplier_group_exits_2(self, capsys, monkeypatch):
+        # Inject a fault: AGL(1, 5) reported as not doubly transitive. Its
+        # multipliers 1 and 2 generate all of F_5*, which contradicts that.
+        monkeypatch.setattr(burnside.classifier, "transitivity_tests",
+                            lambda spec: (True, False))
+        monkeypatch.setattr("sys.stdin", io.StringIO("p=5\n1,2,3,4,0\n0,2,4,1,3\n"))
+        code, out, err = run_cli(capsys, "classify", "--group", "-")
+        assert code == 2
+        assert out == ""
+        counterexample = json.loads(err)["counterexample"]
+        assert counterexample == {
+            "p": 5, "embedding": [{"a": 1, "b": 1}, {"a": 2, "b": 0}]}
+
 
 class TestAutCommand:
     def test_paley_7(self, capsys):
@@ -481,6 +494,17 @@ def _shuffled(p, seed):
     return ",".join(map(str, table))
 
 
+def _group_file(p, maps, seed=None):
+    """The group file of the maps x -> a*x + b, relabelled by the shuffle
+    of range(p) that random.Random(seed) makes (none without a seed)."""
+    sigma = list(range(p))
+    if seed is not None:
+        random.Random(seed).shuffle(sigma)
+    inverse = sorted(range(p), key=sigma.__getitem__)
+    rows = (",".join(str(sigma[(a * inverse[i] + b) % p]) for i in range(p)) for a, b in maps)
+    return "".join(f"{line}\n" for line in (f"p={p}", *rows))
+
+
 class TestGoldenReportBytes:
     # SHA-256 of stdout; any change to a report byte of these commands fails.
     @pytest.mark.parametrize("argv, stdin, digest", [
@@ -501,6 +525,12 @@ class TestGoldenReportBytes:
          "67ed852824d9ee6a274b9eed86d6afe6c39e8aa53c6182e6adca0ced7cb14e16"),
         (("classify", "--group", "-"), "p=5\n1,0,2,3,4\n",
          "9c29e59db669e3e6f740ffcb87ae8ea263f65963bd0eb04248951b1bc4a61b01"),
+        # x -> 18x+3 and x -> 7x+5: no 19-cycle, U = <-1, 7>, order 114
+        (("classify", "--group", "-"), _group_file(19, ((18, 3), (7, 5))),
+         "8fe105da210b31cf0b403c8287b8b23961f4890a41670f85baeb71d0148aaee8"),
+        # the index-2 group of TestLargestDegree: order 97 * 48 = 4656
+        (("classify", "--group", "-"), _group_file(97, ((1, 1), (25, 3)), seed=97),
+         "0f378c3d0fd443b0323066a74fe67618470114a1aeb5d8e6a6e8138764a6e77a"),
         (("interp", "--p", "5", "--perm", "1,0,2,3,4"), None,
          "e0a8a9b95eb4ab32b058c084d00dcf706c91ec0c1cb53b8ab79816cf54b7f8a0"),
         (("interp", "--p", "97", "--perm", _AFFINE_97), None,
@@ -512,6 +542,7 @@ class TestGoldenReportBytes:
     ], ids=["aut-paley-7", "aut-sparse-19", "aut-squares-97", "classify-d5",
             "classify-frobenius-21", "classify-no-p-cycle-generator-21",
             "classify-s5", "classify-intransitive",
+            "classify-two-multipliers-19", "classify-index-two-97",
             "interp-transposition-5", "interp-affine-97",
             "interp-power5-97", "interp-shuffled-97"])
     def test_report_bytes(self, capsys, monkeypatch, argv, stdin, digest):
