@@ -1,16 +1,16 @@
 """Exhaustive search for difference-preserving permutations.
 
 These are the automorphisms of the circulant digraph whose arcs join pairs
-with difference in a fixed set U. Two independent enumerations are kept: an
-individualise-refine search over the maps fixing 0 (the workhorse; partition
-refinement as in nauty and Traces, McKay and Piperno, "Practical graph
-isomorphism, II", J. Symb. Comput. 60, 2014) and a plain factorial filter
-(the cross-check at tiny degree). The refinement reads every point's
-neighbour counts in a splitter cell from one packed big-integer sum, the
-product of the cell with U's packed neighbour row taken mod X**p - 1
-(``_neighbour_rows``). Every permutation found must be affine with a
-multiplier stabilizing U; anything else is reported as a violation, since
-it would contradict a theorem. The multiplier stabilizer M(U) is computed
+with difference in a fixed set U. They are found by an individualise-refine
+search over the maps fixing 0 (partition refinement as in nauty and Traces,
+McKay and Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
+2014); the tests check it against a plain filter over all p! permutations
+at tiny degree. The refinement reads every point's neighbour counts in a
+splitter cell from one packed big-integer sum, the product of the cell
+with U's packed neighbour row taken mod X**p - 1 (``_neighbour_rows``).
+Every permutation found must be affine with a multiplier stabilizing U;
+anything else is reported as a violation, since it would contradict a
+theorem. The multiplier stabilizer M(U) is computed
 apart from the search, from U alone.
 
 A scan of every valid set mod p searches one set per orbit of
@@ -34,7 +34,6 @@ from .errors import FieldMismatch, InputError, PropositionViolated
 from .fields import DiffSet, PrimeField, min_nonzero_power_sum
 from .permutations import Perm, recognize_affine
 
-NAIVE_DEGREE_CAP = 8
 # A scan's walk holds a 2**(p-1)-slot orbit table and a per-set orbit
 # list: 4.2M slots each at p = 23 (about 40 s and a 121 MB peak RSS on a
 # 2-vCPU host), but 268M each at p = 29.
@@ -265,25 +264,6 @@ def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
     )
     perms = tuple(Perm(field, t) for t in tables)
     return AutResult(dset, perms, stabilizer, True)
-
-
-def naive_enumerate(field: PrimeField, dset: DiffSet) -> AutResult:
-    """Filter all p! permutations; the independent oracle for tiny p."""
-    if dset.field != field:
-        raise FieldMismatch("difference set built over a different modulus")
-    p = field.p
-    if p > NAIVE_DEGREE_CAP:
-        raise InputError(
-            f"naive enumeration is capped at degree {NAIVE_DEGREE_CAP}, got {p}"
-        )
-    member = dset.indicator()
-    found = [
-        Perm(field, images)
-        for images in itertools.permutations(range(p))
-        if _preserves(images, member, dset.elements, p)
-    ]
-    all_affine = all(recognize_affine(q) is not None for q in found)
-    return AutResult(dset, tuple(found), mult_stabilizer(dset), all_affine)
 
 
 def assert_all_affine(result: AutResult) -> None:

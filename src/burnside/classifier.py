@@ -150,8 +150,11 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
     claimed affine maps and preserve the witness set's differences, and
     ``group_order`` must be an int, as ``from_payload`` requires, and match
     an enumeration of the group. Affine conjugates put the group inside
-    AGL(1, p), which is solvable, so no derived series is needed. Never
-    raises; any mismatch or internal error yields False.
+    AGL(1, p), which is solvable, so no derived series is needed. Being
+    transitive, it holds the translations, so its order is p*|A| for A the
+    group its multipliers generate. U is a union of cosets of A, so 1 in U
+    and p*|U| = group_order make U = A. Never raises; any mismatch or
+    internal error yields False.
     """
     try:
         field = spec.field
@@ -183,6 +186,8 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
             if not check_preserves(conj, dset):
                 return False
         require_ints([classification.group_order], "group_order")
+        if 1 not in dset or p * len(dset) != classification.group_order:
+            return False
         enum = enumerate_group(spec, cap=p * (p - 1))
         return classification.group_order == enum.order
     except BurnsideError:

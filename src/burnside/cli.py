@@ -265,10 +265,10 @@ _COMMANDS = {
 }
 
 
-def _scan_json_chunks(report: dict) -> Iterator[str]:
-    """``json.dumps(report, indent=2) + "\\n"`` for a scan report, in chunks.
+def _json_chunks(report: dict) -> Iterator[str]:
+    """``json.dumps(report, indent=2) + "\\n"``, in chunks; one chunk unless
+    ``report["result"]["rows"]`` is a ``_ScanRows`` (with at least one set).
 
-    ``report["result"]["rows"]`` is a ``_ScanRows`` with at least one set.
     With ``indent`` set, ``json.dumps`` runs the pure-Python encoder, and a
     scan report is almost all rows of one shape (a non-empty int list, ints
     and a bool). So the report is dumped without its rows, the tail of each
@@ -278,7 +278,10 @@ def _scan_json_chunks(report: dict) -> Iterator[str]:
     ``str`` and no whole-report string is built per row.
     """
     result = report["result"]
-    rows = result["rows"]
+    rows = result.get("rows")
+    if not isinstance(rows, _ScanRows):
+        yield json.dumps(report, indent=2) + "\n"
+        return
     head = json.dumps({**report, "result": {**result, "rows": []}}, indent=2)
     before, after = head.rsplit('"rows": []', 1)
     tails = [
@@ -306,7 +309,7 @@ def _text_chunks(report: dict, elapsed: float) -> Iterator[str]:
     Each scalar or flat list is a ``key: value`` line; a dict or a nested
     list is a ``key:`` line over its items, indented two more spaces. A
     ``_ScanRows`` value renders as the list of its row dicts would, but a
-    row at a time, as ``_scan_json_chunks`` writes it: each orbit's lines
+    row at a time, as ``_json_chunks`` writes it: each orbit's lines
     from ``stabilizer_size`` on are rendered once, and each row is its
     index, its set's member texts joined, its size and its orbit's lines.
     """
@@ -376,11 +379,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "result": result,
     }
     if args.format == "text":
-        chunks: Iterable[str] = _text_chunks(report, elapsed)
-    elif args.command == "scan":
-        chunks = _scan_json_chunks(report)
+        chunks = _text_chunks(report, elapsed)
     else:
-        chunks = [json.dumps(report, indent=2) + "\n"]
+        chunks = _json_chunks(report)
 
     try:
         if args.output:

@@ -1,4 +1,4 @@
-"""The prime field F_p, difference sets and the symmetric functions of a set.
+"""The prime field F_p, difference sets and their power sums.
 
 Residues are canonical representatives in [0, p-1]. Every power sum is read
 from one packed table of x**w mod p, whose layout only this module knows.
@@ -205,64 +205,3 @@ def min_nonzero_power_sum(dset: DiffSet, sums: tuple[int, ...] | None = None) ->
         payload={"p": dset.field.p, "elements": list(dset.elements)},
     )
 
-
-def elementary_symmetric_via_newton(dset: DiffSet, m: int) -> list[int]:
-    """First m elementary symmetric functions of the set, from its power sums.
-
-    Uses the Newton recurrence k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} S(i);
-    the divisions by 1..m force m <= p-1.
-    """
-    p = dset.field.p
-    if m >= p:
-        raise InputError(f"Newton recurrence needs m < p, got m={m}, p={p}")
-    if not 1 <= m <= len(dset):
-        raise InputError(f"need 1 <= m <= |set|={len(dset)}, got m={m}")
-    sums = power_sums(dset)
-    es = [1]  # e_0
-    for k in range(1, m + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            term = es[k - i] * sums[i - 1] % p
-            acc = (acc - term if i % 2 == 0 else acc + term) % p
-        es.append(acc * pow(k, -1, p) % p)
-    return es[1:]
-
-
-def vandermonde_det(dset: DiffSet) -> int:
-    """Determinant of the matrix (u_j ** k), k = 1..|set|, over F_p.
-
-    Distinct nonzero entries make this provably nonzero; a zero result is
-    reported as an internal error.
-    """
-    p = dset.field.p
-    elems = dset.elements
-    m = len(elems)
-    rows = [[pow(u, k, p) for u in elems] for k in range(1, m + 1)]
-    det = _det_mod_p(rows, p)
-    if det == 0:
-        raise InternalInvariantViolation(
-            "Vandermonde determinant of a valid difference set vanished",
-            payload={"p": p, "elements": list(elems)},
-        )
-    return det
-
-
-def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    """Determinant by Gaussian elimination over F_p."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det % p
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv % p
-            if factor:
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
-    return det % p

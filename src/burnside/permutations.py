@@ -1,13 +1,12 @@
 """Permutations of F_p given by image tables.
 
-Provides the group algebra (compose, invert, order, cycle structure),
+Provides the group algebra (compose, invert, powers, cycle structure),
 construction and recognition of affine maps i -> a*i + b, and the
 relabeling that turns any p-cycle into translation by one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -120,9 +119,6 @@ class Perm:
         if not moved:
             return "()"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in moved)
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
 
 
 def make_affine(coeffs: AffineCoeffs | tuple[int, int], field: PrimeField) -> Perm:

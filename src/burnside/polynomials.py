@@ -87,13 +87,6 @@ class FpPoly:
             raise InputError(f"polynomial power must be >= 0, got {exponent}")
         return FpPoly(self.field, pow_coeffs(self.coeffs, exponent, self.field.p))
 
-    def evaluate(self, x: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
-
     def shift(self, u: int) -> "FpPoly":
         """The composition f(X + u), by ``shift_coeffs``; degree preserved."""
         return FpPoly(self.field, shift_coeffs(self.coeffs, u))

@@ -1,0 +1,124 @@
+"""Slow, independent routes to facts the program computes another way.
+
+Nothing in ``src/`` calls these; the tests compare the program against
+them. ``tests/test_package_boundary.py`` sends code here that only tests
+call.
+"""
+
+import itertools
+import math
+
+from burnside.automorphisms import AutResult
+from burnside.errors import FieldMismatch, InputError
+from burnside.fields import DiffSet, PrimeField, power_sums
+from burnside.permutations import Perm
+from burnside.polynomials import FpPoly
+
+# 8! = 40320 permutations; 11! would be about 40 million.
+NAIVE_DEGREE_CAP = 8
+
+
+def perm_order(perm: Perm) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    return math.lcm(*(len(c) for c in perm.cycles()))
+
+
+def evaluate(poly: FpPoly, x: int) -> int:
+    """poly(x) mod p, by Horner's rule."""
+    p = poly.field.p
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def all_multipliers_stabilizer(dset: DiffSet) -> tuple[int, ...]:
+    """Every a in 1..p-1 with a*U = U, tried one by one; the oracle for the
+    search over the |U| quotients u/u0."""
+    p = dset.field.p
+    target = set(dset.elements)
+    return tuple(
+        a for a in range(1, p) if {a * u % p for u in target} == target
+    )
+
+
+def naive_enumerate(field: PrimeField, dset: DiffSet) -> AutResult:
+    """Filter all p! permutations for those preserving U's differences.
+
+    Shares no code with the search: membership is read from a Python set,
+    affinity from constant first differences and M(U) from
+    ``all_multipliers_stabilizer``.
+    """
+    if dset.field != field:
+        raise FieldMismatch("difference set built over a different modulus")
+    p = field.p
+    if p > NAIVE_DEGREE_CAP:
+        raise InputError(
+            f"naive enumeration is capped at degree {NAIVE_DEGREE_CAP}, got {p}"
+        )
+    inside = set(dset.elements)
+    pairs = [(i, j) for i in range(p) for j in range(p) if (i - j) % p in inside]
+    found = [
+        Perm(field, images)
+        for images in itertools.permutations(range(p))
+        if all((images[i] - images[j]) % p in inside for i, j in pairs)
+    ]
+    all_affine = all(
+        len({(q.images[(i + 1) % p] - q.images[i]) % p for i in range(p)}) == 1
+        for q in found
+    )
+    return AutResult(dset, tuple(found), all_multipliers_stabilizer(dset), all_affine)
+
+
+def elementary_symmetric_via_newton(dset: DiffSet, m: int) -> list[int]:
+    """First m elementary symmetric functions of the set, from the
+    program's ``power_sums``.
+
+    Uses the Newton recurrence k*e_k = sum_{i=1..k} (-1)**(i-1) e_{k-i} S(i);
+    the divisions by 1..m force m <= p-1.
+    """
+    p = dset.field.p
+    if m >= p:
+        raise InputError(f"Newton recurrence needs m < p, got m={m}, p={p}")
+    if not 1 <= m <= len(dset):
+        raise InputError(f"need 1 <= m <= |set|={len(dset)}, got m={m}")
+    sums = power_sums(dset)
+    es = [1]  # e_0
+    for k in range(1, m + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            term = es[k - i] * sums[i - 1] % p
+            acc = (acc - term if i % 2 == 0 else acc + term) % p
+        es.append(acc * pow(k, -1, p) % p)
+    return es[1:]
+
+
+def vandermonde_det(dset: DiffSet) -> int:
+    """Determinant of the matrix (u_j ** k), k = 1..|set|, over F_p.
+
+    Distinct nonzero entries make it nonzero; the tests assert that.
+    """
+    p = dset.field.p
+    rows = [[pow(u, k, p) for u in dset.elements] for k in range(1, len(dset) + 1)]
+    return _det_mod_p(rows, p)
+
+
+def _det_mod_p(rows: list[list[int]], p: int) -> int:
+    """Determinant by Gaussian elimination over F_p."""
+    n = len(rows)
+    m = [row[:] for row in rows]
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det % p
+        det = det * m[col][col] % p
+        inv = pow(m[col][col], -1, p)
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv % p
+            if factor:
+                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
+    return det % p

