@@ -7,7 +7,7 @@ certificate: a relabeling turning some p-cycle into translation by one
 and the affine coefficients of every (conjugated) generator. The
 multipliers of those coefficients generate the invariant difference set
 and give the group order. ``verify_certificate`` re-checks the
-certificate independently.
+certificate independently, in closed form: it never lists the group.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 from .automorphisms import check_preserves
 from .errors import BurnsideError, InputError, InternalInvariantViolation
 from .fields import DiffSet, PrimeField, require_ints
-from .groups import GroupSpec, bfs_elements, enumerate_group, orbit_of_point, transitivity_tests
+from .groups import GroupSpec, bfs_elements, orbit_of_point, transitivity_tests
 from .permutations import AffineCoeffs, Perm, make_affine, recognize_affine, relabel_to_translation
 
 NOT_TRANSITIVE = "NOT_TRANSITIVE"
@@ -148,13 +148,16 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
 
     For the solvable branch: the conjugated generators must equal their
     claimed affine maps and preserve the witness set's differences, and
-    ``group_order`` must be an int, as ``from_payload`` requires, and match
-    an enumeration of the group. Affine conjugates put the group inside
-    AGL(1, p), which is solvable, so no derived series is needed. Being
-    transitive, it holds the translations, so its order is p*|A| for A the
-    group its multipliers generate. U is a union of cosets of A, so 1 in U
-    and p*|U| = group_order make U = A. Never raises; any mismatch or
-    internal error yields False.
+    ``group_order`` must be an int, as ``from_payload`` requires, and equal
+    p*|A|. Affine conjugates put the group inside AGL(1, p), which is
+    solvable, so no derived series is needed. Being transitive, it holds
+    the translations, so its order is p*|A| for A the group its
+    multipliers a_i generate (Dixon and Mortimer, Permutation Groups,
+    1996). F_p* is cyclic, so |A| is the least m with a_i**m = 1 for
+    every i; each a_i is nonzero, as its affine map is a bijection, so
+    some m <= p-1 qualifies. U is a union of cosets of A, so 1 in U and
+    p*|U| = group_order = p*|A| make U = A. Never raises; any mismatch
+    or internal error yields False.
     """
     try:
         field = spec.field
@@ -188,7 +191,7 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
         require_ints([classification.group_order], "group_order")
         if 1 not in dset or p * len(dset) != classification.group_order:
             return False
-        enum = enumerate_group(spec, cap=p * (p - 1))
-        return classification.group_order == enum.order
+        exponent = next(m for m in range(1, p) if all(pow(c.a, m, p) == 1 for c in embedding))
+        return classification.group_order == p * exponent
     except BurnsideError:
         return False

@@ -202,18 +202,6 @@ def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
     return _shifted_power_identities(poly, dset, w, power_sums(dset))[1]
 
 
-def _leading_coefficient(dset: DiffSet, nw: int, r: int, sums: tuple[int, ...]) -> bool:
-    """check_leading_coefficient for r <= nw <= p-1, with r and sums read
-    from dset by the caller."""
-    p = dset.field.p
-    acc = [sum(column) for column in zip(*(pow_coeffs((u, 1), nw, p) for u in dset.elements))]
-    acc[nw] -= len(dset)
-    if any(c % p for c in acc[nw - r + 1:]):
-        return False
-    expected = binomial_mod_p(nw, r, dset.field) * sums[r - 1] % p
-    return acc[nw - r] % p == expected != 0
-
-
 @lru_cache(maxsize=64)
 def _reduced_facts(dset: DiffSet, nw: int) -> tuple[tuple[int, ...], int, bool | None]:
     """(power sums, r, leading-coefficient verdict at nw) of a set, with r
@@ -224,11 +212,17 @@ def _reduced_facts(dset: DiffSet, nw: int) -> tuple[tuple[int, ...], int, bool |
     maps on one set repeat them. An all-zero power-sum vector raises, and a
     raise is never cached, so it raises again on every call.
     """
+    p = dset.field.p
     sums = power_sums(dset)
     r = min_nonzero_power_sum(dset, sums)
-    if not r <= nw <= dset.field.p - 1:
+    if not r <= nw <= p - 1:
         return sums, r, None
-    return sums, r, _leading_coefficient(dset, nw, r, sums)
+    acc = [sum(column) for column in zip(*(pow_coeffs((u, 1), nw, p) for u in dset.elements))]
+    acc[nw] -= len(dset)
+    if any(c % p for c in acc[nw - r + 1:]):
+        return sums, r, False
+    expected = binomial_mod_p(nw, r, dset.field) * sums[r - 1] % p
+    return sums, r, acc[nw - r] % p == expected != 0
 
 
 def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnside import GroupSpec, PrimeField, classify, make_affine, verify_certificate
+import burnside.groups
+from burnside import DiffSet, GroupSpec, PrimeField, classify, make_affine, verify_certificate
+from burnside.automorphisms import check_preserves
 from burnside.classifier import (
     Classification,
     DOUBLY_TRANSITIVE,
@@ -323,22 +325,105 @@ class TestEnumerationOracle:
         assert solvable > 0
 
 
+def index_two_group_at_p97():
+    """T.<m> with m of order 48 mod 97, relabelled: order 97 * 48 = 4656."""
+    p = 97
+    f = PrimeField(p)
+    m = 25  # 5 is a primitive root mod 97, and 25 = 5^2
+    rng = random.Random(97)
+    sigma = list(range(p))
+    rng.shuffle(sigma)
+    sigma = Perm(f, tuple(sigma))
+    return GroupSpec(f, tuple(
+        g.conjugate(sigma) for g in (translation(f), make_affine((m, 3), f))
+    ))
+
+
 class TestLargestDegree:
     def test_index_two_group_at_p97(self):
-        # T.<m> with m of order 48 mod 97, relabelled: order 97 * 48 = 4656.
-        p = 97
-        f = PrimeField(p)
-        m = 25  # 5 is a primitive root mod 97, and 25 = 5^2
-        rng = random.Random(97)
-        sigma = list(range(p))
-        rng.shuffle(sigma)
-        sigma = Perm(f, tuple(sigma))
-        spec = GroupSpec(f, tuple(
-            g.conjugate(sigma) for g in (translation(f), make_affine((m, 3), f))
-        ))
+        spec = index_two_group_at_p97()
         c = classify(spec)
         assert c.variant == SOLVABLE_AFFINE
         assert c.group_order == 4656
+        assert verify_certificate(spec, c)
+
+
+def of_order(p, k):
+    """The least a mod p of multiplicative order k."""
+    return next(a for a in range(1, p) if perm_order(make_affine((a, 0), PrimeField(p))) == k)
+
+
+def relabelled(field, gens, rng):
+    """The group the affine maps ``gens`` generate, relabelled by a shuffle."""
+    sigma = list(range(field.p))
+    rng.shuffle(sigma)
+    sigma = Perm(field, tuple(sigma))
+    return GroupSpec(field, tuple(make_affine(c, field).conjugate(sigma) for c in gens))
+
+
+class TestClosedFormOrder:
+    """verify_certificate checks the group order as p times the least common
+    exponent of the multipliers; the enumeration is the oracle."""
+
+    @staticmethod
+    def check(spec):
+        p = spec.field.p
+        c = classify(spec)
+        assert c.variant == SOLVABLE_AFFINE
+        assert verify_certificate(spec, c)
+        assert c.group_order == enumerate_group(spec, p * (p - 1)).order
+        return c.group_order
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_every_transitive_affine_subgroup(self, p):
+        # T.<g^d> for a primitive root g and every divisor d > 1 of p - 1;
+        # d = 1 is AGL(1, p), which is doubly transitive.
+        f = PrimeField(p)
+        rng = random.Random(p)
+        g = of_order(p, p - 1)
+        for d in (d for d in range(2, p) if (p - 1) % d == 0):
+            m = pow(g, d, p)
+            spec = relabelled(f, [(1, 1), (m, rng.randrange(p))], rng)
+            assert self.check(spec) == p * (p - 1) // d
+
+    @pytest.mark.parametrize("p, orders, exponent", [(31, (3, 5), 15), (61, (4, 6), 12)])
+    def test_exponent_is_the_lcm_of_the_multiplier_orders(self, p, orders, exponent):
+        f = PrimeField(p)
+        rng = random.Random(p)
+        gens = [(1, 1)] + [(of_order(p, k), rng.randrange(p)) for k in orders]
+        assert self.check(relabelled(f, gens, rng)) == p * exponent
+        # the same group with no translation among its generators
+        gens = [(of_order(p, k), rng.randrange(p)) for k in orders]
+        assert self.check(relabelled(f, gens, rng)) == p * exponent
+
+    @pytest.mark.parametrize("p, gens, claimed_u", [
+        # T.<3> mod 13 has U = {1, 3, 9}; the squares are a union of its cosets
+        (13, [(1, 1), (3, 5)], (1, 3, 4, 9, 10, 12)),
+        # T.<5> mod 31 has U = {1, 5, 25}; claim U and its coset 2U
+        (31, [(1, 1), (5, 2)], (1, 2, 5, 10, 19, 25)),
+    ])
+    def test_consistent_supergroup_claim_rejected(self, p, gens, claimed_u):
+        f = PrimeField(p)
+        spec = relabelled(f, gens, random.Random(p))
+        c = classify(spec)
+        assert verify_certificate(spec, c)
+        tampered = dataclasses.replace(
+            c, diff_set=DiffSet(f, claimed_u), group_order=p * len(claimed_u))
+        # every check but the order comparison holds for the tampered claim
+        assert 1 in tampered.diff_set
+        assert p * len(tampered.diff_set) == tampered.group_order
+        for g in spec.generators:
+            assert check_preserves(g.conjugate(c.relabeling), tampered.diff_set)
+        assert not verify_certificate(spec, tampered)
+
+    def test_verify_never_enumerates(self, monkeypatch):
+        spec = index_two_group_at_p97()
+        c = classify(spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_certificate enumerated the group")
+
+        monkeypatch.setattr(burnside.groups, "closure", refuse)
         assert verify_certificate(spec, c)
 
 
