@@ -1,13 +1,15 @@
 """Burnside's dichotomy as an algorithm.
 
 A transitive permutation group of prime degree is doubly transitive or
-solvable. Given generators, ``classify`` either detects double
-transitivity from the orbit of one ordered pair, or builds a solvability
-certificate: a relabeling turning some p-cycle into translation by one
-and the affine coefficients of every (conjugated) generator. The
-multipliers of those coefficients generate the invariant difference set
-and give the group order. ``verify_certificate`` re-checks the
-certificate independently, in closed form: it never lists the group.
+solvable. Given generators, ``classify`` first tries to build a
+solvability certificate: a relabeling turning some p-cycle into
+translation by one and the affine coefficients of every (conjugated)
+generator. The multipliers of those coefficients generate the invariant
+difference set and give the group order, at most p(p-1)/2, which rules
+out double transitivity: a doubly transitive group has order divisible
+by p(p-1). Only a group without a certificate builds the orbit of one
+ordered pair, which must then be full. ``verify_certificate`` re-checks
+the certificate independently, in closed form: it never lists the group.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 from .automorphisms import check_preserves
 from .errors import BurnsideError, InputError, InternalInvariantViolation
 from .fields import DiffSet, PrimeField, require_ints
-from .groups import GroupSpec, bfs_elements, orbit_of_point, transitivity_tests
+from .groups import GroupSpec, bfs_elements, is_doubly_transitive, is_transitive, orbit_of_point
 from .permutations import AffineCoeffs, Perm, make_affine, recognize_affine, relabel_to_translation
 
 NOT_TRANSITIVE = "NOT_TRANSITIVE"
@@ -81,64 +83,60 @@ class Classification:
 
 
 def classify(spec: GroupSpec) -> Classification:
-    """Decide the dichotomy for the generated group.
+    """Decide the dichotomy: NOT_TRANSITIVE, where it does not apply, else
+    the certificate if there is one, else DOUBLY_TRANSITIVE, which the orbit
+    of (1, 0) must confirm or InternalInvariantViolation is raised."""
+    field = spec.field
+    if not is_transitive(spec):
+        return Classification(field, NOT_TRANSITIVE)
+    certificate = _certificate(spec)
+    if certificate is not None:
+        return certificate
+    if is_doubly_transitive(spec):
+        return Classification(field, DOUBLY_TRANSITIVE)
+    raise InternalInvariantViolation(
+        "transitive group that is neither doubly transitive nor a proper "
+        "subgroup of a conjugate of AGL(1, p)",
+        payload={"p": field.p, "generators": [list(g.images) for g in spec.generators]},
+    )
 
-    Intransitive input gets its own verdict since the dichotomy does not
-    apply. Otherwise the relabeling comes from the first p-cycle that
-    ``bfs_elements`` yields, so the group is never listed whole. Relabelled,
-    the group is T.A inside AGL(1, p), with T the translations and A the
-    group the embedding's multipliers a generate. The orbit of (1, 0) is
-    {(a + b, b) : a in A}, so its differences are A itself: U is the orbit
-    of 1 under x -> a*x, and the group order is p*|U|. A failure (no
-    p-cycle among the first p(p-1) elements, a conjugated generator that
-    is not affine, or A = F_p*, which would make the group AGL(1, p) and
-    doubly transitive) would contradict the theorem and raises
-    InternalInvariantViolation.
+
+def _certificate(spec: GroupSpec) -> Optional[Classification]:
+    """The SOLVABLE_AFFINE verdict of a transitive group, or None if it is
+    not a proper subgroup of a conjugate of AGL(1, p).
+
+    A non-identity affine map fixes at most one point, so a generator that
+    fixes two or more, such as a transposition, rules the group out before
+    any search. A proper subgroup T.A of AGL(1, p) has order
+    p*|A| <= p(p-1)/2, so its first p-cycle is among that many elements of
+    ``bfs_elements``. Relabelled by it, the group is T.A, with T the
+    translations and A the group the multipliers a generate. The orbit of
+    (1, 0) is {(a + b, b) : a in A}, so U, its differences, is the orbit of
+    1 under x -> a*x, the group order is p*|U|, and U = F_p* would make the
+    group AGL(1, p).
     """
     field = spec.field
     p = field.p
-    transitive, doubly = transitivity_tests(spec)
-    if not transitive:
-        return Classification(field, NOT_TRANSITIVE)
-    if doubly:
-        return Classification(field, DOUBLY_TRANSITIVE)
-
-    elements = islice(bfs_elements(field, spec.generators), p * (p - 1))
+    if any(2 <= sum(v == i for i, v in enumerate(g.images)) < p for g in spec.generators):
+        return None
+    elements = islice(bfs_elements(field, spec.generators), p * (p - 1) // 2)
     tau = next((g for g in elements if g.cycle_type() == (p,)), None)
     if tau is None:
-        raise InternalInvariantViolation(
-            "transitive, not doubly transitive group with no p-cycle among "
-            "its first p(p-1) elements",
-            payload={"p": p, "generators": [list(g.images) for g in spec.generators]},
-        )
-
+        return None
     lam = relabel_to_translation(tau)
-    conjugated = tuple(g.conjugate(lam) for g in spec.generators)
-    embedding = []
-    for g in conjugated:
-        coeffs = recognize_affine(g)
-        if coeffs is None:
-            raise InternalInvariantViolation(
-                "conjugated generator of a non-doubly-transitive group "
-                "is not affine",
-                payload={"p": p, "permutation": list(g.images)},
-            )
-        embedding.append(coeffs)
-
+    embedding = tuple(recognize_affine(g.conjugate(lam)) for g in spec.generators)
+    if None in embedding:
+        return None
     multipliers = GroupSpec(field, tuple(make_affine((c.a, 0), field) for c in embedding))
     units = orbit_of_point(multipliers, 1)
     if len(units) == p - 1:
-        raise InternalInvariantViolation(
-            "the embedding's multipliers generate all of F_p* although the "
-            "group is not doubly transitive",
-            payload={"p": p, "embedding": [{"a": c.a, "b": c.b} for c in embedding]},
-        )
+        return None
     return Classification(
         field,
         SOLVABLE_AFFINE,
         relabeling=lam,
         diff_set=DiffSet(field, tuple(units)),
-        embedding=tuple(embedding),
+        embedding=embedding,
         group_order=p * len(units),
     )
 
@@ -146,34 +144,31 @@ def classify(spec: GroupSpec) -> Classification:
 def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
     """Re-derive everything a classification claims; True only if all holds.
 
-    For the solvable branch: the conjugated generators must equal their
-    claimed affine maps and preserve the witness set's differences, and
-    ``group_order`` must be an int, as ``from_payload`` requires, and equal
-    p*|A|. Affine conjugates put the group inside AGL(1, p), which is
-    solvable, so no derived series is needed. Being transitive, it holds
-    the translations, so its order is p*|A| for A the group its
-    multipliers a_i generate (Dixon and Mortimer, Permutation Groups,
-    1996). F_p* is cyclic, so |A| is the least m with a_i**m = 1 for
-    every i; each a_i is nonzero, as its affine map is a bijection, so
-    some m <= p-1 qualifies. U is a union of cosets of A, so 1 in U and
-    p*|U| = group_order = p*|A| make U = A. Never raises; any mismatch
-    or internal error yields False.
+    For the solvable branch: the group must be transitive, its conjugated
+    generators must equal their claimed affine maps and preserve U's
+    differences, and ``group_order`` must be an int, as ``from_payload``
+    requires, equal to p*|A| for A the group the multipliers a_i generate.
+    Affine conjugates put the group inside AGL(1, p), which is solvable;
+    being transitive, it holds the translations, so its order is p*|A|
+    (Dixon and Mortimer, Permutation Groups, 1996). F_p* is cyclic, so |A|
+    is the least m <= p-1 with a_i**m = 1 for every i. U is a union of
+    cosets of A, so 1 in U and p*|U| = group_order make U = A. A ``DiffSet``
+    has at most p-2 elements, so that order is at most p(p-1)/2, and p(p-1)
+    divides the order of a doubly transitive group: no pair orbit is
+    needed. Never raises; any mismatch or internal error yields False.
     """
     try:
         field = spec.field
         p = field.p
         if classification.field != field:
             return False
-        transitive, doubly = transitivity_tests(spec)
-
         if classification.variant == NOT_TRANSITIVE:
-            return not transitive
+            return not is_transitive(spec)
         if classification.variant == DOUBLY_TRANSITIVE:
-            return doubly
+            return is_doubly_transitive(spec)
         if classification.variant != SOLVABLE_AFFINE:
             return False
-
-        if not transitive or doubly:
+        if not is_transitive(spec):
             return False
         lam = classification.relabeling
         dset = classification.diff_set

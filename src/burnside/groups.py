@@ -88,17 +88,16 @@ def orbit_of_pair(spec: GroupSpec, pair: tuple[int, int]) -> list[tuple[int, int
     return sorted(seen)
 
 
-def transitivity_tests(spec: GroupSpec) -> tuple[bool, bool]:
-    """(is_transitive, is_doubly_transitive) from single-orbit closures.
+def is_transitive(spec: GroupSpec) -> bool:
+    """Whether the orbit of 0 is all of F_p."""
+    return len(orbit_of_point(spec, 0)) == spec.field.p
 
-    The pair test uses the base pair (1, 0); a full pair orbit has size
-    p*(p-1) exactly when the group is doubly transitive. It is skipped
-    for an intransitive group, which cannot be doubly transitive.
-    """
+
+def is_doubly_transitive(spec: GroupSpec) -> bool:
+    """Whether the orbit of (1, 0) holds all p*(p-1) ordered pairs; a full
+    pair orbit also makes the group transitive."""
     p = spec.field.p
-    transitive = len(orbit_of_point(spec, 0)) == p
-    doubly = transitive and len(orbit_of_pair(spec, (1, 0))) == p * (p - 1)
-    return transitive, doubly
+    return len(orbit_of_pair(spec, (1, 0))) == p * (p - 1)
 
 
 def bfs_elements(field: PrimeField, seeds: Iterable[Perm]) -> Iterator[Perm]:

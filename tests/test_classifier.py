@@ -16,7 +16,12 @@ from burnside.classifier import (
     SOLVABLE_AFFINE,
 )
 from burnside.errors import InputError
-from burnside.groups import derived_series, enumerate_group, orbit_of_pair
+from burnside.groups import (
+    derived_series,
+    enumerate_group,
+    is_doubly_transitive,
+    orbit_of_pair,
+)
 from burnside.permutations import AffineCoeffs, Perm, relabel_to_translation
 from conftest import random_perm
 from oracles import perm_order
@@ -427,6 +432,85 @@ class TestClosedFormOrder:
         assert verify_certificate(spec, c)
 
 
+def cycle(field, points):
+    """The cycle (points[0] points[1] ...) as a permutation of F_p."""
+    images = list(range(field.p))
+    for x, y in zip(points, points[1:] + points[:1]):
+        images[x] = y
+    return Perm(field, tuple(images))
+
+
+class TestCertificateDecides:
+    """classify tries the certificate first; only a group without one builds
+    the orbit of (1, 0), which must then be full."""
+
+    def test_solvable_groups_never_build_the_pair_orbit(self, monkeypatch):
+        f5, f7, f97 = PrimeField(5), PrimeField(7), PrimeField(97)
+        specs = [dihedral(f5),
+                 GroupSpec(f7, (translation(f7), make_affine((2, 0), f7))),
+                 GroupSpec(f97, (translation(f97),)),
+                 index_two_group_at_p97()]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pair orbit was built")
+
+        monkeypatch.setattr(burnside.groups, "orbit_of_pair", refuse)
+        for spec in specs:
+            c = classify(spec)
+            assert c.variant == SOLVABLE_AFFINE
+            assert verify_certificate(spec, c)
+
+    @staticmethod
+    def check_doubly_transitive(spec):
+        c = classify(spec)
+        assert c.variant == DOUBLY_TRANSITIVE
+        assert verify_certificate(spec, c)
+
+    @staticmethod
+    def shuffled(field, gens, seed):
+        """The group ``gens`` generate, relabelled by a seeded shuffle."""
+        sigma = random_perm(field, random.Random(seed))
+        spec = GroupSpec(field, tuple(g.conjugate(sigma) for g in gens))
+        assert all(g.cycle_type() != (field.p,) for g in spec.generators)
+        return spec
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("family", ["transposition", "two_long_cycles"])
+    def test_no_p_cycle_among_generators(self, p, family, monkeypatch):
+        # S_p from (0 1), (1 ... p-1): (0 1) fixes p - 2 points, which no
+        # affine map but the identity does, so no search runs. S_p from
+        # (1 ... p-1), (0 ... p-2): each fixes one point, so one search runs.
+        f = PrimeField(p)
+        if family == "transposition":
+            gens = (cycle(f, [0, 1]), cycle(f, list(range(1, p))))
+        else:
+            gens = (cycle(f, list(range(1, p))), cycle(f, list(range(p - 1))))
+        spec = self.shuffled(f, gens, p)
+        searches = []
+        search = burnside.classifier.bfs_elements
+
+        def counted(field, seeds):
+            searches.append(field.p)
+            return search(field, seeds)
+
+        monkeypatch.setattr(burnside.classifier, "bfs_elements", counted)
+        self.check_doubly_transitive(spec)
+        assert searches == ([] if family == "transposition" else [p])
+
+    def test_adjacent_transpositions(self):
+        f = PrimeField(7)
+        self.check_doubly_transitive(
+            self.shuffled(f, tuple(cycle(f, [i, i + 1]) for i in range(6)), 7))
+
+    def test_failed_search_falls_back_to_the_pair_orbit(self, monkeypatch):
+        # a search that finds no p-cycle leaves S_5 to the pair orbit
+        f = PrimeField(5)
+        spec = self.shuffled(f, (cycle(f, [1, 2, 3, 4]), cycle(f, [0, 1, 2, 3])), 5)
+        monkeypatch.setattr(burnside.classifier, "bfs_elements",
+                            lambda field, seeds: iter([Perm.identity(field)]))
+        self.check_doubly_transitive(spec)
+
+
 class TestAffineSubgroupSweep:
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_single_generator_subgroups(self, p):
@@ -501,3 +585,4 @@ class TestCertificateProperty:
         assert c.group_order == order
         check_against_oracles(spec, c)
         assert verify_certificate(spec, c)
+        assert (c.variant == DOUBLY_TRANSITIVE) == is_doubly_transitive(spec)

@@ -164,14 +164,16 @@ class TestClassifyCommand:
         assert "cannot read" in err
 
     def test_internal_violation_exits_2(self, capsys, d5_path, monkeypatch):
-        # Inject a fault: affine recognition that always fails flips the
-        # solvable branch into a theorem contradiction.
+        # Inject a fault: affine recognition that always fails leaves D_5,
+        # which is not doubly transitive, without a certificate: a theorem
+        # contradiction.
         monkeypatch.setattr(burnside.classifier, "recognize_affine", lambda _: None)
         code, out, err = run_cli(capsys, "classify", "--group", d5_path)
         assert code == 2
-        failure = json.loads(err)
-        assert "counterexample" in failure
-        assert "permutation" in failure["counterexample"]
+        assert out == ""
+        counterexample = json.loads(err)["counterexample"]
+        assert counterexample == {
+            "p": 5, "generators": [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]}
 
     def test_no_p_cycle_exits_2(self, capsys, d5_path, monkeypatch):
         # Inject a fault: a breadth-first search that yields only the
@@ -187,16 +189,16 @@ class TestClassifyCommand:
 
     def test_full_multiplier_group_exits_2(self, capsys, monkeypatch):
         # Inject a fault: AGL(1, 5) reported as not doubly transitive. Its
-        # multipliers 1 and 2 generate all of F_5*, which contradicts that.
-        monkeypatch.setattr(burnside.classifier, "transitivity_tests",
-                            lambda spec: (True, False))
+        # multipliers 1 and 2 generate all of F_5*, so it has no certificate
+        # either, which contradicts the theorem.
+        monkeypatch.setattr(burnside.classifier, "is_doubly_transitive", lambda spec: False)
         monkeypatch.setattr("sys.stdin", io.StringIO("p=5\n1,2,3,4,0\n0,2,4,1,3\n"))
         code, out, err = run_cli(capsys, "classify", "--group", "-")
         assert code == 2
         assert out == ""
         counterexample = json.loads(err)["counterexample"]
         assert counterexample == {
-            "p": 5, "embedding": [{"a": 1, "b": 1}, {"a": 2, "b": 0}]}
+            "p": 5, "generators": [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]]}
 
 
 class TestAutCommand:

@@ -8,9 +8,10 @@ from burnside.errors import CapExceeded, FieldMismatch, InputError
 from burnside.groups import (
     derived_series,
     enumerate_group,
+    is_doubly_transitive,
+    is_transitive,
     orbit_of_pair,
     orbit_of_point,
-    transitivity_tests,
 )
 from burnside.permutations import Perm
 from conftest import random_perm
@@ -118,14 +119,20 @@ class TestOrbits:
 
 class TestTransitivity:
     def test_cyclic(self):
-        assert transitivity_tests(c_p(PrimeField(5))) == (True, False)
+        spec = c_p(PrimeField(5))
+        assert is_transitive(spec)
+        assert not is_doubly_transitive(spec)
 
     def test_symmetric(self):
-        assert transitivity_tests(s_p(PrimeField(5))) == (True, True)
+        spec = s_p(PrimeField(5))
+        assert is_transitive(spec)
+        assert is_doubly_transitive(spec)
 
     def test_identity_group(self):
         f = PrimeField(5)
-        assert transitivity_tests(GroupSpec(f, (Perm.identity(f),))) == (False, False)
+        spec = GroupSpec(f, (Perm.identity(f),))
+        assert not is_transitive(spec)
+        assert not is_doubly_transitive(spec)
 
 
 class TestEnumeration:
