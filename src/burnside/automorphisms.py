@@ -62,12 +62,26 @@ class ScanRow:
     min_power_index: int
 
 
-def _preserves(images, member, elements, p: int) -> bool:
-    """Whether images[i] - images[j] is in U whenever i - j is in U."""
+def _preserves(images, elements, p: int) -> bool:
+    """Whether images[i] - images[j] is in U whenever i - j is in U.
+
+    Each table is read as one big-endian integer with a byte per point:
+    ``images`` as x, its rotation by u (byte j holds images[j + u]) as the
+    shift of x by u bytes, wrapped round mod 256**p - 1. Byte j of
+    rot_u + p*(1...1) - x is then images[j + u] - images[j] + p, which lies
+    in 1..2p-1 <= 193 (``PrimeField`` caps p at 97), so no byte borrows
+    from its neighbour. The difference mod p is in U exactly when that
+    byte is u or u + p for some u in U: deleting those byte values must
+    leave nothing. The setup is O(|U|) beside a few integer operations.
+    """
+    x = int.from_bytes(bytes(images), "big")
+    low = (1 << 8 * p) - 1
+    base = x - p * (low // 255)
+    allowed = bytes(elements) + bytes(map(p.__add__, elements))
     for u in elements:
-        for j in range(p):
-            if not member[(images[(j + u) % p] - images[j]) % p]:
-                return False
+        diff = (((x << 8 * u) & low) | (x >> 8 * (p - u))) - base
+        if diff.to_bytes(p, "big").translate(None, allowed):
+            return False
     return True
 
 
@@ -79,7 +93,7 @@ def check_preserves(perm: Perm, dset: DiffSet) -> bool:
     """
     if dset.field != perm.field:
         raise FieldMismatch("difference set and permutation use different moduli")
-    return _preserves(perm.images, dset.indicator(), dset.elements, perm.field.p)
+    return _preserves(perm.images, dset.elements, perm.field.p)
 
 
 def mult_stabilizer(dset: DiffSet) -> tuple[int, ...]:
@@ -209,7 +223,6 @@ def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     """
     p = dset.field.p
     elements = dset.elements
-    member = dset.indicator()
     rows = _neighbour_rows(elements, p)
     cells, where = [[0], list(range(1, p))], [0] + [1] * (p - 1)
     # Every point has |U| out- and in-neighbours in all of F_p, so {0}
@@ -231,7 +244,7 @@ def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
             images = [0] * p
             for x, cell in zip(positions, values):
                 images[x] = cell[0]
-            if _preserves(images, member, elements, p):
+            if _preserves(images, elements, p):
                 solutions.append(tuple(images))
             continue
         c, trace = levels[depth]

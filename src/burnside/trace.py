@@ -107,23 +107,27 @@ def _power_sum_identities(perm: Perm, dset: DiffSet) -> list[bool]:
     """Whether sum_u perm(i+u)**w == sum_u (perm(i)+u)**w mod p holds at
     every i, for each w = 1..p-1 (entry w-1).
 
-    Both sides are sums of |U| <= p-2 packed rows, which never carry
-    between slots: equal integers mean every w passes at that i. Unequal
-    integers are unpacked and compared slot by slot mod p, since sums that
-    differ as integers may still agree mod p.
+    Both sides are built for all p points at once, as the column sums of
+    |U| shifted windows of packed rows: lhs[i] sums the rows of perm(i+u),
+    read off the image rows repeated twice, and rhs[y] the rows of y + u,
+    so the side to compare with lhs[i] is rhs[perm(i)]. Sums of |U| <= p-2
+    packed rows never carry between slots: equal integers mean every w
+    passes at that i. Unequal integers are unpacked and compared slot by
+    slot mod p, since sums that differ as integers may still agree mod p.
     """
     p = perm.field.p
     rows = packed_powers(p)
-    images = perm.images * 2
+    images = perm.images
+    image_rows = [rows[y] for y in images] * 2
     elements = dset.elements
+    lhs = list(map(sum, zip(*[image_rows[u:u + p] for u in elements])))
+    rhs = list(map(sum, zip(*[rows[u:u + p] for u in elements])))
     passed = [True] * (p - 1)
-    for i in range(p):
-        lhs = sum(rows[images[i + u]] for u in elements)
-        base = images[i]
-        rhs = sum(rows[base + u] for u in elements)
-        if lhs != rhs:
-            lhs, rhs = unpack_powers(lhs, p), unpack_powers(rhs, p)
-            passed = [ok and a == b for ok, a, b in zip(passed, lhs, rhs)]
+    for left, y in zip(lhs, images):
+        right = rhs[y]
+        if left != right:
+            left, right = unpack_powers(left, p), unpack_powers(right, p)
+            passed = [ok and a == b for ok, a, b in zip(passed, left, right)]
     return passed
 
 

@@ -10,7 +10,13 @@ import math
 
 from burnside.automorphisms import AutResult
 from burnside.errors import FieldMismatch, InputError
-from burnside.fields import DiffSet, PrimeField, power_sums
+from burnside.fields import (
+    DiffSet,
+    PrimeField,
+    packed_powers,
+    power_sums,
+    unpack_powers,
+)
 from burnside.permutations import Perm
 from burnside.polynomials import FpPoly
 
@@ -40,6 +46,42 @@ def all_multipliers_stabilizer(dset: DiffSet) -> tuple[int, ...]:
     return tuple(
         a for a in range(1, p) if {a * u % p for u in target} == target
     )
+
+
+def preserves_by_pairs(perm: Perm, dset: DiffSet) -> bool:
+    """Whether perm(j + u) - perm(j) is in U for every u in U and every j,
+    one pair at a time through a membership table; the oracle for the
+    byte-packed ``check_preserves``."""
+    p = perm.field.p
+    images = perm.images
+    member = dset.indicator()
+    for u in dset.elements:
+        for j in range(p):
+            if not member[(images[(j + u) % p] - images[j]) % p]:
+                return False
+    return True
+
+
+def power_sum_identities_by_points(perm: Perm, dset: DiffSet) -> list[bool]:
+    """The per-w verdicts of the power-sum identities, with both sides
+    summed point by point from the packed rows; the oracle for the
+    column sums of ``trace._power_sum_identities``.
+
+    Unequal packed sums are unpacked and compared slot by slot mod p.
+    """
+    p = perm.field.p
+    rows = packed_powers(p)
+    images = perm.images * 2
+    elements = dset.elements
+    passed = [True] * (p - 1)
+    for i in range(p):
+        lhs = sum(rows[images[i + u]] for u in elements)
+        base = images[i]
+        rhs = sum(rows[base + u] for u in elements)
+        if lhs != rhs:
+            lhs, rhs = unpack_powers(lhs, p), unpack_powers(rhs, p)
+            passed = [ok and a == b for ok, a, b in zip(passed, lhs, rhs)]
+    return passed
 
 
 def naive_enumerate(field: PrimeField, dset: DiffSet) -> AutResult:

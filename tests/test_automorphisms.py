@@ -23,10 +23,11 @@ from burnside.automorphisms import (
     walk_orbits,
 )
 from burnside.errors import InputError, PropositionViolated
+from burnside.fields import DEFAULT_PRIME_CAP
 from burnside.permutations import Perm, recognize_affine
 
 from conftest import all_perms, exhaustive_report_rows, qr_set, random_perm
-from oracles import all_multipliers_stabilizer, naive_enumerate
+from oracles import all_multipliers_stabilizer, naive_enumerate, preserves_by_pairs
 
 
 def preserves_biconditional(perm, dset):
@@ -65,6 +66,86 @@ class TestCheckPreserves:
         for perm in all_perms(f):
             for dset in sets:
                 assert check_preserves(perm, dset) == preserves_biconditional(perm, dset)
+
+
+def _transposed(perm, rng):
+    """perm followed by the swap of two random points."""
+    images = list(perm.images)
+    i, j = rng.sample(range(len(images)), 2)
+    images[i], images[j] = images[j], images[i]
+    return Perm(perm.field, tuple(images))
+
+
+class TestBytePackedCheck:
+    """``check_preserves`` reads the p differences for one u off the bytes
+    of one integer; it must agree with the pair-by-pair loop, including at
+    both ends of the byte range."""
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 31, 61, 89, 97])
+    def test_random_maps(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p * 101)
+        for _ in range(40):
+            dset = DiffSet(f, rng.sample(range(1, p), rng.randrange(1, p - 1)))
+            perm = random_perm(f, rng)
+            assert check_preserves(perm, dset) == preserves_by_pairs(perm, dset)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 31, 61, 89, 97])
+    def test_affine_maps_inside_and_outside_the_stabilizer(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p)
+        sets = [qr_set(f), DiffSet(f, (1, p - 1)),
+                DiffSet(f, rng.sample(range(1, p), (p - 1) // 2))]
+        for dset in sets:
+            stab = mult_stabilizer(dset)
+            outside = [a for a in range(1, p) if a not in stab]
+            for a in [*stab, *rng.sample(outside, min(6, len(outside)))]:
+                perm = make_affine((a, rng.randrange(p)), f)
+                assert preserves_by_pairs(perm, dset) == (a in stab)
+                assert check_preserves(perm, dset) == (a in stab)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 31, 61, 89, 97])
+    def test_affine_map_with_one_transposition(self, p):
+        # Only affine maps preserve differences, so none of these does.
+        f = PrimeField(p)
+        rng = random.Random(p + 1)
+        for dset in (qr_set(f), DiffSet(f, (1, p - 1)), DiffSet(f, (1,))):
+            for a in mult_stabilizer(dset)[:6]:
+                perm = _transposed(make_affine((a, rng.randrange(p)), f), rng)
+                assert not preserves_by_pairs(perm, dset)
+                assert not check_preserves(perm, dset)
+
+    @pytest.mark.parametrize("p", [7, 13, 61, 89, 97])
+    def test_byte_range_ends(self, p):
+        # With 1 and p-1 in U, every map x -> ±x + b has some
+        # perm(j+u) - perm(j) equal to 1-p (byte 1) and some equal to p-1
+        # (byte 2p-1): the step across 0 and p-1.
+        f = PrimeField(p)
+        rng = random.Random(p + 2)
+        sets = [DiffSet(f, (1, p - 1)), DiffSet(f, (1, 2, p - 2, p - 1)),
+                DiffSet(f, (1, *rng.sample(range(2, p - 1), (p - 5) // 2), p - 1))]
+        for dset in sets:
+            affine = [make_affine((a, b), f) for a in (1, p - 1) for b in range(p)]
+            for perm in affine:
+                images = perm.images
+                raw = {images[(j + u) % p] - images[j] for u in dset for j in range(p)}
+                assert {1 - p, p - 1} <= raw
+            others = [_transposed(q, rng) for q in affine[::p // 5]]
+            others += [random_perm(f, rng) for _ in range(10)]
+            for perm in affine + others:
+                assert check_preserves(perm, dset) == preserves_by_pairs(perm, dset)
+        # x -> ±x + b preserves {1, p-1}; with two points swapped it does not
+        assert check_preserves(make_affine((p - 1, 3), f), sets[0])
+        assert not check_preserves(_transposed(make_affine((1, 0), f), rng), sets[0])
+
+
+def test_prime_cap_fits_both_packings():
+    # check_preserves holds images[j+u] - images[j] + p in 1..2p-1 in one
+    # byte, and _refine holds 128*out + in, with out, in <= |U| <= p-2, in
+    # one 16-bit slot. A larger cap needs wider slots in both.
+    p = DEFAULT_PRIME_CAP
+    assert 2 * p - 1 <= 255
+    assert 128 * (p - 2) + (p - 2) < 2 ** 16
 
 
 class TestMultStabilizer:

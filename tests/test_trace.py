@@ -13,7 +13,7 @@ from burnside import (
     make_affine,
     run_trace,
 )
-from burnside.automorphisms import all_diff_sets, check_preserves
+from burnside.automorphisms import all_diff_sets, check_preserves, mult_stabilizer
 from burnside.cli import main
 from burnside.errors import FieldMismatch, InputError, InternalInvariantViolation
 from burnside.fields import min_nonzero_power_sum
@@ -32,7 +32,8 @@ from burnside.trace import (
     reduce_by_complement,
 )
 
-from conftest import all_perms, random_perm
+from conftest import all_perms, qr_set, random_perm
+from oracles import power_sum_identities_by_points
 
 
 class TestComplementReduction:
@@ -187,6 +188,45 @@ class TestPackedPowerSums:
         for q in enumerate_diff_preserving(f, dset).automorphisms[:5]:
             for w in range(1, 20):
                 assert check_power_sum_identity(q, dset, w) == _power_sum_oracle(q, dset, w)
+
+
+class TestColumnSums:
+    """The column sums must give the per-w verdicts of the point-by-point
+    sums on maps that do not preserve U, where the unequal-integer branch
+    unpacks both sides and compares them slot by slot mod p."""
+
+    @pytest.mark.parametrize("p", [13, 31, 97])
+    def test_matches_point_sums_on_non_preserving_maps(self, p, monkeypatch):
+        f = PrimeField(p)
+        rng = random.Random(p * 23)
+        unpacked = []
+        real = burnside.trace.unpack_powers
+        monkeypatch.setattr(burnside.trace, "unpack_powers",
+                            lambda packed, q: unpacked.append(q) or real(packed, q))
+        squares = qr_set(f)
+        sets = [squares, DiffSet(f, rng.sample(range(1, p), (p - 1) // 3))]
+        residues = set(squares.elements)
+        mixed = 0
+        for dset in sets:
+            stab = mult_stabilizer(dset)
+            perms = [make_affine((a, rng.randrange(p)), f)
+                     for a in range(2, p) if a not in stab][:8]
+            perms += [random_perm(f, rng) for _ in range(8)]
+            swapped = list(make_affine((1, 0), f).images)
+            swapped[0], swapped[1] = swapped[1], swapped[0]
+            perms.append(Perm(f, tuple(swapped)))
+            for perm in perms:
+                assert not check_preserves(perm, dset)
+                want = power_sum_identities_by_points(perm, dset)
+                assert _power_sum_identities(perm, dset) == want, (perm.images, dset.elements)
+                mixed += any(want) and not all(want)
+        assert unpacked
+        # On the squares S_k = 0 for k < (p-1)/2, so x -> ax + b with a a
+        # non-residue passes every w < (p-1)/2 with unequal packed sums.
+        assert mixed > 0
+        a = next(a for a in range(2, p) if a not in residues)
+        verdicts = _power_sum_identities(make_affine((a, 5), f), squares)
+        assert verdicts == [w < (p - 1) // 2 for w in range(1, p)]
 
 
 class TestVanishingIdentity:
