@@ -156,12 +156,14 @@ def packed_powers(p: int) -> tuple[int, ...]:
     from one slot into the next.
     """
     slot = _slot_width(p)
-    rows = []
-    for x in range(p):
-        row = 0
-        for w in range(p - 1, 0, -1):
-            row = (row << slot) | pow(x, w, p)
-        rows.append(row)
+    inverses = [0] + [pow(x, -1, p) for x in range(1, p)]
+    column = [0] + [1] * (p - 1)  # x**(p-1)
+    rows = column
+    # Built one column at a time from the top slot down: x**(w-1) is
+    # x**w * x**-1, and every row moves up one slot per step.
+    for _ in range(p - 2):
+        column = [c * i % p for c, i in zip(column, inverses)]
+        rows = [row << slot | c for row, c in zip(rows, column)]
     return tuple(rows + rows)
 
 

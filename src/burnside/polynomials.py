@@ -9,7 +9,9 @@ interpolation hand it plain integer sums.
 The arithmetic itself lives in three kernels on plain coefficient lists,
 ``mul_coeffs``, ``pow_coeffs`` and ``shift_coeffs``; the ``FpPoly``
 operators wrap them, and the trace calls them directly so that no
-intermediate result is validated and reduced a second time.
+intermediate result is validated and reduced a second time. The trace
+also sums many linear powers at once with ``linear_power_sum``, the
+Miller recurrence that ``pow_coeffs`` runs for one binomial.
 
 Interpolation reads its sums of f(a) * a**w from the packed power rows of
 ``fields``: one big-integer multiply-add per point, not p**2 Python steps.
@@ -178,24 +180,34 @@ def _inverses(p: int) -> tuple[int, ...]:
 
 def _binomial_power(coeffs: Sequence[int], v: int, e: int, p: int) -> list[int]:
     """Coefficients of f**e for f = c*X**v + d*X**(v+1), c != 0, with
-    deg(f)*e <= p-1.
+    deg(f)*e <= p-1: f**e = X**(v*e) * (c + d*X)**e, the one-base case of
+    ``linear_power_sum`` when d != 0."""
+    if len(coeffs) - v == 1:
+        return [0] * (v * e) + [pow(coeffs[v], e, p)]
+    return [0] * (v * e) + linear_power_sum(((coeffs[v], coeffs[v + 1]),), e, p)
 
-    Write f = c * X**v * (1 + h*X), h = d/c. Miller's recurrence for the
-    linear factor gives (1 + h*X)**e = sum_k g_k X**k with g_0 = 1 and
-    g_k = g_{k-1} * (e+1-k)/k * h for k = 1..e; each k <= e <= p-1 is a
-    unit, so it is exact mod p. f**e = c**e * X**(v*e) * g.
+
+def linear_power_sum(bases: Sequence[tuple[int, int]], e: int, p: int) -> list[int]:
+    """Coefficients of sum_j (c_j + d_j*X)**e at X**0..X**e, reduced mod p,
+    for pairs (c_j, d_j) with every c_j nonzero mod p and 0 <= e <= p-1.
+
+    Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7) for a
+    linear base is the binomial ratio: with h_j = d_j/c_j, the coefficients
+    of (c_j + d_j*X)**e are g_0 = c_j**e and g_k = g_{k-1} * (e+1-k)/k * h_j
+    for k = 1..e; each k <= e <= p-1 is a unit, so it is exact mod p. Every
+    base advances together, one list comprehension per k, and each
+    coefficient is summed as it is produced, so no base's row is stored.
+    The sum may have trailing zeros.
     """
-    c = coeffs[v]
-    x = pow(c, e, p)  # c**e, carried through every g_k
-    out = [0] * (v * e) + [x]
-    if len(coeffs) - v == 2:
-        inv = _inverses(p)
-        h = coeffs[v + 1] * inv[c] % p
-        append = out.append
-        e1 = e + 1
-        for k in range(1, e + 1):
-            x = x * (e1 - k) * h * inv[k] % p
-            append(x)
+    inv = _inverses(p)
+    hs = [d * inv[c % p] % p for c, d in bases]
+    gs = [pow(c, e, p) for c, _ in bases]
+    out = [sum(gs) % p]
+    e1 = e + 1
+    for k in range(1, e1):
+        ratio = (e1 - k) * inv[k]
+        gs = [g * ratio * h % p for g, h in zip(gs, hs)]
+        out.append(sum(gs) % p)
     return out
 
 

@@ -33,6 +33,7 @@ from .polynomials import (
     FpPoly,
     canonical,
     interpolate,
+    linear_power_sum,
     mul_coeffs,
     pow_coeffs,
     shift_coeffs,
@@ -109,19 +110,19 @@ def _power_sum_identities(perm: Perm, dset: DiffSet) -> list[bool]:
 
     Both sides are built for all p points at once, as the column sums of
     |U| shifted windows of packed rows: lhs[i] sums the rows of perm(i+u),
-    read off the image rows repeated twice, and rhs[y] the rows of y + u,
-    so the side to compare with lhs[i] is rhs[perm(i)]. Sums of |U| <= p-2
-    packed rows never carry between slots: equal integers mean every w
-    passes at that i. Unequal integers are unpacked and compared slot by
-    slot mod p, since sums that differ as integers may still agree mod p.
+    read off the image rows repeated twice, and rhs[y] the rows of y + u
+    (``_power_sum_right_sides``, kept per set), so the side to compare
+    with lhs[i] is rhs[perm(i)]. Sums of |U| <= p-2 packed rows never
+    carry between slots: equal integers mean every w passes at that i.
+    Unequal integers are unpacked and compared slot by slot mod p, since
+    sums that differ as integers may still agree mod p.
     """
     p = perm.field.p
     rows = packed_powers(p)
     images = perm.images
     image_rows = [rows[y] for y in images] * 2
-    elements = dset.elements
-    lhs = list(map(sum, zip(*[image_rows[u:u + p] for u in elements])))
-    rhs = list(map(sum, zip(*[rows[u:u + p] for u in elements])))
+    lhs = map(sum, zip(*[image_rows[u:u + p] for u in dset.elements]))
+    rhs = _power_sum_right_sides(dset)
     passed = [True] * (p - 1)
     for left, y in zip(lhs, images):
         right = rhs[y]
@@ -141,6 +142,23 @@ def check_power_sum_identity(perm: Perm, dset: DiffSet, w: int) -> bool:
     return _power_sum_identities(perm, dset)[(w - 1) % (perm.field.p - 1)]
 
 
+def _sum_of_powers(bases: list[tuple[int, ...]], w: int, p: int) -> tuple[int, ...]:
+    """sum of base**w over canonical bases, canonical. For w <= p-1 every
+    linear base with a nonzero constant term goes through one
+    ``linear_power_sum``; any other base (a constant, a*X, degree two or
+    more, or w >= p) through ``pow_coeffs``."""
+    miller = w <= p - 1
+    linear, others = [], []
+    for base in bases:
+        if miller and len(base) == 2 and base[0]:
+            linear.append(base)
+        else:
+            others.append(pow_coeffs(base, w, p))
+    if linear:
+        others.append(linear_power_sum(linear, w, p))
+    return canonical(map(sum, zip_longest(*others, fillvalue=0)), p)
+
+
 def _shifted_power_identities(poly: FpPoly, dset: DiffSet, w: int,
                               sums: tuple[int, ...]) -> tuple[bool, bool]:
     """(vanishing, binomial) for f = poly at exponent w, with sums the power
@@ -148,25 +166,16 @@ def _shifted_power_identities(poly: FpPoly, dset: DiffSet, w: int,
     T - sum_{k=0..w} c_k f**(w-k), c_0 = |U| and c_k = C(w,k) S(k), must both
     be zero polynomials.
 
-    Each power is built once per base: for f = aX + b with a in M(U) the
-    bases f+u and f(X+u) = aX + (au+b) run over the same |U| polynomials.
-    The binomial side is evaluated by Horner with schoolbook products, a
-    cross-check of Miller's path."""
+    For f = aX + b with a in M(U) the bases f+u and f(X+u) = aX + (au+b)
+    run over the same |U| polynomials, so the shifted sum is T itself
+    whenever the sorted bases are equal. The binomial side is evaluated by
+    Horner with schoolbook products, a cross-check of Miller's path."""
     field, p, cs = poly.field, poly.field.p, poly.coeffs
-    memo: dict[tuple[int, ...], list[int]] = {}
-
-    def power(base: list[int]) -> list[int]:
-        key = canonical(base, p)
-        if key not in memo:
-            memo[key] = pow_coeffs(key, w, p)
-        return memo[key]
-
-    # a power is shorter than the others only when its base is zero
-    total = canonical(map(sum, zip_longest(
-        *[power([(cs[0] if cs else 0) + u, *cs[1:]]) for u in dset.elements],
-        fillvalue=0)), p)
-    shifted = canonical(map(sum, zip_longest(
-        *[power(shift_coeffs(cs, u)) for u in dset.elements], fillvalue=0)), p)
+    head, tail = (cs[0], cs[1:]) if cs else (0, ())
+    bases = sorted(canonical((head + u, *tail), p) for u in dset.elements)
+    shifted_bases = sorted(canonical(shift_coeffs(cs, u), p) for u in dset.elements)
+    total = _sum_of_powers(bases, w, p)
+    shifted = total if shifted_bases == bases else _sum_of_powers(shifted_bases, w, p)
     expansion = [len(dset)]
     for k in range(1, w + 1):
         expansion = mul_coeffs(expansion, cs) or [0]
@@ -206,6 +215,20 @@ def check_binomial_expansion(poly: FpPoly, dset: DiffSet, w: int) -> bool:
     return _shifted_power_identities(poly, dset, w, power_sums(dset))[1]
 
 
+@lru_cache(maxsize=4)
+def _power_sum_right_sides(dset: DiffSet) -> tuple[int, ...]:
+    """Entry y is sum_u rows[y + u], the packed right side of the power-sum
+    identities at every point whose image is y.
+
+    It depends on the set alone, and traces of several maps on one set run
+    back to back. At p = 97 one entry is about 28 KB, so only a few sets
+    are kept.
+    """
+    p = dset.field.p
+    rows = packed_powers(p)
+    return tuple(map(sum, zip(*[rows[u:u + p] for u in dset.elements])))
+
+
 @lru_cache(maxsize=64)
 def _reduced_facts(dset: DiffSet, nw: int) -> tuple[tuple[int, ...], int, bool | None]:
     """(power sums, r, leading-coefficient verdict at nw) of a set, with r
@@ -221,7 +244,7 @@ def _reduced_facts(dset: DiffSet, nw: int) -> tuple[tuple[int, ...], int, bool |
     r = min_nonzero_power_sum(dset, sums)
     if not r <= nw <= p - 1:
         return sums, r, None
-    acc = [sum(column) for column in zip(*(pow_coeffs((u, 1), nw, p) for u in dset.elements))]
+    acc = linear_power_sum([(u, 1) for u in dset.elements], nw, p)
     acc[nw] -= len(dset)
     if any(c % p for c in acc[nw - r + 1:]):
         return sums, r, False

@@ -7,18 +7,27 @@ call.
 
 import itertools
 import math
+from itertools import zip_longest
 
 from burnside.automorphisms import AutResult
 from burnside.errors import FieldMismatch, InputError
 from burnside.fields import (
     DiffSet,
     PrimeField,
+    _slot_width,
+    binomial_mod_p,
     packed_powers,
     power_sums,
     unpack_powers,
 )
 from burnside.permutations import Perm
-from burnside.polynomials import FpPoly
+from burnside.polynomials import (
+    FpPoly,
+    canonical,
+    mul_coeffs,
+    pow_coeffs,
+    shift_coeffs,
+)
 
 # 8! = 40320 permutations; 11! would be about 40 million.
 NAIVE_DEGREE_CAP = 8
@@ -82,6 +91,49 @@ def power_sum_identities_by_points(perm: Perm, dset: DiffSet) -> list[bool]:
             lhs, rhs = unpack_powers(lhs, p), unpack_powers(rhs, p)
             passed = [ok and a == b for ok, a, b in zip(passed, lhs, rhs)]
     return passed
+
+
+def packed_powers_by_pow(p: int) -> tuple[int, ...]:
+    """The packed power rows of ``fields.packed_powers``, each slot filled
+    by its own ``pow(x, w, p)``; the oracle for the column-at-a-time build."""
+    slot = _slot_width(p)
+    rows = []
+    for x in range(p):
+        row = 0
+        for w in range(p - 1, 0, -1):
+            row = (row << slot) | pow(x, w, p)
+        rows.append(row)
+    return tuple(rows + rows)
+
+
+def shifted_power_identities_by_memo(poly: FpPoly, dset: DiffSet, w: int,
+                                     sums: tuple[int, ...]) -> tuple[bool, bool]:
+    """(vanishing, binomial) as ``trace._shifted_power_identities`` gives
+    them, with each base's power built by ``pow_coeffs`` once (a memo keyed
+    on the canonical base) and both sums of |U| powers taken column by
+    column; the oracle for the kernel that sums every linear power at once.
+    """
+    field, p, cs = poly.field, poly.field.p, poly.coeffs
+    memo: dict[tuple[int, ...], list[int]] = {}
+
+    def power(base: list[int]) -> list[int]:
+        key = canonical(base, p)
+        if key not in memo:
+            memo[key] = pow_coeffs(key, w, p)
+        return memo[key]
+
+    # a power is shorter than the others only when its base is zero
+    total = canonical(map(sum, zip_longest(
+        *[power([(cs[0] if cs else 0) + u, *cs[1:]]) for u in dset.elements],
+        fillvalue=0)), p)
+    shifted = canonical(map(sum, zip_longest(
+        *[power(shift_coeffs(cs, u)) for u in dset.elements], fillvalue=0)), p)
+    expansion = [len(dset)]
+    for k in range(1, w + 1):
+        expansion = mul_coeffs(expansion, cs) or [0]
+        expansion[0] += binomial_mod_p(w, k, field) * sums[(k - 1) % (p - 1)]
+        expansion = [c % p for c in expansion]
+    return shifted == total, canonical(expansion, p) == total
 
 
 def naive_enumerate(field: PrimeField, dset: DiffSet) -> AutResult:

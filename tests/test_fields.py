@@ -7,6 +7,7 @@ from burnside.fields import (
     binomial_mod_p,
     is_prime,
     min_nonzero_power_sum,
+    packed_powers,
     parse_int,
     parse_ints,
     power_sum,
@@ -14,7 +15,11 @@ from burnside.fields import (
 )
 
 from conftest import poly_from_roots, qr_set
-from oracles import elementary_symmetric_via_newton, vandermonde_det
+from oracles import (
+    elementary_symmetric_via_newton,
+    packed_powers_by_pow,
+    vandermonde_det,
+)
 
 
 class TestPrimeField:
@@ -255,3 +260,13 @@ class TestVandermonde:
         f = PrimeField(p)
         for dset in all_diff_sets(f):
             assert 1 <= min_nonzero_power_sum(dset) <= p - 1
+
+
+class TestPackedPowersBuild:
+    def test_column_build_matches_pow_build(self):
+        # The table is built one column at a time from x**(p-1) = 1 down;
+        # every slot must hold its own pow(x, w, p), for every prime <= 97.
+        primes = [p for p in range(2, 98) if is_prime(p)]
+        assert len(primes) == 25
+        for p in primes:
+            assert packed_powers.__wrapped__(p) == packed_powers_by_pow(p), p

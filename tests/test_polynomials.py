@@ -8,7 +8,7 @@ from burnside import PrimeField, make_affine
 from burnside.errors import FieldMismatch, InputError
 from burnside.fields import is_prime
 from burnside.permutations import Perm, recognize_affine
-from burnside.polynomials import FpPoly, NEG_INFINITY, interpolate
+from burnside.polynomials import FpPoly, NEG_INFINITY, interpolate, linear_power_sum
 
 from conftest import all_perms, random_perm
 from oracles import evaluate
@@ -135,6 +135,34 @@ class TestMillerPower:
         f = PrimeField(5)
         assert (FpPoly(f, (1, 1)) ** 5).coeffs == (1, 0, 0, 0, 0, 1)
         assert FpPoly(f, (2, 1, 3)) ** 4 == _repeated_product(FpPoly(f, (2, 1, 3)), 4)
+
+
+
+class TestLinearPowerSum:
+    """sum_j (c_j + d_j*X)**e by one Miller recurrence over every base must
+    equal the column sums of the repeated products of each base."""
+
+    @pytest.mark.parametrize("p", [5, 13, 31, 97])
+    def test_matches_summed_repeated_products(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p * 71)
+        for trial in range(8):
+            bases = [(rng.randrange(1, p), rng.randrange(p)) for _ in range(rng.randrange(1, 6))]
+            if trial == 0:
+                bases.append((3, 0))  # d = 0: only the constant term survives
+            e = (0, 1, 2, p - 2, p - 1)[trial] if trial < 5 else rng.randrange(p)
+            want = [0] * (e + 1)
+            for c, d in bases:
+                for i, x in enumerate(_repeated_product(FpPoly(f, (c, d)), e).coeffs):
+                    want[i] = (want[i] + x) % p
+            assert linear_power_sum(bases, e, p) == want, (bases, e)
+            # unreduced entries act as their residues
+            assert linear_power_sum([(c + p, d + 2 * p) for c, d in bases], e, p) == want
+
+    def test_empty_and_single(self):
+        assert linear_power_sum([], 3, 7) == [0, 0, 0, 0]
+        # (2 + 3X)**2 = 4 + 12X + 9X**2 = 4 + 5X + 2X**2 mod 7
+        assert linear_power_sum([(2, 3)], 2, 7) == [4, 5, 2]
 
 
 _P = 13

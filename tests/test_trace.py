@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -16,13 +17,15 @@ from burnside import (
 from burnside.automorphisms import all_diff_sets, check_preserves, mult_stabilizer
 from burnside.cli import main
 from burnside.errors import FieldMismatch, InputError, InternalInvariantViolation
-from burnside.fields import min_nonzero_power_sum
+from burnside.fields import min_nonzero_power_sum, packed_powers, power_sums
 from burnside.permutations import Perm
 from burnside.polynomials import FpPoly
 from burnside.trace import (
     AFFINE,
     VIOLATION,
     _power_sum_identities,
+    _power_sum_right_sides,
+    _shifted_power_identities,
     check_binomial_expansion,
     check_contradiction_bound,
     check_leading_coefficient,
@@ -33,7 +36,7 @@ from burnside.trace import (
 )
 
 from conftest import all_perms, qr_set, random_perm
-from oracles import power_sum_identities_by_points
+from oracles import power_sum_identities_by_points, shifted_power_identities_by_memo
 
 
 class TestComplementReduction:
@@ -383,6 +386,119 @@ class TestShiftedPowerIdentities:
         f = PrimeField(5)
         cube = FpPoly(f, (0, 0, 0, 1))
         assert self._assert_agrees(cube, DiffSet(f, (1,)), 1) == (False, True)
+
+
+class TestMillerKernel:
+    """The kernel that sums every linear power f+u with a nonzero constant
+    term at once must give the verdicts of the per-base memo and column
+    sums it replaced, on the trace's own maps and off them."""
+
+    @staticmethod
+    def _assert_agrees(poly, dset, w):
+        sums = power_sums(dset)
+        want = shifted_power_identities_by_memo(poly, dset, w, sums)
+        assert _shifted_power_identities(poly, dset, w, sums) == want
+        if poly.degree * w <= poly.field.p - 1:
+            assert check_vanishing_identity(poly, dset, w) == want[0]
+        assert check_binomial_expansion(poly, dset, w) == want[1]
+        return want
+
+    @pytest.mark.parametrize("p, h", [(13, 3), (31, 5), (61, 6), (97, 8), (97, 48)])
+    def test_affine_inside_and_outside_the_multipliers(self, p, h):
+        f = PrimeField(p)
+        rng = random.Random(p * 41 + h)
+        subgroup = DiffSet(f, _subgroup(p, h))
+        scattered = DiffSet(f, rng.sample(range(1, p), (p - 1) // 3))
+        verdicts = set()
+        for dset in (subgroup, scattered):
+            stab = mult_stabilizer(dset)
+            outside = [a for a in range(2, p) if a not in stab]
+            u0 = dset.elements[0]
+            for a in (rng.choice(stab), rng.choice(outside)):
+                # b = -u0 puts a zero constant term among the bases f + u
+                for b in (rng.randrange(p), -u0 % p):
+                    for w in (p - 1, rng.randrange(1, p - 1)):
+                        verdict = self._assert_agrees(FpPoly(f, (b, a)), dset, w)
+                        verdicts.add((a in stab, verdict))
+        assert (True, (True, True)) in verdicts
+        assert (False, (False, True)) in verdicts
+
+    @pytest.mark.parametrize("p", [13, 31, 61, 97])
+    def test_zero_constant_term_in_both_sums(self, p):
+        # f = aX + b with a in M(U) and b = -a*u0: both f + u (at u = -b)
+        # and f(X + u0) = aX are the base a*X, which takes pow_coeffs.
+        f = PrimeField(p)
+        dset = qr_set(f)
+        a, u0 = dset.elements[1], dset.elements[0]
+        b = -a * u0 % p
+        assert -b % p in dset
+        assert self._assert_agrees(FpPoly(f, (b, a)), dset, p - 1) == (True, True)
+
+    @pytest.mark.parametrize("p", [13, 31, 61, 97])
+    def test_quadratic_takes_pow_coeffs(self, p):
+        f = PrimeField(p)
+        rng = random.Random(p * 43)
+        dset = DiffSet(f, rng.sample(range(1, p), 4))
+        for w in (1, 3, (p - 1) // 2 if p <= 31 else 5):
+            coeffs = (rng.randrange(p), rng.randrange(p), rng.randrange(1, p))
+            self._assert_agrees(FpPoly(f, coeffs), dset, w)
+        # X**2 + X: a binomial with v = 1, so pow_coeffs takes Miller's path
+        self._assert_agrees(FpPoly(f, (0, 1, 1)), dset, 3)
+
+
+class TestRightSideCache:
+    """``_power_sum_right_sides`` keeps a few sets' packed right sides; a
+    kept entry must be the right side of its own set and modulus."""
+
+    def test_agrees_with_point_sums_across_more_sets_than_kept(self):
+        cache = _power_sum_right_sides
+        cache.cache_clear()
+        f = PrimeField(31)
+        rng = random.Random(3101)
+        sets = list({tuple(sorted(rng.sample(range(1, 31), rng.randrange(1, 16))))
+                     for _ in range(3 * cache.cache_info().maxsize)})
+        assert len(sets) > cache.cache_info().maxsize
+        for _ in range(6 * len(sets)):
+            dset = DiffSet(f, rng.choice(sets))
+            stab = mult_stabilizer(dset)
+            for perm in (make_affine((rng.choice(stab), rng.randrange(31)), f),
+                         random_perm(f, rng)):
+                want = power_sum_identities_by_points(perm, dset)
+                assert _power_sum_identities(perm, dset) == want, (perm.images, dset.elements)
+        info = cache.cache_info()
+        assert info.hits > 0 and info.misses > info.maxsize
+        assert info.currsize == info.maxsize
+
+    def test_moduli_never_share_an_entry(self):
+        cache = _power_sum_right_sides
+        cache.cache_clear()
+        for p in (13, 31, 13, 31):
+            rhs = cache(DiffSet(PrimeField(p), (1, 2, 5)))
+            rows = packed_powers(p)
+            assert rhs == tuple(sum(rows[y + u] for u in (1, 2, 5)) for y in range(p))
+        assert cache.cache_info().currsize == 2
+        assert cache.cache_info().hits == 2
+
+    def test_cache_size_is_small(self):
+        assert _power_sum_right_sides.cache_info().maxsize == 4
+
+
+class TestTraceLeavesNoCyclicGarbage:
+    def test_traces_leave_nothing_for_the_collector(self):
+        f = PrimeField(97)
+        sets = [DiffSet(f, _subgroup(97, 48)), DiffSet(f, (1,)),
+                DiffSet(f, [u for u in range(1, 97) if u not in _subgroup(97, 8)])]
+        _power_sum_right_sides.cache_clear()
+        burnside.trace._reduced_facts.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            for dset in sets:
+                for a in mult_stabilizer(dset)[:3]:
+                    assert run_trace(f, dset, make_affine((a, 5), f)).verdict == AFFINE
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLeadingCoefficient:
