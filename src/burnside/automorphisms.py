@@ -1,13 +1,21 @@
 """Exhaustive search for difference-preserving permutations.
 
 These are the automorphisms of the circulant digraph whose arcs join pairs
-with difference in a fixed set U. They are found by an individualise-refine
-search over the maps fixing 0 (partition refinement as in nauty and Traces,
-McKay and Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
-2014); the tests check it against a plain filter over all p! permutations
-at tiny degree. The refinement reads every point's neighbour counts in a
-splitter cell from one packed big-integer sum, the product of the cell
-with U's packed neighbour row taken mod X**p - 1 (``_neighbour_rows``).
+with difference in a fixed set U. The maps fixing 0 are found in two
+steps. First the walk counts: a map fixing 0 keeps the number of walks of
+each length from 0 to x and from x to 0, the coefficients of the powers
+of R = sum of X**u over U taken mod X**p - 1 (``_walks_separate``; walk
+counts as in Godsil and Royle, "Algebraic Graph Theory", 2001, the first
+round of colour refinement of Weisfeiler and Leman, 1968). When those
+counts tell every point apart, the identity is the only such map and no
+search runs; this decides nearly every set of a scan. Otherwise an
+individualise-refine search (``_search_fixing_zero``; partition
+refinement as in nauty and Traces, McKay and Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 60, 2014) finds them all; the tests
+check it against a plain filter over all p! permutations at tiny degree.
+The refinement reads every point's neighbour counts in a splitter cell
+from one packed big-integer sum, the product of the cell with U's packed
+neighbour row taken mod X**p - 1 (``_neighbour_rows``).
 Every permutation found must be affine with a multiplier stabilizing U;
 anything else is reported as a violation, since it would contradict a
 theorem. The multiplier stabilizer M(U) is computed
@@ -35,9 +43,13 @@ from .fields import DiffSet, PrimeField, min_nonzero_power_sum
 from .permutations import Perm, recognize_affine
 
 # A scan's walk holds a 2**(p-1)-slot orbit table and a per-set orbit
-# list: 4.2M slots each at p = 23 (about 40 s and a 121 MB peak RSS on a
-# 2-vCPU host), but 268M each at p = 29.
+# list: 4.2M slots each at p = 23 (a whole scan there took 15-17 s and a
+# 121 MB peak RSS on a 2-vCPU host), but 268M each at p = 29.
 SCAN_PRIME_CAP = 23
+
+# Walks of length 1..WALK_LENGTH tell points apart in ``_walks_separate``.
+# A count is at most |U|**WALK_LENGTH <= 95**4 < 2**32, one 32-bit slot.
+WALK_LENGTH = 4
 
 
 @dataclass(frozen=True)
@@ -207,7 +219,48 @@ def _individualise(cells, where, c, x):
     return where[x]
 
 
+def _walks_separate(elements, p: int) -> bool:
+    """Whether walk counts from and to 0 tell all p points apart.
+
+    With X = 2**32, R = sum of X**u over U, and slot x of R**k folded mod
+    X**p - 1 counts out_k(x), the walks of length k from 0 to x. The
+    walks from x to 0 are those from 0 to -x translated, so
+    in_k(x) = out_k(-x). A map fixing 0 that preserves U-differences is
+    an automorphism of the digraph, so it carries the walks from 0 to x
+    onto those from 0 to its image, and keeps every out_k and in_k. If
+    the p vectors (out_1..K(x), in_1..K(x)) with K = ``WALK_LENGTH`` are
+    pairwise distinct, such a map fixes every point: the identity is the
+    only one. Nothing here assumes Burnside's theorem. Each count is at
+    most |U|**K < 2**32, so a slot never carries, before or after the
+    fold; K - 1 products build R**2, ..., R**K.
+    """
+    low = (1 << 32 * p) - 1
+    r = power = sum(1 << 32 * u for u in elements)
+    outs = []
+    for k in range(WALK_LENGTH):
+        if k:
+            power *= r
+            power = (power & low) + (power >> 32 * p)
+        out = memoryview(power.to_bytes(4 * p, sys.byteorder)).cast("I").tolist()
+        outs += out, out[:1] + out[:0:-1]
+    return len(set(zip(*outs))) == p
+
+
 def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
+    """Every difference-preserving map with pi(0) = 0.
+
+    When walk counts tell every point apart (``_walks_separate``) that is
+    the identity alone, with no search; otherwise it is what
+    ``_search_fixing_zero`` finds. Both give the same list, so scan and
+    aut, which read only this, never depend on which step decided.
+    """
+    p = dset.field.p
+    if _walks_separate(dset.elements, p):
+        return [tuple(range(p))]
+    return _search_fixing_zero(dset)
+
+
+def _search_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     """Every difference-preserving map with pi(0) = 0, by individualise-refine.
 
     Positions and values carry matched ordered partitions, both starting

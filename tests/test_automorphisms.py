@@ -11,9 +11,12 @@ import burnside.automorphisms
 import burnside.cli
 from burnside import DiffSet, PrimeField, enumerate_diff_preserving, make_affine
 from burnside.automorphisms import (
+    WALK_LENGTH,
     AutResult,
     _maps_fixing_zero,
     _scan_one,
+    _search_fixing_zero,
+    _walks_separate,
     all_diff_sets,
     assert_all_affine,
     canonical_subsets,
@@ -141,11 +144,14 @@ class TestBytePackedCheck:
 
 def test_prime_cap_fits_both_packings():
     # check_preserves holds images[j+u] - images[j] + p in 1..2p-1 in one
-    # byte, and _refine holds 128*out + in, with out, in <= |U| <= p-2, in
-    # one 16-bit slot. A larger cap needs wider slots in both.
+    # byte, _refine holds 128*out + in, with out, in <= |U| <= p-2, in
+    # one 16-bit slot, and _walks_separate holds a count of walks of length
+    # at most WALK_LENGTH, at most |U|**WALK_LENGTH, in one 32-bit slot. A
+    # larger cap or a longer walk needs wider slots.
     p = DEFAULT_PRIME_CAP
     assert 2 * p - 1 <= 255
     assert 128 * (p - 2) + (p - 2) < 2 ** 16
+    assert (p - 2) ** WALK_LENGTH < 2 ** 32
 
 
 class TestMultStabilizer:
@@ -429,6 +435,91 @@ class TestGoldenSearch:
         assert digest.hexdigest() == (
             "15d9a27161c2ad1142445eb8597b0e5fd26041dcf028cfc6d4fd17cd991e6622"
         )
+
+
+def timing_table_shapes():
+    """The p = 97 shapes the search was timed on: every {u} and {u, -u},
+    the intervals {1..k} for even k <= 48, ten seeded random sets each of
+    size 12 and 32, unions of 1..5 cosets of the order-16 subgroup and the
+    squares."""
+    p = 97
+    rng = random.Random(p)
+    shapes = [(u,) for u in range(1, p)]
+    shapes += [(u, p - u) for u in range(1, (p + 1) // 2)]
+    shapes += [tuple(range(1, k + 1)) for k in range(2, 49, 2)]
+    shapes += [tuple(sorted(rng.sample(range(1, p), size))) for size in (12, 32) for _ in range(10)]
+    shapes += [tuple(coset_union(p, 16, count)) for count in range(1, 6)]
+    shapes.append(qr_set(PrimeField(p)).elements)
+    return [DiffSet(PrimeField(p), elements) for elements in shapes]
+
+
+def _orbit_representatives(p, monkeypatch):
+    """The sets ``walk_orbits`` searches mod p, without searching them."""
+    monkeypatch.setattr(burnside.automorphisms, "_scan_sets", lambda dsets, jobs: dsets)
+    reps, _ = walk_orbits(PrimeField(p))
+    return reps
+
+
+def _walk_decisions(dsets):
+    """How many sets walk counts decide, after checking each decision
+    against the search: wherever they separate the points, the search
+    must find the identity alone."""
+    decided = 0
+    for dset in dsets:
+        if _walks_separate(dset.elements, dset.field.p):
+            assert _search_fixing_zero(dset) == [tuple(range(dset.field.p))], dset.elements
+            decided += 1
+    return decided
+
+
+class TestWalkCounts:
+    """Walk counts decide a trivial Aut_0 without a search; the search
+    stays their oracle. The decision counts are pinned, so a weaker test
+    (shorter walks, or out-walks alone) fails here as well as a wrong one."""
+
+    @pytest.mark.parametrize("p, decided", [(3, 2), (5, 12), (7, 54), (11, 970), (13, 3996)])
+    def test_every_set(self, p, decided):
+        assert _walk_decisions(all_diff_sets(PrimeField(p))) == decided
+
+    # (p, representatives, with trivial Aut_0, decided by walk counts)
+    @pytest.mark.parametrize("p, reps, trivial, decided", [
+        (13, 179, 170, 169),
+        (17, 2067, 2048, 2034),
+        (19, 7315, 7280, 7249),
+    ])
+    def test_orbit_representatives(self, monkeypatch, p, reps, trivial, decided):
+        dsets = _orbit_representatives(p, monkeypatch)
+        assert len(dsets) == reps
+        identity = [tuple(range(p))]
+        searched = [_maps_fixing_zero(dset) == identity for dset in dsets]
+        assert sum(searched) == trivial
+        assert _walk_decisions(dsets) == decided
+
+    def test_timing_table_shapes(self):
+        dsets = timing_table_shapes()
+        assert len(dsets) == 96 + 48 + 24 + 20 + 5 + 1
+        assert _walk_decisions(dsets) == 39
+
+    def test_maps_fixing_zero_takes_the_shortcut(self, monkeypatch):
+        # A set walk counts decide never reaches the search; one they do
+        # not decide (a nontrivial M(U)) does.
+        def no_search(dset):
+            raise AssertionError(dset.elements)
+
+        f = PrimeField(13)
+        monkeypatch.setattr(burnside.automorphisms, "_search_fixing_zero", no_search)
+        assert _maps_fixing_zero(DiffSet(f, (1, 2, 5))) == [tuple(range(13))]
+        with pytest.raises(AssertionError):
+            _maps_fixing_zero(DiffSet(f, (1, 12)))
+
+    def test_count_law_checks_the_shortcut(self, monkeypatch):
+        # A shortcut that always answered "the identity alone" would be
+        # caught by Burnside's count law against M(U), on every path.
+        monkeypatch.setattr(burnside.automorphisms, "_walks_separate", lambda elements, p: True)
+        for count in _COUNTERS:
+            with pytest.raises(PropositionViolated, match="count disagrees") as exc:
+                count(DiffSet(PrimeField(5), (1, 4)))
+            assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
 
 
 class TestNoCyclicGarbage:
