@@ -15,11 +15,19 @@ isomorphism, II", J. Symb. Comput. 60, 2014) finds them all; the tests
 check it against a plain filter over all p! permutations at tiny degree.
 The refinement reads every point's neighbour counts in a splitter cell
 from one packed big-integer sum, the product of the cell with U's packed
-neighbour row taken mod X**p - 1 (``_neighbour_rows``).
+neighbour row taken mod X**p - 1 (``_neighbour_rows``). Its first level
+tries each branch x0 -> y with the multiplier y / x0 before searching it,
+when the maps fixing x0 are known to be the identity alone.
 Every permutation found must be affine with a multiplier stabilizing U;
 anything else is reported as a violation, since it would contradict a
-theorem. The multiplier stabilizer M(U) is computed
-apart from the search, from U alone.
+theorem. The multiplier stabilizer M(U) is computed once per set, apart
+from the search, from U alone.
+
+F_p* is cyclic: with g a primitive root (``fields.cyclic_table``), U is
+the word of p-1 bits with bit k set when g**k is in U, and multiplying U
+by g rotates the word by one place (as in the necklace generation of
+Ruskey, Savage and Wang, J. Algorithms 13, 1992). M(U) is read off the
+word's period, and the orbit walk marks each orbit by rotating one word.
 
 A scan of every valid set mod p searches one set per orbit of
 F_p* x {U -> U, U -> U^c} (``walk_orbits``, the only code that starts
@@ -34,22 +42,38 @@ S_k agrees.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, InputError, PropositionViolated
-from .fields import DiffSet, PrimeField, min_nonzero_power_sum
+from .fields import (
+    DEFAULT_PRIME_CAP,
+    DiffSet,
+    PrimeField,
+    cyclic_table,
+    min_nonzero_power_sum,
+)
 from .permutations import Perm, recognize_affine
 
 # A scan's walk holds a 2**(p-1)-slot orbit table and a per-set orbit
-# list: 4.2M slots each at p = 23 (a whole scan there took 15-17 s and a
-# 121 MB peak RSS on a 2-vCPU host), but 268M each at p = 29.
+# list: 4.2M slots each at p = 23 (a whole scan there took 11-14 s and a
+# 120 MB peak RSS on a 2-vCPU host), but 268M each at p = 29.
 SCAN_PRIME_CAP = 23
 
 # Walks of length 1..WALK_LENGTH tell points apart in ``_walks_separate``.
 # A count is at most |U|**WALK_LENGTH <= 95**4 < 2**32, one 32-bit slot.
 WALK_LENGTH = 4
+
+# A walk of length k from 0 ends at the sum of a multiset of k steps from
+# U, so with |U| = s at most C(s+k-1, k) points have a nonzero out_k and
+# as many a nonzero in_k. Over k = 1..K that is C(s+K, K) - 1 points each
+# way; when p exceeds 1 + 2 * (C(s+K, K) - 1), two points share the
+# all-zero vector and walk counts cannot tell them apart.
+_WALK_REACH = tuple(
+    2 * math.comb(s + WALK_LENGTH, WALK_LENGTH) - 1 for s in range(DEFAULT_PRIME_CAP)
+)
 
 
 @dataclass(frozen=True)
@@ -108,21 +132,29 @@ def check_preserves(perm: Perm, dset: DiffSet) -> bool:
     return _preserves(perm.images, dset.elements, perm.field.p)
 
 
+def _fixed_by(word: int, shift: int, n: int) -> bool:
+    """Whether rotating the n-bit word by ``shift`` places leaves it as it is.
+
+    For U's word over ``cyclic_table`` (bit k for g**k in U) that is
+    whether g**shift * U = U. Bit k of the rotation is bit k + shift of
+    the word, read off the word written twice over.
+    """
+    return (word | word << n) >> shift & (1 << n) - 1 == word
+
+
 def mult_stabilizer(dset: DiffSet) -> tuple[int, ...]:
     """All a with a*U = U, ascending; a subgroup of the multiplicative group.
 
-    a*U = U puts a*u0 in U for the least u0 in U, so only the |U|
-    quotients u/u0 are candidates. a*U has |U| distinct elements, so
-    a*U inside U already means a*U = U.
+    With F_p* = <g> (``cyclic_table``), g**d * U = U exactly when the
+    rotation by d fixes U's word, and the d that do are the multiples of
+    the word's period t, a divisor of p-1. So M(U) = <g**t>, with t the
+    least divisor of p-1 whose rotation fixes the word.
     """
     p = dset.field.p
-    elements = dset.elements
-    member = dset.indicator()
-    inverse = pow(elements[0], -1, p)
-    candidates = sorted(u * inverse % p for u in elements)
-    return tuple(
-        a for a in candidates if all(member[a * u % p] for u in elements)
-    )
+    _, powers, bits, divisors = cyclic_table(p)
+    word = sum(map(bits.__getitem__, dset.elements))
+    period = next(d for d in divisors if _fixed_by(word, d, p - 1))
+    return tuple(sorted(powers[::period]))
 
 
 def _refine(cells, where, queue, rows, p, expected=None):
@@ -252,10 +284,13 @@ def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     When walk counts tell every point apart (``_walks_separate``) that is
     the identity alone, with no search; otherwise it is what
     ``_search_fixing_zero`` finds. Both give the same list, so scan and
-    aut, which read only this, never depend on which step decided.
+    aut, which read only this, never depend on which step decided. Walk
+    counts are not taken for a set too small to reach p points
+    (``_WALK_REACH``), where they must tie.
     """
     p = dset.field.p
-    if _walks_separate(dset.elements, p):
+    elements = dset.elements
+    if p <= _WALK_REACH[len(elements)] and _walks_separate(elements, p):
         return [tuple(range(p))]
     return _search_fixing_zero(dset)
 
@@ -269,10 +304,25 @@ def _search_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     chosen, so it is refined once per level: individualise the first
     point of the smallest non-singleton cell, refine, repeat until the
     partition is discrete, recording each refinement's signatures. The
-    values side is searched depth first: each value of the matching cell
-    is individualised in turn and refined against the recorded signatures,
-    and a branch dies at the first key or fragment size that differs. At
-    a discrete partition the map is read off cell by cell and re-checked.
+    values side is searched depth first (``_descend``): each value of the
+    matching cell is individualised in turn and refined against the
+    recorded signatures, and a branch dies at the first key or fragment
+    size that differs. At a discrete partition the map is read off cell
+    by cell and re-checked.
+
+    The branches of the first level, x0 -> y for x0 the point positions
+    individualise there, are tried with known maps first, as nauty skips
+    branches by the automorphisms it knows. Branch x0 -> x0 holds the maps
+    fixing 0 and x0: the identity alone when one level makes the partition
+    discrete, and otherwise what its search finds. When that is the
+    identity alone, two maps in one branch would differ by a map fixing
+    x0, so every branch holds at most one map. If a = y / x0 is in M(U)
+    (U's word is fixed by the rotation by log_g(a), ``_fixed_by``) and
+    x -> a*x passes ``_preserves``, that map is the branch's one map and
+    its search is skipped; any other branch is searched. Nothing here
+    assumes Burnside's theorem: a missing multiplier costs a search, and
+    a wrong one fails the check. Branches are taken, and maps returned,
+    in the order of the plain depth-first search.
     """
     p = dset.field.p
     elements = dset.elements
@@ -282,14 +332,64 @@ def _search_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     # alone is enough to start from.
     _refine(cells, where, [0], rows, p)
     # Both sides refine {0} | rest alike, so the values side starts here.
-    stack = [(0, cells.copy(), where.copy())]
+    root, root_where = cells.copy(), where.copy()
     levels = []
     while len(cells) < p:
         _, c = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)
         queue = [_individualise(cells, where, c, cells[c][0])]
         levels.append((c, _refine(cells, where, queue, rows, p)))
     positions = [cell[0] for cell in cells]
+    if not levels:
+        return _descend([(0, root, root_where)], levels, positions, rows, elements)
 
+    c, _ = levels[0]
+    x0, *others = root[c]
+    identity = [tuple(range(p))]
+    if len(levels) == 1:
+        fixers = identity
+    else:
+        fixers = _descend(_children(0, root, root_where, [x0], levels, rows),
+                          levels, positions, rows, elements)
+    if fixers != identity:
+        stack = _children(0, root, root_where, others, levels, rows)
+        return _descend(stack, levels, positions, rows, elements) + fixers
+
+    n = p - 1
+    _, _, bits, _ = cyclic_table(p)
+    word = sum(map(bits.__getitem__, elements))
+    inverse = pow(x0, -1, p)
+    solutions = []
+    for y in reversed(others):
+        a = y * inverse % p
+        if _fixed_by(word, bits[a].bit_length() - 1, n):
+            images = [a * x % p for x in range(p)]
+            if _preserves(images, elements, p):
+                solutions.append(tuple(images))
+                continue
+        solutions += _descend(_children(0, root, root_where, [y], levels, rows),
+                              levels, positions, rows, elements)
+    return solutions + fixers
+
+
+def _children(depth, values, value_where, ys, levels, rows):
+    """The nodes one level below (values, value_where): for each y of
+    ``ys`` in turn, y individualised in the cell of ``levels[depth]`` and
+    refined, kept when it matches that level's recorded signatures."""
+    c, trace = levels[depth]
+    p = len(value_where)
+    nodes = []
+    for y in ys:
+        child, child_where = values.copy(), value_where.copy()
+        queue = [_individualise(child, child_where, c, y)]
+        if _refine(child, child_where, queue, rows, p, trace) is not None:
+            nodes.append((depth + 1, child, child_where))
+    return nodes
+
+
+def _descend(stack, levels, positions, rows, elements):
+    """The maps below the nodes on ``stack``, searched depth first from
+    its top, each read off a discrete partition and checked."""
+    p = len(positions)
     solutions = []
     while stack:
         depth, values, value_where = stack.pop()
@@ -300,12 +400,8 @@ def _search_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
             if _preserves(images, elements, p):
                 solutions.append(tuple(images))
             continue
-        c, trace = levels[depth]
-        for y in values[c]:
-            child, child_where = values.copy(), value_where.copy()
-            queue = [_individualise(child, child_where, c, y)]
-            if _refine(child, child_where, queue, rows, p, trace) is not None:
-                stack.append((depth + 1, child, child_where))
+        c, _ = levels[depth]
+        stack += _children(depth, values, value_where, values[c], levels, rows)
     return solutions
 
 
@@ -472,13 +568,15 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
       k-th powers of F_p* sum to 0; S_(p-1) = |U| mod p is nonzero for
       every valid set, so the least k with S_k != 0 agrees.
 
-    The sets are walked in ``canonical_subsets`` order, each as a bitmask
-    (bit u-1 for u in U), so the first set met of an orbit is its least
-    member. The masks are the sums of the tuples of the same walk over the
-    bits of 1..p-1, so no member is looked up one by one. That first set
-    becomes the orbit's representative, and the masks of all a*U and
-    a*U^c are entered in a table of 2**(p-1) slots that maps each mask to
-    its orbit. Only the representatives are searched, each with
+    The sets are walked in ``canonical_subsets`` order, each as its word
+    over ``cyclic_table`` (bit k for g**k in U), so the first set met of
+    an orbit is its least member. The words are the sums of the tuples of
+    the same walk over the bits of 1..p-1, so no member is looked up one
+    by one. That first set becomes the orbit's representative. The words
+    of g**r * U are the p-1 rotations of its word and those of
+    g**r * U^c their complements; all are entered in a table of 2**(p-1)
+    slots that maps each word to its orbit. Only the representatives are
+    searched, each with
     the count law and the power sums checked, on at most
     ``min(jobs, orbits, os.cpu_count())`` worker processes. Returns the
     representatives' rows, in orbit order, and the orbit index of every
@@ -488,20 +586,20 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
     if jobs < 1:
         raise InputError(f"worker count must be >= 1, got {jobs}")
     p = field.p
-    full = (1 << p - 1) - 1
-    # scaled[a-1][u] is the bit of a*u: the mask of aU is the sum over U.
-    scaled = [[0, *(1 << a * u % p - 1 for u in range(1, p))] for a in range(1, p)]
-    masks = map(sum, canonical_subsets(scaled[0][1:]))
+    n = p - 1
+    full = (1 << n) - 1
+    bits = cyclic_table(p).bits
+    words = map(sum, canonical_subsets(bits[1:]))
     orbit_of = [None] * (full + 1)
     reps, orbits = [], []
-    for mask, combo in zip(masks, canonical_subsets(field.nonzero())):
-        orbit = orbit_of[mask]
+    for word, combo in zip(words, canonical_subsets(field.nonzero())):
+        orbit = orbit_of[word]
         if orbit is None:
             orbit = len(reps)
             reps.append(DiffSet(field, combo))
-            for row in scaled:
-                image = sum(map(row.__getitem__, combo))
+            double = word | word << n
+            for r in range(n):
+                image = double >> r & full
                 orbit_of[image] = orbit_of[image ^ full] = orbit
         orbits.append(orbit)
     return _scan_sets(reps, jobs), orbits
-

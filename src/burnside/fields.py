@@ -2,6 +2,9 @@
 
 Residues are canonical representatives in [0, p-1]. Every power sum is read
 from one packed table of x**w mod p, whose layout only this module knows.
+The multiplicative group F_p* is cyclic; ``cyclic_table`` fixes a primitive
+root g and labels each nonzero x by its logarithm, so that a set of nonzero
+residues is a word of p-1 bits and multiplying by g rotates it.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantViolation
 
@@ -141,6 +145,37 @@ def binomial_mod_p(n: int, k: int, field: PrimeField) -> int:
     if n < 0 or k < 0 or k > n:
         raise InputError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
     return math.comb(n, k) % field.p
+
+
+class CyclicTable(NamedTuple):
+    """F_p* = <root>, with the logarithms of its members as bits."""
+
+    root: int
+    powers: tuple[int, ...]  # root**k mod p for k = 0..p-2
+    bits: tuple[int, ...]  # 1 << k at x = root**k; 0 at x = 0
+    divisors: tuple[int, ...]  # every divisor of p-1, ascending
+
+
+@lru_cache(maxsize=None)
+def cyclic_table(p: int) -> CyclicTable:
+    """The least primitive root mod p and its table.
+
+    g generates F_p* when g**((p-1)/q) != 1 for every prime q dividing
+    p-1. The sum of ``bits[x]`` over a set U of nonzero residues is U's
+    word: bit k is set when g**k is in U, and the word of g**d * U is that
+    word rotated d places up (mod p-1).
+    """
+    n = p - 1
+    divisors = tuple(d for d in range(1, n + 1) if n % d == 0)
+    primes = [q for q in divisors if is_prime(q)]
+    root = next(g for g in range(1, p) if all(pow(g, n // q, p) != 1 for q in primes))
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * root % p)
+    bits = [0] * p
+    for k, x in enumerate(powers):
+        bits[x] = 1 << k
+    return CyclicTable(root, tuple(powers), tuple(bits), divisors)
 
 
 def _slot_width(p: int) -> int:

@@ -9,7 +9,7 @@ import itertools
 import math
 from itertools import zip_longest
 
-from burnside.automorphisms import AutResult
+from burnside.automorphisms import AutResult, canonical_subsets
 from burnside.errors import FieldMismatch, InputError
 from burnside.fields import (
     DiffSet,
@@ -48,13 +48,52 @@ def evaluate(poly: FpPoly, x: int) -> int:
 
 
 def all_multipliers_stabilizer(dset: DiffSet) -> tuple[int, ...]:
-    """Every a in 1..p-1 with a*U = U, tried one by one; the oracle for the
-    search over the |U| quotients u/u0."""
+    """Every a in 1..p-1 with a*U = U, tried one by one; the oracle for
+    ``mult_stabilizer``'s period of U's word."""
     p = dset.field.p
     target = set(dset.elements)
     return tuple(
         a for a in range(1, p) if {a * u % p for u in target} == target
     )
+
+
+def mult_stabilizer_by_quotients(dset: DiffSet) -> tuple[int, ...]:
+    """Every a with a*U = U, from the |U| candidates u/u0 for the least u0
+    in U (a*u0 must land in U); the search over quotients that the
+    rotation of U's word replaced."""
+    p = dset.field.p
+    elements = dset.elements
+    member = dset.indicator()
+    inverse = pow(elements[0], -1, p)
+    candidates = sorted(u * inverse % p for u in elements)
+    return tuple(
+        a for a in candidates if all(member[a * u % p] for u in elements)
+    )
+
+
+def label_walk(field: PrimeField) -> tuple[list[DiffSet], list[int]]:
+    """The orbit representatives and every set's orbit index, as
+    ``walk_orbits`` finds them, with each set's mask over the labels
+    bit u-1 for u and each orbit marked by summing the p-1 scaled label
+    rows over a representative; the oracle for the walk over rotated
+    words. Nothing is searched."""
+    p = field.p
+    full = (1 << p - 1) - 1
+    # scaled[a-1][u] is the bit of a*u: the mask of aU is the sum over U.
+    scaled = [[0, *(1 << a * u % p - 1 for u in range(1, p))] for a in range(1, p)]
+    masks = map(sum, canonical_subsets(scaled[0][1:]))
+    orbit_of = [None] * (full + 1)
+    reps, orbits = [], []
+    for mask, combo in zip(masks, canonical_subsets(field.nonzero())):
+        orbit = orbit_of[mask]
+        if orbit is None:
+            orbit = len(reps)
+            reps.append(DiffSet(field, combo))
+            for row in scaled:
+                image = sum(map(row.__getitem__, combo))
+                orbit_of[image] = orbit_of[image ^ full] = orbit
+        orbits.append(orbit)
+    return reps, orbits
 
 
 def preserves_by_pairs(perm: Perm, dset: DiffSet) -> bool:

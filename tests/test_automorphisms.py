@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import itertools
 import json
+import math
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -11,6 +13,7 @@ import burnside.automorphisms
 import burnside.cli
 from burnside import DiffSet, PrimeField, enumerate_diff_preserving, make_affine
 from burnside.automorphisms import (
+    _WALK_REACH,
     WALK_LENGTH,
     AutResult,
     _maps_fixing_zero,
@@ -26,11 +29,17 @@ from burnside.automorphisms import (
     walk_orbits,
 )
 from burnside.errors import InputError, PropositionViolated
-from burnside.fields import DEFAULT_PRIME_CAP
+from burnside.fields import DEFAULT_PRIME_CAP, cyclic_table, is_prime
 from burnside.permutations import Perm, recognize_affine
 
 from conftest import all_perms, exhaustive_report_rows, qr_set, random_perm
-from oracles import all_multipliers_stabilizer, naive_enumerate, preserves_by_pairs
+from oracles import (
+    all_multipliers_stabilizer,
+    label_walk,
+    mult_stabilizer_by_quotients,
+    naive_enumerate,
+    preserves_by_pairs,
+)
 
 
 def preserves_biconditional(perm, dset):
@@ -180,6 +189,37 @@ class TestMultStabilizer:
         for p, elements in HARD_SETS:
             dset = DiffSet(PrimeField(p), elements)
             assert mult_stabilizer(dset) == all_multipliers_stabilizer(dset)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_matches_quotient_oracle(self, p):
+        for dset in all_diff_sets(PrimeField(p)):
+            assert mult_stabilizer(dset) == mult_stabilizer_by_quotients(dset)
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 32) if is_prime(p)])
+    def test_unions_of_cosets(self, p):
+        # Every union of cosets of every subgroup H of F_p* but F_p* and
+        # {1} (whose unions are every set): M(U) contains H, and is larger
+        # when the cosets taken are a union of cosets of a larger subgroup.
+        _, powers, _, divisors = cyclic_table(p)
+        checked = 0
+        for t in divisors[1:-1]:
+            # H = <g**t> has t cosets g**j * H, j < t
+            for chosen in range(1, 2 ** t - 1):
+                elements = [x for k, x in enumerate(powers) if chosen >> k % t & 1]
+                dset = DiffSet(PrimeField(p), elements)
+                stab = mult_stabilizer(dset)
+                assert stab == all_multipliers_stabilizer(dset), elements
+                assert stab == mult_stabilizer_by_quotients(dset), elements
+                assert set(powers[::t]) <= set(stab)
+                checked += 1
+        assert checked == sum(2 ** t - 2 for t in divisors[1:-1])
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 98) if is_prime(p)])
+    def test_random_sets(self, p):
+        rng = random.Random(p * 7)
+        for _ in range(30):
+            dset = DiffSet(PrimeField(p), rng.sample(range(1, p), rng.randrange(1, p - 1)))
+            assert mult_stabilizer(dset) == all_multipliers_stabilizer(dset), dset.elements
 
 
 class TestEnumeration:
@@ -520,6 +560,218 @@ class TestWalkCounts:
             with pytest.raises(PropositionViolated, match="count disagrees") as exc:
                 count(DiffSet(PrimeField(5), (1, 4)))
             assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
+
+
+class TestWalkGuard:
+    """Sets too small for their walks to reach p points skip the walk
+    test; it must reject every one of them."""
+
+    def test_reach_bound(self):
+        # 1 + 2 * (the multisets of 1..WALK_LENGTH steps from |U| = s)
+        assert _WALK_REACH == tuple(
+            1 + 2 * sum(math.comb(s + k - 1, k) for k in range(1, WALK_LENGTH + 1))
+            for s in range(DEFAULT_PRIME_CAP)
+        )
+        assert _WALK_REACH[:5] == (1, 9, 29, 69, 139)
+
+    @pytest.mark.parametrize("p, skipped", [(3, 0), (5, 0), (7, 0), (11, 10), (13, 12)])
+    def test_every_set(self, p, skipped):
+        guarded = [d for d in all_diff_sets(PrimeField(p)) if p > _WALK_REACH[len(d)]]
+        assert len(guarded) == skipped
+        assert not any(_walks_separate(d.elements, p) for d in guarded)
+
+    def test_small_sets_mod_97(self):
+        # Every set of at most 3 elements mod 97 is guarded: with 3 the
+        # bound is 69 < 97.
+        f = PrimeField(97)
+        sizes = (1, 2, 3)
+        assert all(97 > _WALK_REACH[k] for k in sizes)
+        for k in sizes:
+            for combo in itertools.combinations(range(1, 97), k):
+                assert not _walks_separate(combo, 97), combo
+
+    def test_guard_skips_the_walk(self, monkeypatch):
+        def no_walk(elements, p):
+            raise AssertionError(elements)
+
+        monkeypatch.setattr(burnside.automorphisms, "_walks_separate", no_walk)
+        assert _maps_fixing_zero(DiffSet(PrimeField(97), (5, 6))) == [tuple(range(97))]
+        with pytest.raises(AssertionError):
+            _maps_fixing_zero(DiffSet(PrimeField(23), (5, 6)))
+
+
+class TestRotationWalk:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
+    def test_matches_label_walk(self, monkeypatch, p):
+        # The same representatives, in the same order, and the same orbit
+        # index for every set, as the walk over labels u -> bit u-1.
+        monkeypatch.setattr(burnside.automorphisms, "_scan_sets", lambda dsets, jobs: dsets)
+        assert walk_orbits(PrimeField(p)) == label_walk(PrimeField(p))
+
+
+def _golden_sets():
+    """The sets ``TestGoldenSearch`` pins: every set with p <= 13 and the
+    hard sets."""
+    sets = [dset for p in (3, 5, 7, 11, 13) for dset in all_diff_sets(PrimeField(p))]
+    return sets + [DiffSet(PrimeField(p), elements) for p, elements in HARD_SETS]
+
+
+def _golden_digest(sets):
+    digest = hashlib.sha256()
+    for dset in sets:
+        digest.update(repr((dset.field.p, dset.elements, _maps_fixing_zero(dset))).encode())
+    return digest.hexdigest()
+
+
+GOLDEN_DIGEST = "15d9a27161c2ad1142445eb8597b0e5fd26041dcf028cfc6d4fd17cd991e6622"
+
+
+def _unrefined_root(monkeypatch):
+    """Skip the refinement of {0} | rest, the search's only one with queue
+    [0]: the first level's cell is then all of 1..p-1, so its branches
+    x0 -> y include every y / x0 that is not a multiplier. The search
+    stays complete, since refinement only prunes."""
+    refine = burnside.automorphisms._refine
+
+    def root_unrefined(cells, where, queue, rows, p, expected=None):
+        if queue == [0]:
+            return []
+        return refine(cells, where, queue, rows, p, expected)
+
+    monkeypatch.setattr(burnside.automorphisms, "_refine", root_unrefined)
+
+
+class TestMultiplierBranches:
+    """The search tries each first-level branch x0 -> y with the multiplier
+    y / x0 when the maps fixing x0 are the identity alone. Its view of
+    M(U) is ``_fixed_by``; a wrong view must never change its output.
+
+    With the refinement as it is, every first-level cell seen (every set
+    with p <= 13, every representative mod 17 and 19, the p = 97 timing
+    shapes) is one coset x0 * M(U), and one level always makes the
+    partition discrete. So the tests that reach a non-multiplier branch,
+    or a second level, weaken the refinement first."""
+
+    def _spy(self, monkeypatch):
+        """Spy on ``_fixed_by`` and return a list with one entry per
+        search: whether it tried a multiplier."""
+        real = burnside.automorphisms._fixed_by
+        search = burnside.automorphisms._search_fixing_zero
+        taken = []
+
+        def spy_fixed_by(word, shift, n):
+            taken[-1] = True
+            return real(word, shift, n)
+
+        def spy_search(dset):
+            taken.append(False)
+            return search(dset)
+
+        monkeypatch.setattr(burnside.automorphisms, "_fixed_by", spy_fixed_by)
+        monkeypatch.setattr(burnside.automorphisms, "_search_fixing_zero", spy_search)
+        return taken
+
+    def test_no_candidate_taken_for_a_multiplier(self, monkeypatch):
+        # Every real multiplier dropped from M(U): every branch is searched.
+        monkeypatch.setattr(burnside.automorphisms, "_fixed_by", lambda word, shift, n: False)
+        assert _golden_digest(_golden_sets()) == GOLDEN_DIGEST
+
+    @pytest.mark.parametrize("p, elements", HARD_SETS)
+    def test_one_multiplier_added_or_dropped(self, monkeypatch, p, elements):
+        # Over an unrefined root, where the first level's branches include
+        # non-multipliers: one non-multiplier added to M(U) is rejected by
+        # ``_preserves`` and its branch searched; one real multiplier
+        # dropped has its branch searched. The maps and their order stay.
+        dset = DiffSet(PrimeField(p), elements)
+        maps = _search_fixing_zero(dset)
+        _unrefined_root(monkeypatch)
+        expected = _search_fixing_zero(dset)
+        assert sorted(expected) == sorted(maps)
+        real = burnside.automorphisms._fixed_by
+        bits = cyclic_table(p).bits
+        stab = mult_stabilizer(dset)
+        logs = {a: bits[a].bit_length() - 1 for a in range(2, p)}
+        outside = [k for a, k in logs.items() if a not in stab]
+        inside = [k for a, k in logs.items() if a in stab]
+        for extra in outside[:3]:
+            monkeypatch.setattr(burnside.automorphisms, "_fixed_by",
+                                lambda word, shift, n: real(word, shift, n) or shift == extra)
+            assert _search_fixing_zero(dset) == expected
+        for dropped in inside[:3]:
+            monkeypatch.setattr(burnside.automorphisms, "_fixed_by",
+                                lambda word, shift, n: real(word, shift, n) and shift != dropped)
+            assert _search_fixing_zero(dset) == expected
+        monkeypatch.setattr(burnside.automorphisms, "_fixed_by", lambda word, shift, n: True)
+        assert _search_fixing_zero(dset) == expected
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_unrefined_search(self, monkeypatch, p):
+        # With no refinement at all, every level but the last individualises
+        # one point and the branches go p - 2 levels deep: the same maps,
+        # and every M(U) view gives the same list.
+        sets = list(all_diff_sets(PrimeField(p)))
+        maps = [sorted(_search_fixing_zero(dset)) for dset in sets]
+        monkeypatch.setattr(burnside.automorphisms, "_refine",
+                            lambda cells, where, queue, rows, p, expected=None: [])
+        found = [_search_fixing_zero(dset) for dset in sets]
+        assert [sorted(f) for f in found] == maps
+        for view in (lambda word, shift, n: True, lambda word, shift, n: False):
+            monkeypatch.setattr(burnside.automorphisms, "_fixed_by", view)
+            assert [_search_fixing_zero(dset) for dset in sets] == found
+
+    def test_second_map_fixing_x0(self, monkeypatch):
+        # A map other than the identity that fixes 0 and x0 would contradict
+        # Burnside's theorem; faked here, with no refinement (x0 = 1) and a
+        # difference check that also accepts sigma. Every branch must then
+        # be searched, and sigma returned for the count law to reject.
+        p, dset = 7, DiffSet(PrimeField(7), (1, 2, 4))
+        sigma = (0, 1, 3, 2, 4, 6, 5)
+        check = burnside.automorphisms._preserves
+        monkeypatch.setattr(burnside.automorphisms, "_refine",
+                            lambda cells, where, queue, rows, p, expected=None: [])
+        monkeypatch.setattr(burnside.automorphisms, "_preserves",
+                            lambda images, elements, p: tuple(images) == sigma
+                            or check(images, elements, p))
+        taken = self._spy(monkeypatch)
+        found = _maps_fixing_zero(dset)
+        assert taken == [False]
+        assert sorted(found) == sorted([sigma] + [
+            tuple(a * x % p for x in range(p)) for a in (1, 2, 4)])
+
+    def test_multiplier_path_on_golden_sets(self, monkeypatch):
+        taken = self._spy(monkeypatch)
+        assert _golden_digest(_golden_sets()) == GOLDEN_DIGEST
+        assert (len(taken), sum(taken)) == (165, 119)
+
+    # (p, searches, searches that tried a multiplier)
+    @pytest.mark.parametrize("p, searched, taken", [(13, 10, 9), (17, 33, 19), (19, 66, 35)])
+    def test_multiplier_path_on_representatives(self, monkeypatch, p, searched, taken):
+        dsets = _orbit_representatives(p, monkeypatch)
+        spied = self._spy(monkeypatch)
+        for dset in dsets:
+            _maps_fixing_zero(dset)
+        assert (len(spied), sum(spied)) == (searched, taken)
+
+    def test_mult_stabilizer_once_per_set(self, monkeypatch):
+        # The search never computes M(U); the count law computes it once
+        # per set, on every path.
+        calls = []
+        real = burnside.automorphisms.mult_stabilizer
+
+        def counted(dset):
+            calls.append(dset.elements)
+            return real(dset)
+
+        monkeypatch.setattr(burnside.automorphisms, "mult_stabilizer", counted)
+        for p, elements in HARD_SETS:
+            dset = DiffSet(PrimeField(p), elements)
+            calls.clear()
+            enumerate_diff_preserving(dset.field, dset)
+            assert calls == [dset.elements]
+        calls.clear()
+        reps, _ = walk_orbits(PrimeField(13))
+        assert len(calls) == len(reps) == 179
+        assert len(set(calls)) == 179
 
 
 class TestNoCyclicGarbage:

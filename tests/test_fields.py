@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from burnside import DiffSet, PrimeField
@@ -5,6 +7,7 @@ from burnside.automorphisms import all_diff_sets
 from burnside.errors import InputError, InternalInvariantViolation
 from burnside.fields import (
     binomial_mod_p,
+    cyclic_table,
     is_prime,
     min_nonzero_power_sum,
     packed_powers,
@@ -270,3 +273,38 @@ class TestPackedPowersBuild:
         assert len(primes) == 25
         for p in primes:
             assert packed_powers.__wrapped__(p) == packed_powers_by_pow(p), p
+
+
+class TestCyclicTable:
+    PRIMES = [p for p in range(2, 98) if is_prime(p)]
+
+    def test_root_has_order_p_minus_1(self):
+        # By brute force: the least g whose powers reach all of F_p*.
+        assert len(self.PRIMES) == 25
+        for p in self.PRIMES:
+            g = cyclic_table(p).root
+            assert len({pow(g, k, p) for k in range(p - 1)}) == p - 1, p
+            assert all(len({pow(h, k, p) for k in range(p - 1)}) < p - 1
+                       for h in range(1, g)), p
+
+    def test_powers_bits_and_divisors(self):
+        for p in self.PRIMES:
+            g, powers, bits, divisors = cyclic_table(p)
+            assert powers == tuple(pow(g, k, p) for k in range(p - 1))
+            assert bits[0] == 0
+            assert [bits[x].bit_length() - 1 for x in powers] == list(range(p - 1))
+            assert all(bits[x] == 1 << k for k, x in enumerate(powers))
+            assert divisors == tuple(d for d in range(1, p) if (p - 1) % d == 0)
+
+    @pytest.mark.parametrize("p", [5, 13, 31, 97])
+    def test_multiplying_by_g_rotates_the_word(self, p):
+        # bit k of U's word is g**k in U, so g*U's word is U's word moved
+        # one place up, with the top bit wrapping round to bit 0.
+        g, _, bits, _ = cyclic_table(p)
+        full = (1 << p - 1) - 1
+        rng = random.Random(p)
+        for _ in range(20):
+            elements = rng.sample(range(1, p), rng.randrange(1, p - 1))
+            word = sum(bits[u] for u in elements)
+            moved = sum(bits[g * u % p] for u in elements)
+            assert moved == (word << 1 | word >> p - 2) & full
