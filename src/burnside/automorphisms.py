@@ -15,9 +15,9 @@ isomorphism, II", J. Symb. Comput. 60, 2014) finds them all; the tests
 check it against a plain filter over all p! permutations at tiny degree.
 The refinement reads every point's neighbour counts in a splitter cell
 from one packed big-integer sum, the product of the cell with U's packed
-neighbour row taken mod X**p - 1 (``_neighbour_rows``). Its first level
-tries each branch x0 -> y with the multiplier y / x0 before searching it,
-when the maps fixing x0 are known to be the identity alone.
+neighbour row taken mod X**p - 1 (``_neighbour_rows``). When one level
+of it makes the partition discrete, each branch x0 -> y is tried with
+the multiplier y / x0, checked, before it is searched.
 Every permutation found must be affine with a multiplier stabilizing U;
 anything else is reported as a violation, since it would contradict a
 theorem. The multiplier stabilizer M(U) is computed once per set, apart
@@ -48,13 +48,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, InputError, PropositionViolated
-from .fields import (
-    DEFAULT_PRIME_CAP,
-    DiffSet,
-    PrimeField,
-    cyclic_table,
-    min_nonzero_power_sum,
-)
+from .fields import DiffSet, PrimeField, cyclic_table, min_nonzero_power_sum
 from .permutations import Perm, recognize_affine
 
 # A scan's walk holds a 2**(p-1)-slot orbit table and a per-set orbit
@@ -65,16 +59,6 @@ SCAN_PRIME_CAP = 23
 # Walks of length 1..WALK_LENGTH tell points apart in ``_walks_separate``.
 # A count is at most |U|**WALK_LENGTH <= 95**4 < 2**32, one 32-bit slot.
 WALK_LENGTH = 4
-
-# A walk of length k from 0 ends at the sum of a multiset of k steps from
-# U, so with |U| = s at most C(s+k-1, k) points have a nonzero out_k and
-# as many a nonzero in_k. Over k = 1..K that is C(s+K, K) - 1 points each
-# way; when p exceeds 1 + 2 * (C(s+K, K) - 1), two points share the
-# all-zero vector and walk counts cannot tell them apart.
-_WALK_REACH = tuple(
-    2 * math.comb(s + WALK_LENGTH, WALK_LENGTH) - 1 for s in range(DEFAULT_PRIME_CAP)
-)
-
 
 @dataclass(frozen=True)
 class AutResult:
@@ -284,13 +268,19 @@ def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     When walk counts tell every point apart (``_walks_separate``) that is
     the identity alone, with no search; otherwise it is what
     ``_search_fixing_zero`` finds. Both give the same list, so scan and
-    aut, which read only this, never depend on which step decided. Walk
-    counts are not taken for a set too small to reach p points
-    (``_WALK_REACH``), where they must tie.
+    aut, which read only this, never depend on which step decided.
+
+    A walk of length k from 0 ends at the sum of a multiset of k steps
+    from U, so with |U| = s at most C(s+k-1, k) points have a nonzero
+    out_k, and as many a nonzero in_k. Over k = 1..K that is
+    C(s+K, K) - 1 points each way; when p is at least 2 * C(s+K, K), two
+    points share the all-zero vector, the counts must tie, and they are
+    not taken.
     """
     p = dset.field.p
     elements = dset.elements
-    if p <= _WALK_REACH[len(elements)] and _walks_separate(elements, p):
+    reach = 2 * math.comb(len(elements) + WALK_LENGTH, WALK_LENGTH)
+    if p < reach and _walks_separate(elements, p):
         return [tuple(range(p))]
     return _search_fixing_zero(dset)
 
@@ -310,19 +300,17 @@ def _search_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     size that differs. At a discrete partition the map is read off cell
     by cell and re-checked.
 
-    The branches of the first level, x0 -> y for x0 the point positions
-    individualise there, are tried with known maps first, as nauty skips
-    branches by the automorphisms it knows. Branch x0 -> x0 holds the maps
-    fixing 0 and x0: the identity alone when one level makes the partition
-    discrete, and otherwise what its search finds. When that is the
-    identity alone, two maps in one branch would differ by a map fixing
-    x0, so every branch holds at most one map. If a = y / x0 is in M(U)
-    (U's word is fixed by the rotation by log_g(a), ``_fixed_by``) and
-    x -> a*x passes ``_preserves``, that map is the branch's one map and
-    its search is skipped; any other branch is searched. Nothing here
-    assumes Burnside's theorem: a missing multiplier costs a search, and
-    a wrong one fails the check. Branches are taken, and maps returned,
-    in the order of the plain depth-first search.
+    When one level makes the partition discrete, its branches x0 -> y,
+    for x0 the point positions individualise there, are tried with a
+    known map first, as nauty skips branches by the automorphisms it
+    knows. Branch x0 -> x0 then holds the identity alone, so two maps in
+    one branch, which would differ by a map fixing 0 and x0, are equal:
+    every branch holds at most one map. If x -> a*x with a = y / x0
+    passes ``_preserves``, it is the branch's one map and its search is
+    skipped; otherwise the branch is searched. Nothing here assumes
+    Burnside's theorem: a candidate that fails the check costs a search.
+    With more levels every branch is searched. Branches are taken, and
+    maps returned, in the order of the plain depth-first search.
     """
     p = dset.field.p
     elements = dset.elements
@@ -339,36 +327,23 @@ def _search_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
         queue = [_individualise(cells, where, c, cells[c][0])]
         levels.append((c, _refine(cells, where, queue, rows, p)))
     positions = [cell[0] for cell in cells]
-    if not levels:
+    if len(levels) != 1:
         return _descend([(0, root, root_where)], levels, positions, rows, elements)
 
+    # One level makes the partition discrete: the identity alone fixes x0.
     c, _ = levels[0]
     x0, *others = root[c]
-    identity = [tuple(range(p))]
-    if len(levels) == 1:
-        fixers = identity
-    else:
-        fixers = _descend(_children(0, root, root_where, [x0], levels, rows),
-                          levels, positions, rows, elements)
-    if fixers != identity:
-        stack = _children(0, root, root_where, others, levels, rows)
-        return _descend(stack, levels, positions, rows, elements) + fixers
-
-    n = p - 1
-    _, _, bits, _ = cyclic_table(p)
-    word = sum(map(bits.__getitem__, elements))
     inverse = pow(x0, -1, p)
     solutions = []
     for y in reversed(others):
         a = y * inverse % p
-        if _fixed_by(word, bits[a].bit_length() - 1, n):
-            images = [a * x % p for x in range(p)]
-            if _preserves(images, elements, p):
-                solutions.append(tuple(images))
-                continue
-        solutions += _descend(_children(0, root, root_where, [y], levels, rows),
-                              levels, positions, rows, elements)
-    return solutions + fixers
+        images = [a * x % p for x in range(p)]
+        if _preserves(images, elements, p):
+            solutions.append(tuple(images))
+        else:
+            solutions += _descend(_children(0, root, root_where, [y], levels, rows),
+                                  levels, positions, rows, elements)
+    return solutions + [tuple(range(p))]
 
 
 def _children(depth, values, value_where, ys, levels, rows):

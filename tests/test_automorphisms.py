@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -13,7 +12,6 @@ import burnside.automorphisms
 import burnside.cli
 from burnside import DiffSet, PrimeField, enumerate_diff_preserving, make_affine
 from burnside.automorphisms import (
-    _WALK_REACH,
     WALK_LENGTH,
     AutResult,
     _maps_fixing_zero,
@@ -562,42 +560,47 @@ class TestWalkCounts:
             assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
 
 
+def _reach(s):
+    """1 + 2 * (the multisets of 1..WALK_LENGTH steps from |U| = s): the
+    most points walk counts can give a nonzero vector, out or in."""
+    return 1 + 2 * sum(math.comb(s + k - 1, k) for k in range(1, WALK_LENGTH + 1))
+
+
 class TestWalkGuard:
     """Sets too small for their walks to reach p points skip the walk
     test; it must reject every one of them."""
 
-    def test_reach_bound(self):
-        # 1 + 2 * (the multisets of 1..WALK_LENGTH steps from |U| = s)
-        assert _WALK_REACH == tuple(
-            1 + 2 * sum(math.comb(s + k - 1, k) for k in range(1, WALK_LENGTH + 1))
-            for s in range(DEFAULT_PRIME_CAP)
-        )
-        assert _WALK_REACH[:5] == (1, 9, 29, 69, 139)
+    # (p, |U|): the walk runs up to p = _reach(|U|) = 9, 29, 69, 139
+    @pytest.mark.parametrize("p, size", [(7, 1), (11, 1), (29, 2), (31, 2), (67, 3), (71, 3), (97, 4)])
+    def test_guard_bound(self, monkeypatch, p, size):
+        walked = []
+        real = burnside.automorphisms._walks_separate
+
+        def spy(elements, p):
+            walked.append(elements)
+            return real(elements, p)
+
+        monkeypatch.setattr(burnside.automorphisms, "_walks_separate", spy)
+        dset = DiffSet(PrimeField(p), range(1, size + 1))
+        _maps_fixing_zero(dset)
+        assert bool(walked) == (p <= _reach(size))
+        assert [_reach(s) for s in range(5)] == [1, 9, 29, 69, 139]
 
     @pytest.mark.parametrize("p, skipped", [(3, 0), (5, 0), (7, 0), (11, 10), (13, 12)])
     def test_every_set(self, p, skipped):
-        guarded = [d for d in all_diff_sets(PrimeField(p)) if p > _WALK_REACH[len(d)]]
+        guarded = [d for d in all_diff_sets(PrimeField(p)) if p > _reach(len(d))]
         assert len(guarded) == skipped
         assert not any(_walks_separate(d.elements, p) for d in guarded)
 
     def test_small_sets_mod_97(self):
-        # Every set of at most 3 elements mod 97 is guarded: with 3 the
-        # bound is 69 < 97.
-        f = PrimeField(97)
-        sizes = (1, 2, 3)
-        assert all(97 > _WALK_REACH[k] for k in sizes)
-        for k in sizes:
-            for combo in itertools.combinations(range(1, 97), k):
-                assert not _walks_separate(combo, 97), combo
-
-    def test_guard_skips_the_walk(self, monkeypatch):
-        def no_walk(elements, p):
-            raise AssertionError(elements)
-
-        monkeypatch.setattr(burnside.automorphisms, "_walks_separate", no_walk)
-        assert _maps_fixing_zero(DiffSet(PrimeField(97), (5, 6))) == [tuple(range(97))]
-        with pytest.raises(AssertionError):
-            _maps_fixing_zero(DiffSet(PrimeField(23), (5, 6)))
+        # Every set of at most 3 elements mod 97 is guarded (the bound for
+        # 3 is 69 < 97): the intervals {1..k} and 300 seeded sets a size.
+        assert 97 > _reach(3)
+        rng = random.Random(97)
+        for k in (1, 2, 3):
+            sets = [tuple(range(1, k + 1))] + [rng.sample(range(1, 97), k) for _ in range(300)]
+            for elements in sets:
+                assert not _walks_separate(elements, 97), elements
 
 
 class TestRotationWalk:
@@ -642,9 +645,10 @@ def _unrefined_root(monkeypatch):
 
 
 class TestMultiplierBranches:
-    """The search tries each first-level branch x0 -> y with the multiplier
-    y / x0 when the maps fixing x0 are the identity alone. Its view of
-    M(U) is ``_fixed_by``; a wrong view must never change its output.
+    """When one level makes the partition discrete, the search tries each
+    first-level branch x0 -> y with the map x -> (y / x0) * x, checked by
+    ``_preserves``; a candidate that fails sends its branch to the search,
+    and must never change the output.
 
     With the refinement as it is, every first-level cell seen (every set
     with p <= 13, every representative mod 17 and 19, the p = 97 timing
@@ -653,71 +657,85 @@ class TestMultiplierBranches:
     or a second level, weaken the refinement first."""
 
     def _spy(self, monkeypatch):
-        """Spy on ``_fixed_by`` and return a list with one entry per
-        search: whether it tried a multiplier."""
-        real = burnside.automorphisms._fixed_by
+        """Spy on the searches and return a list with one entry per search:
+        how many maps it emitted by the multiplier step, not by ``_descend``."""
+        descend = burnside.automorphisms._descend
         search = burnside.automorphisms._search_fixing_zero
-        taken = []
+        descended = []
+        emitted = []
 
-        def spy_fixed_by(word, shift, n):
-            taken[-1] = True
-            return real(word, shift, n)
+        def spy_descend(*args):
+            found = descend(*args)
+            descended.extend(found)
+            return found
 
         def spy_search(dset):
-            taken.append(False)
-            return search(dset)
+            descended.clear()
+            found = search(dset)
+            others = set(found) - set(descended) - {tuple(range(dset.field.p))}
+            emitted.append(len(others))
+            return found
 
-        monkeypatch.setattr(burnside.automorphisms, "_fixed_by", spy_fixed_by)
+        monkeypatch.setattr(burnside.automorphisms, "_descend", spy_descend)
         monkeypatch.setattr(burnside.automorphisms, "_search_fixing_zero", spy_search)
-        return taken
+        return emitted
 
-    def test_no_candidate_taken_for_a_multiplier(self, monkeypatch):
-        # Every real multiplier dropped from M(U): every branch is searched.
-        monkeypatch.setattr(burnside.automorphisms, "_fixed_by", lambda word, shift, n: False)
+    def _reject_once(self, monkeypatch):
+        """A difference check that rejects each map but the identity the
+        first time it sees it: every multiplier candidate fails, as if that
+        multiplier were missing, and its branch is searched, where the check
+        sees the map again and decides it as before."""
+        check = burnside.automorphisms._preserves
+        seen = set()
+
+        def once(images, elements, p):
+            key = (p, tuple(elements), tuple(images))
+            if key in seen or key[2] == tuple(range(p)):
+                return check(images, elements, p)
+            seen.add(key)
+            return False
+
+        monkeypatch.setattr(burnside.automorphisms, "_preserves", once)
+
+    def test_every_candidate_rejected_once(self, monkeypatch):
+        # Every real multiplier missed: every branch is searched, and the
+        # maps and their order stay.
+        emitted = self._spy(monkeypatch)
+        self._reject_once(monkeypatch)
         assert _golden_digest(_golden_sets()) == GOLDEN_DIGEST
+        assert len(emitted) == 165 and not any(emitted)
 
     @pytest.mark.parametrize("p, elements", HARD_SETS)
-    def test_one_multiplier_added_or_dropped(self, monkeypatch, p, elements):
-        # Over an unrefined root, where the first level's branches include
-        # non-multipliers: one non-multiplier added to M(U) is rejected by
-        # ``_preserves`` and its branch searched; one real multiplier
-        # dropped has its branch searched. The maps and their order stay.
+    def test_non_multiplier_candidates(self, monkeypatch, p, elements):
+        # Over an unrefined root the first level's branches x0 -> y take
+        # every y in 1..p-1, so most candidates are not multipliers:
+        # ``_preserves`` rejects them and their branches are searched. The
+        # same maps come back, |M(U)| - 1 of them by the multiplier step;
+        # with every candidate rejected once, the same list, in order.
         dset = DiffSet(PrimeField(p), elements)
         maps = _search_fixing_zero(dset)
         _unrefined_root(monkeypatch)
-        expected = _search_fixing_zero(dset)
-        assert sorted(expected) == sorted(maps)
-        real = burnside.automorphisms._fixed_by
-        bits = cyclic_table(p).bits
-        stab = mult_stabilizer(dset)
-        logs = {a: bits[a].bit_length() - 1 for a in range(2, p)}
-        outside = [k for a, k in logs.items() if a not in stab]
-        inside = [k for a, k in logs.items() if a in stab]
-        for extra in outside[:3]:
-            monkeypatch.setattr(burnside.automorphisms, "_fixed_by",
-                                lambda word, shift, n: real(word, shift, n) or shift == extra)
-            assert _search_fixing_zero(dset) == expected
-        for dropped in inside[:3]:
-            monkeypatch.setattr(burnside.automorphisms, "_fixed_by",
-                                lambda word, shift, n: real(word, shift, n) and shift != dropped)
-            assert _search_fixing_zero(dset) == expected
-        monkeypatch.setattr(burnside.automorphisms, "_fixed_by", lambda word, shift, n: True)
-        assert _search_fixing_zero(dset) == expected
+        emitted = self._spy(monkeypatch)
+        found = burnside.automorphisms._search_fixing_zero(dset)
+        assert sorted(found) == sorted(maps)
+        assert emitted == [len(mult_stabilizer(dset)) - 1]
+        self._reject_once(monkeypatch)
+        assert burnside.automorphisms._search_fixing_zero(dset) == found
+        assert emitted[1:] == [0]
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_unrefined_search(self, monkeypatch, p):
         # With no refinement at all, every level but the last individualises
-        # one point and the branches go p - 2 levels deep: the same maps,
-        # and every M(U) view gives the same list.
+        # one point and the branches go p - 2 levels deep: every branch is
+        # searched, and the same maps come back.
         sets = list(all_diff_sets(PrimeField(p)))
         maps = [sorted(_search_fixing_zero(dset)) for dset in sets]
         monkeypatch.setattr(burnside.automorphisms, "_refine",
                             lambda cells, where, queue, rows, p, expected=None: [])
-        found = [_search_fixing_zero(dset) for dset in sets]
+        emitted = self._spy(monkeypatch)
+        found = [burnside.automorphisms._search_fixing_zero(dset) for dset in sets]
         assert [sorted(f) for f in found] == maps
-        for view in (lambda word, shift, n: True, lambda word, shift, n: False):
-            monkeypatch.setattr(burnside.automorphisms, "_fixed_by", view)
-            assert [_search_fixing_zero(dset) for dset in sets] == found
+        assert len(emitted) == len(sets) and not any(emitted)
 
     def test_second_map_fixing_x0(self, monkeypatch):
         # A map other than the identity that fixes 0 and x0 would contradict
@@ -732,25 +750,26 @@ class TestMultiplierBranches:
         monkeypatch.setattr(burnside.automorphisms, "_preserves",
                             lambda images, elements, p: tuple(images) == sigma
                             or check(images, elements, p))
-        taken = self._spy(monkeypatch)
+        emitted = self._spy(monkeypatch)
         found = _maps_fixing_zero(dset)
-        assert taken == [False]
+        assert emitted == [0]
         assert sorted(found) == sorted([sigma] + [
             tuple(a * x % p for x in range(p)) for a in (1, 2, 4)])
 
     def test_multiplier_path_on_golden_sets(self, monkeypatch):
-        taken = self._spy(monkeypatch)
+        emitted = self._spy(monkeypatch)
         assert _golden_digest(_golden_sets()) == GOLDEN_DIGEST
-        assert (len(taken), sum(taken)) == (165, 119)
+        assert (len(emitted), sum(map(bool, emitted)), sum(emitted)) == (165, 119, 219)
 
-    # (p, searches, searches that tried a multiplier)
-    @pytest.mark.parametrize("p, searched, taken", [(13, 10, 9), (17, 33, 19), (19, 66, 35)])
-    def test_multiplier_path_on_representatives(self, monkeypatch, p, searched, taken):
+    # (p, searches, searches that emitted a multiplier, maps they emitted)
+    @pytest.mark.parametrize("p, searched, taken, maps", [
+        (13, 10, 9, 17), (17, 33, 19, 29), (19, 66, 35, 51)])
+    def test_multiplier_path_on_representatives(self, monkeypatch, p, searched, taken, maps):
         dsets = _orbit_representatives(p, monkeypatch)
-        spied = self._spy(monkeypatch)
+        emitted = self._spy(monkeypatch)
         for dset in dsets:
             _maps_fixing_zero(dset)
-        assert (len(spied), sum(spied)) == (searched, taken)
+        assert (len(emitted), sum(map(bool, emitted)), sum(emitted)) == (searched, taken, maps)
 
     def test_mult_stabilizer_once_per_set(self, monkeypatch):
         # The search never computes M(U); the count law computes it once
