@@ -45,10 +45,9 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import FieldMismatch, InputError, PropositionViolated
-from .fields import DiffSet, PrimeField, cyclic_table, min_nonzero_power_sum
+from .fields import DiffSet, PrimeField, Value, _fill, cyclic_table, min_nonzero_power_sum
 from .permutations import Perm, recognize_affine
 
 # A scan's walk holds a 2**(p-1)-slot orbit table and a per-set orbit
@@ -60,26 +59,26 @@ SCAN_PRIME_CAP = 23
 # A count is at most |U|**WALK_LENGTH <= 95**4 < 2**32, one 32-bit slot.
 WALK_LENGTH = 4
 
-@dataclass(frozen=True)
-class AutResult:
+class AutResult(Value):
     """All difference-preserving permutations for one set U."""
 
-    diff_set: DiffSet
-    automorphisms: tuple[Perm, ...]
-    mult_stabilizer: tuple[int, ...]
-    all_affine: bool
+    __slots__ = ("diff_set", "automorphisms", "mult_stabilizer", "all_affine")
+
+    def __init__(self, diff_set: DiffSet, automorphisms: tuple[Perm, ...],
+                 mult_stabilizer: tuple[int, ...], all_affine: bool) -> None:
+        _fill(self, diff_set, automorphisms, mult_stabilizer, all_affine)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(Value):
     """Per-set summary line of a full-subset scan."""
 
-    elements: tuple[int, ...]
-    size: int
-    stabilizer_size: int
-    automorphism_count: int
-    all_affine: bool
-    min_power_index: int
+    __slots__ = ("elements", "size", "stabilizer_size", "automorphism_count",
+                 "all_affine", "min_power_index")
+
+    def __init__(self, elements: tuple[int, ...], size: int, stabilizer_size: int,
+                 automorphism_count: int, all_affine: bool, min_power_index: int) -> None:
+        _fill(self, elements, size, stabilizer_size, automorphism_count, all_affine,
+              min_power_index)
 
 
 def _preserves(images, elements, p: int) -> bool:
@@ -389,7 +388,8 @@ def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
     translates of each, sorted so the result comes out in the same
     lexicographic order as a search over all roots. Burnside's count law
     is checked on the maps fixing 0 (``_checked_maps_fixing_zero``), so a
-    result is only ever returned with ``all_affine`` true.
+    result is only ever returned with ``all_affine`` true. Each translate of a
+    bijection is one, so its ``Perm`` is built unchecked.
     """
     if dset.field != field:
         raise FieldMismatch("difference set built over a different modulus")
@@ -399,7 +399,7 @@ def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
     tables = sorted(
         tuple(map(shift.__getitem__, s.images)) for s in fixed for shift in shifted
     )
-    perms = tuple(Perm(field, t) for t in tables)
+    perms = tuple(Perm._trusted(field, t) for t in tables)
     return AutResult(dset, perms, stabilizer, True)
 
 
@@ -469,9 +469,10 @@ def _checked_maps_fixing_zero(dset: DiffSet) -> tuple[list[Perm], tuple[int, ...
 
     Every solution is a translate of exactly one map fixing 0, and every
     translate of an affine map is affine, so "all p * |fixed| maps are
-    affine and number p * |M(U)|" is decided without the translates.
+    affine and number p * |M(U)|" is decided without the translates. Each
+    map the search returns is a bijection, so its ``Perm`` is built unchecked.
     """
-    fixed = [Perm(dset.field, s) for s in _maps_fixing_zero(dset)]
+    fixed = [Perm._trusted(dset.field, s) for s in _maps_fixing_zero(dset)]
     stabilizer = mult_stabilizer(dset)
     _assert_theorem(dset, fixed, dset.field.p * len(fixed), len(stabilizer))
     return fixed, stabilizer
@@ -550,8 +551,8 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
     by one. That first set becomes the orbit's representative. The words
     of g**r * U are the p-1 rotations of its word and those of
     g**r * U^c their complements; all are entered in a table of 2**(p-1)
-    slots that maps each word to its orbit. Only the representatives are
-    searched, each with
+    slots that maps each word to its orbit. Each representative is a valid
+    set, built unchecked. Only the representatives are searched, each with
     the count law and the power sums checked, on at most
     ``min(jobs, orbits, os.cpu_count())`` worker processes. Returns the
     representatives' rows, in orbit order, and the orbit index of every
@@ -571,7 +572,7 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
         orbit = orbit_of[word]
         if orbit is None:
             orbit = len(reps)
-            reps.append(DiffSet(field, combo))
+            reps.append(DiffSet._trusted(field, combo))
             double = word | word << n
             for r in range(n):
                 image = double >> r & full

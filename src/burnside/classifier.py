@@ -14,13 +14,12 @@ the certificate independently, in closed form: it never lists the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
 from .automorphisms import check_preserves
 from .errors import BurnsideError, InputError, InternalInvariantViolation
-from .fields import DiffSet, PrimeField, require_ints
+from .fields import DiffSet, PrimeField, Value, _fill, require_ints
 from .groups import GroupSpec, bfs_elements, is_doubly_transitive, is_transitive, orbit_of_point
 from .permutations import AffineCoeffs, Perm, make_affine, recognize_affine, relabel_to_translation
 
@@ -29,16 +28,15 @@ DOUBLY_TRANSITIVE = "DOUBLY_TRANSITIVE"
 SOLVABLE_AFFINE = "SOLVABLE_AFFINE"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Value):
     """The verdict for one generated group, with its witness if solvable."""
 
-    field: PrimeField
-    variant: str
-    relabeling: Optional[Perm] = None
-    diff_set: Optional[DiffSet] = None
-    embedding: Optional[tuple[AffineCoeffs, ...]] = None
-    group_order: Optional[int] = None
+    __slots__ = ("field", "variant", "relabeling", "diff_set", "embedding", "group_order")
+
+    def __init__(self, field: PrimeField, variant: str, relabeling: Optional[Perm] = None,
+                 diff_set: Optional[DiffSet] = None, embedding: Optional[tuple] = None,
+                 group_order: Optional[int] = None) -> None:
+        _fill(self, field, variant, relabeling, diff_set, embedding, group_order)
 
     def to_payload(self) -> dict:
         payload: dict = {"p": self.field.p, "variant": self.variant}

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantViolation
@@ -38,19 +38,66 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+_set = object.__setattr__
+
+
+def _fill(obj, *values):
+    """``obj`` with its fields, in ``__slots__`` order, set to ``values``."""
+    for name, value in zip(obj.__slots__, values):
+        _set(obj, name, value)
+    return obj
+
+
+class Value:
+    """Base of the value classes: ``__slots__`` names the fields in the order
+    ``__init__`` takes, checks and sets them. Read-only, compared and hashed
+    by field values, shown as a dataclass, pickled through ``__init__``;
+    ``_trusted`` skips the checks, for values derived from validated ones."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    @classmethod
+    def _trusted(cls, *values):
+        return _fill(object.__new__(cls), *values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PrimeField(Value):
     """The prime field F_p; carries the validated modulus."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise InputError(f"modulus must be an integer, got {self.p!r}")
-        if self.p > DEFAULT_PRIME_CAP:
-            raise InputError(f"modulus {self.p} exceeds the supported cap {DEFAULT_PRIME_CAP}")
-        if not is_prime(self.p):
-            raise InputError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InputError(f"modulus must be an integer, got {p!r}")
+        if p > DEFAULT_PRIME_CAP:
+            raise InputError(f"modulus {p} exceeds the supported cap {DEFAULT_PRIME_CAP}")
+        if not is_prime(p):
+            raise InputError(f"modulus {p} is not prime")
+        _set(self, "p", p)
 
     def nonzero(self) -> range:
         return range(1, self.p)
@@ -91,23 +138,20 @@ def parse_ints(text: str, what: str) -> tuple[int, ...]:
     raise InputError(f"cannot parse {what} {text!r}")
 
 
-@dataclass(frozen=True)
-class DiffSet:
+class DiffSet(Value):
     """A non-empty proper subset of F_p \\ {0}, stored as a sorted tuple.
 
     These are the connection sets of circulant digraphs on F_p: the pairs
     (i, j) with i - j in the set are the arcs whose preservation is tested.
     """
 
-    field: PrimeField
-    elements: tuple[int, ...]
+    __slots__ = ("field", "elements")
 
-    def __post_init__(self) -> None:
-        elems = tuple(self.elements)
+    def __init__(self, field: PrimeField, elements) -> None:
+        elems = tuple(elements)
         require_ints(elems, "difference-set")
         elems = tuple(sorted(set(elems)))
-        object.__setattr__(self, "elements", elems)
-        p = self.field.p
+        p = field.p
         if any(not 1 <= u <= p - 1 for u in elems):
             raise InputError(
                 f"difference-set elements must lie in 1..{p - 1}, got {elems}"
@@ -116,6 +160,7 @@ class DiffSet:
             raise InputError(
                 f"difference set must be a non-empty proper subset of 1..{p - 1}"
             )
+        _fill(self, field, elems)
 
     def __iter__(self):
         return iter(self.elements)

@@ -7,44 +7,41 @@ element lists, orbits and reports come out deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, FieldMismatch, InputError
-from .fields import PrimeField
+from .fields import PrimeField, Value, _fill
 from .permutations import Perm
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Value):
     """A permutation group of F_p given by a non-empty generator list."""
 
-    field: PrimeField
-    generators: tuple[Perm, ...]
+    __slots__ = ("field", "generators")
 
-    def __post_init__(self) -> None:
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, field: PrimeField, generators) -> None:
+        gens = tuple(generators)
         if not gens:
             raise InputError("a group needs at least one generator")
         for g in gens:
-            if g.field != self.field:
+            if g.field != field:
                 raise FieldMismatch(
-                    f"generator degree {g.field.p} does not match p={self.field.p}"
+                    f"generator degree {g.field.p} does not match p={field.p}"
                 )
+        _fill(self, field, gens)
 
 
-@dataclass(frozen=True)
-class EnumeratedGroup:
+class EnumeratedGroup(Value):
     """A fully enumerated group: identity included, closed under products.
 
     ``generators`` generate ``elements``; ``derived_series`` works from them.
     """
 
-    field: PrimeField
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
+    __slots__ = ("field", "generators", "elements")
+
+    def __init__(self, field: PrimeField, generators: tuple, elements: tuple) -> None:
+        _fill(self, field, generators, elements)
 
     @property
     def order(self) -> int:

@@ -7,11 +7,10 @@ relabeling that turns any p-cycle into translation by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import FieldMismatch, InputError
-from .fields import PrimeField, parse_ints, require_ints
+from .fields import PrimeField, Value, _set, parse_ints, require_ints
 
 
 class AffineCoeffs(NamedTuple):
@@ -21,17 +20,19 @@ class AffineCoeffs(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
-class Perm:
-    """A bijection of {0..p-1}, stored as its image table."""
+class Perm(Value):
+    """A bijection of {0..p-1}, stored as its image table, checked by ``__post_init__``."""
 
-    field: PrimeField
-    images: tuple[int, ...]
+    __slots__ = ("field", "images")
+
+    def __init__(self, field: PrimeField, images) -> None:
+        _set(self, "field", field)
+        _set(self, "images", tuple(images))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        images = tuple(self.images)
+        images = self.images
         require_ints(images, "image table")
-        object.__setattr__(self, "images", images)
         p = self.field.p
         if len(images) != p or sorted(images) != list(range(p)):
             raise InputError(

@@ -19,27 +19,24 @@ Interpolation reads its sums of f(a) * a**w from the packed power rows of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatch, InputError
-from .fields import PrimeField, packed_powers, require_ints, unpack_powers
+from .fields import PrimeField, Value, _fill, packed_powers, require_ints, unpack_powers
 
 NEG_INFINITY = float("-inf")
 
 
-@dataclass(frozen=True)
-class FpPoly:
+class FpPoly(Value):
     """A polynomial over F_p, stored densely with canonical coefficients."""
 
-    field: PrimeField
-    coeffs: tuple[int, ...]
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self) -> None:
-        require_ints(self.coeffs, "coefficient")
-        object.__setattr__(self, "coeffs", canonical(self.coeffs, self.field.p))
+    def __init__(self, field: PrimeField, coeffs) -> None:
+        require_ints(coeffs, "coefficient")
+        _fill(self, field, canonical(coeffs, field.p))
 
     @classmethod
     def zero(cls, field: PrimeField) -> "FpPoly":

@@ -13,7 +13,6 @@ the difference check ``check_preserves``, run on the reduced set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -22,6 +21,9 @@ from .errors import FieldMismatch, InputError
 from .fields import (
     DiffSet,
     PrimeField,
+    Value,
+    _fill,
+    _set,
     binomial_mod_p,
     min_nonzero_power_sum,
     packed_powers,
@@ -43,26 +45,25 @@ AFFINE = "AFFINE"
 VIOLATION = "VIOLATION"
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    name: str
-    passed: bool
-    detail: str
+class TraceStep(Value):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(Value):
     """Scalar summary plus the ordered step log of one trace run."""
 
-    field: PrimeField
-    diff_set: DiffSet
-    reduced_set: DiffSet
-    degree: int
-    w_max: int
-    min_power_index: int
-    power_sums: tuple[int, ...]
-    steps: tuple[TraceStep, ...]
-    verdict: str
+    __slots__ = ("field", "diff_set", "reduced_set", "degree", "w_max",
+                 "min_power_index", "power_sums", "steps", "verdict")
+
+    def __init__(self, field, diff_set, reduced_set, degree, w_max, min_power_index,
+                 power_sums, steps, verdict) -> None:
+        _fill(self, field, diff_set, reduced_set, degree, w_max, min_power_index,
+              power_sums, steps, verdict)
 
     def to_payload(self) -> dict:
         return {

@@ -14,6 +14,7 @@ from burnside import DiffSet, PrimeField, enumerate_diff_preserving, make_affine
 from burnside.automorphisms import (
     WALK_LENGTH,
     AutResult,
+    _checked_maps_fixing_zero,
     _maps_fixing_zero,
     _scan_one,
     _search_fixing_zero,
@@ -627,6 +628,35 @@ def _golden_digest(sets):
 
 
 GOLDEN_DIGEST = "15d9a27161c2ad1142445eb8597b0e5fd26041dcf028cfc6d4fd17cd991e6622"
+
+
+class TestUncheckedConstruction:
+    """The search's maps fixing 0, their translates and the walk's
+    representatives are built without re-validation (``Value._trusted``);
+    each equals what the validating constructor builds from its fields,
+    which also pins every field's type, since a list never equals a tuple."""
+
+    @staticmethod
+    def _check(dsets):
+        for dset in dsets:
+            fixed, _ = _checked_maps_fixing_zero(dset)
+            perms = enumerate_diff_preserving(dset.field, dset).automorphisms
+            assert len(perms) == dset.field.p * len(fixed)
+            for q in [*fixed, *perms]:
+                assert Perm(q.field, q.images) == q, (dset.elements, q.images)
+
+    def test_golden_sets(self):
+        self._check(_golden_sets())
+
+    def test_timing_table_shapes(self):
+        self._check(timing_table_shapes())
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+    def test_orbit_representatives(self, monkeypatch, p):
+        reps = _orbit_representatives(p, monkeypatch)
+        assert reps
+        for dset in reps:
+            assert DiffSet(dset.field, dset.elements) == dset
 
 
 def _unrefined_root(monkeypatch):
