@@ -97,7 +97,7 @@ class PrimeField(Value):
             raise InputError(f"modulus {p} exceeds the supported cap {DEFAULT_PRIME_CAP}")
         if not is_prime(p):
             raise InputError(f"modulus {p} is not prime")
-        _set(self, "p", p)
+        _fill(self, p)
 
     def nonzero(self) -> range:
         return range(1, self.p)

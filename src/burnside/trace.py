@@ -23,7 +23,6 @@ from .fields import (
     PrimeField,
     Value,
     _fill,
-    _set,
     binomial_mod_p,
     min_nonzero_power_sum,
     packed_powers,
@@ -49,9 +48,7 @@ class TraceStep(Value):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str) -> None:
-        _set(self, "name", name)
-        _set(self, "passed", passed)
-        _set(self, "detail", detail)
+        _fill(self, name, passed, detail)
 
 
 class TraceReport(Value):
