@@ -14,13 +14,14 @@ the certificate independently, in closed form: it never lists the group.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import Optional
 
 from .automorphisms import check_preserves
 from .errors import BurnsideError, InputError, InternalInvariantViolation
-from .fields import DiffSet, PrimeField, Value, _fill, require_ints
-from .groups import GroupSpec, bfs_elements, is_doubly_transitive, is_transitive, orbit_of_point
+from .fields import DiffSet, PrimeField, Value, _fill, cyclic_table, require_ints
+from .groups import GroupSpec, bfs_elements, is_doubly_transitive, is_transitive
 from .permutations import AffineCoeffs, Perm, make_affine, recognize_affine, relabel_to_translation
 
 NOT_TRANSITIVE = "NOT_TRANSITIVE"
@@ -43,7 +44,7 @@ class Classification(Value):
         if self.variant == SOLVABLE_AFFINE:
             payload["relabeling"] = list(self.relabeling.images)
             payload["diff_set"] = list(self.diff_set.elements)
-            payload["embedding"] = [{"a": c.a, "b": c.b} for c in self.embedding]
+            payload["embedding"] = [{"a": a, "b": b} for a, b in self.embedding]
             payload["group_order"] = self.group_order
         return payload
 
@@ -109,9 +110,8 @@ def _certificate(spec: GroupSpec) -> Optional[Classification]:
     p*|A| <= p(p-1)/2, so its first p-cycle is among that many elements of
     ``bfs_elements``. Relabelled by it, the group is T.A, with T the
     translations and A the group the multipliers a generate. The orbit of
-    (1, 0) is {(a + b, b) : a in A}, so U, its differences, is the orbit of
-    1 under x -> a*x, the group order is p*|U|, and U = F_p* would make the
-    group AGL(1, p).
+    (1, 0) is {(a + b, b) : a in A}, so U, its differences, is A itself,
+    the group order is p*|U|, and U = F_p* would make the group AGL(1, p).
     """
     field = spec.field
     p = field.p
@@ -125,15 +125,17 @@ def _certificate(spec: GroupSpec) -> Optional[Classification]:
     embedding = tuple(recognize_affine(g.conjugate(lam)) for g in spec.generators)
     if None in embedding:
         return None
-    multipliers = GroupSpec(field, tuple(make_affine((c.a, 0), field) for c in embedding))
-    units = orbit_of_point(multipliers, 1)
-    if len(units) == p - 1:
+    # A is <g**t> for F_p* = <g> and t the gcd of p-1 and each log_g(a).
+    _, powers, bits, _ = cyclic_table(p)
+    t = math.gcd(p - 1, *(bits[c.a].bit_length() - 1 for c in embedding))
+    if t == 1:
         return None
+    units = tuple(sorted(powers[::t]))
     return Classification(
         field,
         SOLVABLE_AFFINE,
         relabeling=lam,
-        diff_set=DiffSet(field, tuple(units)),
+        diff_set=DiffSet._trusted(field, units),
         embedding=embedding,
         group_order=p * len(units),
     )
@@ -153,12 +155,15 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
     cosets of A, so 1 in U and p*|U| = group_order make U = A. A ``DiffSet``
     has at most p-2 elements, so that order is at most p(p-1)/2, and p(p-1)
     divides the order of a doubly transitive group: no pair orbit is
-    needed. Never raises; any mismatch or internal error yields False.
+    needed. The relabeling must be a ``Perm``, U a ``DiffSet`` and the
+    embedding one pair (a, b) per generator, an ``AffineCoeffs`` or a plain
+    pair. Never raises; any mismatch, malformed part or internal error
+    yields False.
     """
     try:
         field = spec.field
         p = field.p
-        if classification.field != field:
+        if not isinstance(classification, Classification) or classification.field != field:
             return False
         if classification.variant == NOT_TRANSITIVE:
             return not is_transitive(spec)
@@ -171,20 +176,21 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
         lam = classification.relabeling
         dset = classification.diff_set
         embedding = classification.embedding
-        if lam is None or dset is None or embedding is None:
+        if not (isinstance(lam, Perm) and isinstance(dset, DiffSet)
+                and isinstance(embedding, (tuple, list)) and len(embedding) == len(spec.generators)
+                and all(isinstance(c, (tuple, list)) and len(c) == 2 for c in embedding)):
             return False
-        if len(embedding) != len(spec.generators):
-            return False
+        require_ints([v for c in embedding for v in c] + [classification.group_order],
+                     "embedding and group_order")
         for g, coeffs in zip(spec.generators, embedding):
             conj = g.conjugate(lam)
             if conj != make_affine(coeffs, field):
                 return False
             if not check_preserves(conj, dset):
                 return False
-        require_ints([classification.group_order], "group_order")
         if 1 not in dset or p * len(dset) != classification.group_order:
             return False
-        exponent = next(m for m in range(1, p) if all(pow(c.a, m, p) == 1 for c in embedding))
+        exponent = next(m for m in range(1, p) if all(pow(a, m, p) == 1 for a, _ in embedding))
         return classification.group_order == p * exponent
     except BurnsideError:
         return False

@@ -175,14 +175,7 @@ class DiffSet(Value):
         """The complement within 1..p-1 (never empty, never full)."""
         inside = set(self.elements)
         rest = tuple(u for u in self.field.nonzero() if u not in inside)
-        return DiffSet(self.field, rest)
-
-    def indicator(self) -> tuple[bool, ...]:
-        """Membership table indexed by residue, for hot loops."""
-        table = [False] * self.field.p
-        for u in self.elements:
-            table[u] = True
-        return tuple(table)
+        return DiffSet._trusted(self.field, rest)
 
 
 def binomial_mod_p(n: int, k: int, field: PrimeField) -> int:

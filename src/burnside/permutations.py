@@ -1,8 +1,10 @@
 """Permutations of F_p given by image tables.
 
-Provides the group algebra (compose, invert, powers, cycle structure),
+Provides the group algebra (compose, invert, conjugate, cycle structure),
 construction and recognition of affine maps i -> a*i + b, and the
-relabeling that turns any p-cycle into translation by one.
+relabeling that turns any p-cycle into translation by one. The
+constructor checks its table; every permutation derived from checked ones
+(products, inverses, the identity, relabelings) is built unchecked.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import FieldMismatch, InputError
-from .fields import PrimeField, Value, _set, parse_ints, require_ints
+from .fields import PrimeField, Value, _fill, parse_ints, require_ints
 
 
 class AffineCoeffs(NamedTuple):
@@ -26,9 +28,7 @@ class Perm(Value):
     __slots__ = ("field", "images")
 
     def __init__(self, field: PrimeField, images) -> None:
-        # Two direct sets, not ``_fill``: about 0.45 of 2.6 us less per call.
-        _set(self, "field", field)
-        _set(self, "images", tuple(images))
+        _fill(self, field, tuple(images))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -42,56 +42,32 @@ class Perm(Value):
 
     @classmethod
     def identity(cls, field: PrimeField) -> "Perm":
-        return cls(field, tuple(range(field.p)))
+        return cls._trusted(field, tuple(range(field.p)))
 
     @classmethod
     def from_text(cls, field: PrimeField, text: str) -> "Perm":
         """Parse the comma-separated image list "pi(0),pi(1),...,pi(p-1)"."""
         return cls(field, parse_ints(text, "permutation"))
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     @property
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))
 
-    def _check_field(self, other: "Perm") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(
-                f"mixed degrees {self.field.p} and {other.field.p}"
-            )
-
     def compose(self, other: "Perm") -> "Perm":
-        """self after other: (self * other)(i) = self(other(i))."""
-        self._check_field(other)
-        return Perm(self.field, tuple(self.images[v] for v in other.images))
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return self.compose(other)
+        """self after other, the map i -> self(other(i))."""
+        if self.field != other.field:
+            raise FieldMismatch(f"mixed degrees {self.field.p} and {other.field.p}")
+        return Perm._trusted(self.field, tuple(self.images[v] for v in other.images))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.field.p
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Perm(self.field, tuple(inv))
-
-    def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return Perm._trusted(self.field, tuple(inv))
 
     def conjugate(self, by: "Perm") -> "Perm":
         """by * self * by^-1."""
-        return by * self * by.inverse()
+        return by.compose(self).compose(by.inverse())
 
     def cycles(self, include_fixed: bool = True) -> list[tuple[int, ...]]:
         """Cycle decomposition; each cycle starts at its least point."""
@@ -161,4 +137,4 @@ def relabel_to_translation(perm: Perm) -> Perm:
     for k in range(p):
         labels[x] = k
         x = perm.images[x]
-    return Perm(perm.field, tuple(labels))
+    return Perm._trusted(perm.field, tuple(labels))

@@ -3,8 +3,9 @@
 Coefficient lists are indexed by exponent and never carry trailing zeros.
 The zero polynomial has an empty list and degree negative infinity, so
 degree comparisons can never silently treat it as a constant. The
-constructor reduces every coefficient mod p, so sums, products, shifts and
-interpolation hand it plain integer sums.
+constructor reduces every coefficient mod p, so sums, products and shifts
+hand it plain integer sums; ``interpolate``, whose values are checked on
+the way in, reduces its own and builds its result unchecked.
 
 The arithmetic itself lives in three kernels on plain coefficient lists,
 ``mul_coeffs``, ``pow_coeffs`` and ``shift_coeffs``; the ``FpPoly``
@@ -35,6 +36,7 @@ class FpPoly(Value):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs) -> None:
+        coeffs = tuple(coeffs)  # read once: the check must see what is stored
         require_ints(coeffs, "coefficient")
         _fill(self, field, canonical(coeffs, field.p))
 
@@ -230,4 +232,5 @@ def interpolate(field: PrimeField, images) -> FpPoly:
     ys = [y % p for y in values]
     # slot w-1 holds sum_{a >= 1} ys[a] * a**w
     sums = unpack_powers(sum(map(mul, ys[1:], packed_powers(p)[1:p])), p)
-    return FpPoly(field, [ys[0], *[-s for s in reversed(sums[:-1])], -sum(ys)])
+    coeffs = canonical([ys[0], *[-s for s in reversed(sums[:-1])], -sum(ys)], p)
+    return FpPoly._trusted(field, coeffs)

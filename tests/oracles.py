@@ -20,7 +20,8 @@ from burnside.fields import (
     power_sums,
     unpack_powers,
 )
-from burnside.permutations import Perm
+from burnside.groups import GroupSpec, orbit_of_point
+from burnside.permutations import Perm, make_affine
 from burnside.polynomials import (
     FpPoly,
     canonical,
@@ -38,6 +39,16 @@ def perm_order(perm: Perm) -> int:
     return math.lcm(*(len(c) for c in perm.cycles()))
 
 
+def power(perm: Perm, k: int) -> Perm:
+    """perm composed with itself k times, or its inverse -k times for
+    k < 0, one ``compose`` at a time."""
+    step = perm if k >= 0 else perm.inverse()
+    result = Perm.identity(perm.field)
+    for _ in range(abs(k)):
+        result = result.compose(step)
+    return result
+
+
 def evaluate(poly: FpPoly, x: int) -> int:
     """poly(x) mod p, by Horner's rule."""
     p = poly.field.p
@@ -45,6 +56,14 @@ def evaluate(poly: FpPoly, x: int) -> int:
     for c in reversed(poly.coeffs):
         acc = (acc * x + c) % p
     return acc
+
+
+def indicator(dset: DiffSet) -> tuple[bool, ...]:
+    """The membership table of the set, indexed by residue."""
+    table = [False] * dset.field.p
+    for u in dset.elements:
+        table[u] = True
+    return tuple(table)
 
 
 def all_multipliers_stabilizer(dset: DiffSet) -> tuple[int, ...]:
@@ -63,12 +82,20 @@ def mult_stabilizer_by_quotients(dset: DiffSet) -> tuple[int, ...]:
     rotation of U's word replaced."""
     p = dset.field.p
     elements = dset.elements
-    member = dset.indicator()
+    member = indicator(dset)
     inverse = pow(elements[0], -1, p)
     candidates = sorted(u * inverse % p for u in elements)
     return tuple(
         a for a in candidates if all(member[a * u % p] for u in elements)
     )
+
+
+def multiplier_orbit(field: PrimeField, multipliers) -> tuple[int, ...]:
+    """The orbit of 1 under the maps x -> a*x, by breadth-first search over
+    their p-point permutations; the oracle for the group the multipliers
+    generate, which the certificate reads off ``cyclic_table``."""
+    spec = GroupSpec(field, tuple(make_affine((a, 0), field) for a in multipliers))
+    return tuple(orbit_of_point(spec, 1))
 
 
 def label_walk(field: PrimeField) -> tuple[list[DiffSet], list[int]]:
@@ -102,7 +129,7 @@ def preserves_by_pairs(perm: Perm, dset: DiffSet) -> bool:
     byte-packed ``check_preserves``."""
     p = perm.field.p
     images = perm.images
-    member = dset.indicator()
+    member = indicator(dset)
     for u in dset.elements:
         for j in range(p):
             if not member[(images[(j + u) % p] - images[j]) % p]:

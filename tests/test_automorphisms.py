@@ -28,12 +28,18 @@ from burnside.automorphisms import (
     walk_orbits,
 )
 from burnside.errors import InputError, PropositionViolated
-from burnside.fields import DEFAULT_PRIME_CAP, cyclic_table, is_prime
-from burnside.permutations import Perm, recognize_affine
+from burnside.cli import parse_group_file
+from burnside.fields import DEFAULT_PRIME_CAP, cyclic_table, is_prime, parse_ints
+from burnside.groups import bfs_elements, is_transitive
+from burnside.permutations import Perm, recognize_affine, relabel_to_translation
+from burnside.polynomials import FpPoly, interpolate
 
 from conftest import all_perms, exhaustive_report_rows, qr_set, random_perm
+from test_cli import golden_group_files
+from test_trace import _golden_traces
 from oracles import (
     all_multipliers_stabilizer,
+    indicator,
     label_walk,
     mult_stabilizer_by_quotients,
     naive_enumerate,
@@ -49,7 +55,7 @@ def preserves_biconditional(perm, dset):
             if i == j:
                 continue
             fwd = (i - j) % p in dset
-            img = (perm(i) - perm(j)) % p in dset
+            img = (perm.images[i] - perm.images[j]) % p in dset
             if fwd != img:
                 return False
     return True
@@ -261,7 +267,7 @@ class TestEnumeration:
             sample = sorted(auts, key=lambda q: q.images)[:5]
             for a in sample:
                 for b in sample:
-                    assert a * b in auts
+                    assert a.compose(b) in auts
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_complement_symmetry(self, p):
@@ -304,7 +310,7 @@ def all_roots_search(field, dset):
     """The search before pi(0) = 0 was pinned: every root value, pruning
     tables built pair by pair. Kept as the oracle for the fast search."""
     p = field.p
-    member = dset.indicator()
+    member = indicator(dset)
     add_in = [0] * p
     add_out = [0] * p
     sub_in = [0] * p
@@ -360,7 +366,7 @@ def position_order_search(field, dset):
     translates of each solution, sorted. Kept as the oracle for the
     refinement search."""
     p = field.p
-    member = dset.indicator()
+    member = indicator(dset)
     full = (1 << p) - 1
 
     def rotations(mask):
@@ -630,11 +636,20 @@ def _golden_digest(sets):
 GOLDEN_DIGEST = "15d9a27161c2ad1142445eb8597b0e5fd26041dcf028cfc6d4fd17cd991e6622"
 
 
+def _trace_shapes_97():
+    """(set, image table) of each p = 97 trace of the golden trace sample."""
+    for argv in _golden_traces():
+        if argv[2] == "97":
+            yield parse_ints(argv[4], "set"), parse_ints(argv[6], "perm")
+
+
 class TestUncheckedConstruction:
-    """The search's maps fixing 0, their translates and the walk's
-    representatives are built without re-validation (``Value._trusted``);
-    each equals what the validating constructor builds from its fields,
-    which also pins every field's type, since a list never equals a tuple."""
+    """Every value derived from validated ones is built without
+    re-validation (``Value._trusted``): the search's maps fixing 0, their
+    translates and the walk's representatives; products, inverses, the
+    identity and relabelings; complements and interpolants. Each equals
+    what the validating constructor builds from its fields, which also
+    pins every field's type, since a list never equals a tuple."""
 
     @staticmethod
     def _check(dsets):
@@ -657,6 +672,46 @@ class TestUncheckedConstruction:
         assert reps
         for dset in reps:
             assert DiffSet(dset.field, dset.elements) == dset
+
+    @pytest.mark.parametrize("text", golden_group_files().values(),
+                             ids=golden_group_files().keys())
+    def test_group_operations_on_golden_groups(self, text):
+        spec = parse_group_file(StringIO(text))
+        field = spec.field
+        identity = Perm.identity(field)
+        assert Perm(field, identity.images) == identity
+        cycles = 0
+        for q in bfs_elements(field, spec.generators):
+            for r in (q, q.inverse(), *(q.compose(g) for g in spec.generators)):
+                assert Perm(field, r.images) == r
+            if q.cycle_type() == (field.p,):
+                cycles += 1
+                lam = relabel_to_translation(q)
+                assert Perm(field, lam.images) == lam
+        assert cycles or not is_transitive(spec)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_complement_of_every_set(self, p):
+        for dset in all_diff_sets(PrimeField(p)):
+            rest = dset.complement()
+            assert DiffSet(rest.field, rest.elements) == rest
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_interpolate_every_perm(self, p):
+        f = PrimeField(p)
+        for perm in all_perms(f):
+            poly = interpolate(f, perm)
+            assert FpPoly(f, poly.coeffs) == poly
+
+    def test_complement_and_interpolate_at_trace_shapes(self):
+        f = PrimeField(97)
+        shapes = list(_trace_shapes_97())
+        assert len(shapes) == 4
+        for elements, images in shapes:
+            rest = DiffSet(f, elements).complement()
+            assert DiffSet(f, rest.elements) == rest
+            poly = interpolate(f, images)
+            assert FpPoly(f, poly.coeffs) == poly
 
 
 def _unrefined_root(monkeypatch):

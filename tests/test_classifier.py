@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -15,6 +16,8 @@ from burnside.classifier import (
     SOLVABLE_AFFINE,
 )
 from burnside.errors import InputError
+from burnside.cli import parse_group_file
+from burnside.fields import is_prime
 from burnside.groups import (
     derived_series,
     enumerate_group,
@@ -23,7 +26,8 @@ from burnside.groups import (
 )
 from burnside.permutations import AffineCoeffs, Perm, relabel_to_translation
 from conftest import random_perm
-from oracles import perm_order
+from oracles import multiplier_orbit, perm_order
+from test_cli import golden_group_files
 from test_groups import affine_generating_sets
 
 
@@ -229,6 +233,126 @@ class TestVerifyCertificate:
         spec = dihedral(f)
         assert not verify_certificate(spec, Classification(f, DOUBLY_TRANSITIVE))
         assert not verify_certificate(spec, Classification(f, NOT_TRANSITIVE))
+
+
+class TestMalformedCertificate:
+    """verify_certificate never raises: a malformed part yields False, and
+    the embedding may hold plain (a, b) pairs as well as AffineCoeffs."""
+
+    @staticmethod
+    def frobenius_21():
+        f = PrimeField(7)
+        spec = GroupSpec(f, (translation(f), make_affine((2, 0), f)))
+        c = classify(spec)
+        assert c.embedding == ((1, 1), (2, 0)) and c.relabeling.is_identity
+        return spec, c
+
+    @pytest.mark.parametrize("changes, expected", [
+        ({"embedding": ((1, 1), (2, 0))}, True),
+        ({"embedding": [[1, 1], [2, 0]]}, True),
+        ({"embedding": ((1, 1), (2, 1))}, False),
+        ({"embedding": ((1, 1), None)}, False),
+        ({"embedding": ((1, 1), (1,))}, False),
+        ({"embedding": ((1, 1), (1, 1, 5))}, False),
+        ({"embedding": ((1, 1), (2.0, 0))}, False),
+        ({"embedding": ((1, 1), ("2", 0))}, False),
+        ({"embedding": ((1, 1), 2)}, False),
+        ({"embedding": ((1, 1),)}, False),
+        ({"embedding": None}, False),
+        ({"diff_set": (1, 2, 4)}, False),
+        ({"diff_set": None}, False),
+        ({"relabeling": tuple(range(7))}, False),
+        ({"relabeling": None}, False),
+        ({"relabeling": Perm.identity(PrimeField(5))}, False),
+    ], ids=["plain-pairs", "lists", "wrong-pair", "none-entry", "short-entry",
+            "long-entry", "float-entry", "string-entry", "int-entry",
+            "too-few-entries", "no-embedding", "tuple-diff-set", "no-diff-set",
+            "tuple-relabeling", "no-relabeling", "relabeling-of-other-degree"])
+    def test_parts(self, changes, expected):
+        spec, c = self.frobenius_21()
+        assert verify_certificate(spec, replaced(c, **changes)) is expected
+
+    def test_plain_pairs_on_a_relabelled_group(self):
+        spec = index_two_group_at_p97()
+        c = classify(spec)
+        plain = replaced(c, embedding=tuple((a, b) for a, b in c.embedding))
+        assert not isinstance(plain.embedding[0], AffineCoeffs)
+        assert verify_certificate(spec, plain) is True
+        assert plain.to_payload() == c.to_payload()
+
+    @pytest.mark.parametrize("claim", [None, (), "SOLVABLE_AFFINE"])
+    def test_not_a_classification(self, claim):
+        spec, _ = self.frobenius_21()
+        assert verify_certificate(spec, claim) is False
+
+
+class TestCyclicTableUnits:
+    """The certificate reads U, the group its multipliers generate, off
+    ``cyclic_table`` as <g**t>; the breadth-first orbit of 1 under
+    x -> a*x over p-point permutations is the oracle."""
+
+    @pytest.mark.parametrize("p", [p for p in range(2, 32) if is_prime(p)])
+    def test_every_pair_of_units(self, p):
+        f = PrimeField(p)
+        for a1 in range(1, p):
+            for a2 in range(1, p):
+                spec = GroupSpec(f, (translation(f), make_affine((a1, 0), f),
+                                     make_affine((a2, 0), f)))
+                c = classify(spec)
+                units = multiplier_orbit(f, (a1, a2))
+                if len(units) == p - 1:
+                    assert c.variant == DOUBLY_TRANSITIVE
+                else:
+                    assert c.diff_set.elements == units, (p, a1, a2)
+                    assert c.group_order == p * len(units)
+
+    @staticmethod
+    def certify_shapes():
+        """Relabelled T.<m> for every multiplier order k < p-1, p <= 23, and
+        C_97, as the certify benchmark draws them."""
+        rng = random.Random(23)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23):
+            f = PrimeField(p)
+            for k in (k for k in range(1, p - 1) if (p - 1) % k == 0):
+                gens = [(1, rng.randrange(1, p))]
+                if k > 1:
+                    gens.append((of_order(p, k), rng.randrange(p)))
+                yield relabelled(f, gens, rng)
+        yield relabelled(PrimeField(97), [(1, rng.randrange(1, 97))], rng)
+
+    def test_certify_shapes(self):
+        shapes = list(self.certify_shapes())
+        assert len(shapes) == 27
+        for spec in shapes:
+            c = classify(spec)
+            assert c.variant == SOLVABLE_AFFINE
+            units = multiplier_orbit(spec.field, [a for a, _ in c.embedding])
+            assert c.diff_set.elements == units
+            assert verify_certificate(spec, c)
+
+
+class TestCheckedAtTheEdge:
+    """A checked Perm is built from outside input alone: classify builds
+    none, and verify_certificate builds one per generator, the claimed
+    affine map it compares the conjugate with."""
+
+    @pytest.mark.parametrize("text", golden_group_files().values(),
+                             ids=golden_group_files().keys())
+    def test_checked_perm_builds(self, monkeypatch, text):
+        spec = parse_group_file(io.StringIO(text))
+        checked = []
+        check = Perm.__post_init__
+
+        def counted(perm):
+            checked.append(perm.images)
+            check(perm)
+
+        monkeypatch.setattr(Perm, "__post_init__", counted)
+        c = classify(spec)
+        assert checked == []
+        assert verify_certificate(spec, c)
+        solvable = c.variant == SOLVABLE_AFFINE
+        assert len(checked) == (len(spec.generators) if solvable else 0)
 
 
 class TestPayloadRoundTrip:

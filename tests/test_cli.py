@@ -509,6 +509,41 @@ def _group_file(p, maps, seed=None):
     return "".join(f"{line}\n" for line in (f"p={p}", *rows))
 
 
+# T.<35, 22> mod 97: 35 has order 3 and 22 order 4, so together they
+# generate the subgroup of order 12, which neither generates alone.
+THREE_GENERATORS_97 = _group_file(97, ((1, 1), (35, 0), (22, 2)), seed=97)
+
+
+def golden_group_files():
+    """The group file of every classify report pinned byte for byte, by name."""
+    return {
+        "d5": "p=5\n1,2,3,4,0\n0,4,3,2,1\n",
+        "frobenius-21": "p=7\n1,2,3,4,5,6,0\n0,2,4,6,1,3,5\n",
+        "no-p-cycle-generator-21": "p=7\n2,4,6,1,3,5,0\n0,2,4,6,1,3,5\n",
+        "s5": "p=5\n1,2,3,4,0\n1,0,2,3,4\n",
+        "intransitive": "p=5\n1,0,2,3,4\n",
+        "two-multipliers-19": _group_file(19, ((18, 3), (7, 5))),
+        "index-two-97": _group_file(97, ((1, 1), (25, 3)), seed=97),
+        "three-generators-97": THREE_GENERATORS_97,
+    }
+
+
+class TestThreeGeneratorCertificate:
+    # The classify bytes of THREE_GENERATORS_97, as CI pins them.
+    DIGEST = "7c75436a8133499f2626ab289acaecb775017fc8fdbeb2a22814e8b9981c2e10"
+
+    def test_report_bytes_and_recheck(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(THREE_GENERATORS_97))
+        code, out, _ = run_cli(capsys, "classify", "--group", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGEST
+        result = json.loads(out)["result"]
+        assert result["group_order"] == 97 * 12
+        assert sorted(c["a"] for c in result["embedding"]) == [1, 22, 35]
+        spec = parse_group_file(io.StringIO(THREE_GENERATORS_97))
+        assert verify_certificate(spec, Classification.from_payload(result))
+
+
 class TestGoldenReportBytes:
     # SHA-256 of stdout; any change to a report byte of these commands fails.
     @pytest.mark.parametrize("argv, stdin, digest", [

@@ -20,6 +20,7 @@ from burnside.fields import (
 from conftest import poly_from_roots, qr_set
 from oracles import (
     elementary_symmetric_via_newton,
+    indicator,
     packed_powers_by_pow,
     vandermonde_det,
 )
@@ -141,7 +142,7 @@ class TestDiffSet:
 
     def test_indicator(self):
         d = DiffSet(PrimeField(5), (1, 4))
-        assert d.indicator() == (False, True, False, False, True)
+        assert indicator(d) == (False, True, False, False, True)
 
 
 class TestPowerSums:

@@ -158,7 +158,7 @@ class TestEnumeration:
         for a in group.elements:
             assert a.inverse() in elements
             for b in group.elements:
-                assert a * b in elements
+                assert a.compose(b) in elements
 
     def test_generator_order_independent(self):
         f = PrimeField(7)

@@ -24,6 +24,12 @@ class TestConstruction:
         f = PrimeField(5)
         assert FpPoly(f, (-1, 7)).coeffs == (4, 2)
 
+    def test_coefficients_from_an_iterator(self):
+        # the check must not use up an iterator before the coefficients are stored
+        f = PrimeField(5)
+        assert FpPoly(f, iter((1, 2, 3))).coeffs == (1, 2, 3)
+        assert FpPoly(f, (c for c in (-1, 7))).coeffs == (4, 2)
+
     # int() would truncate or parse each of these into a coefficient.
     @pytest.mark.parametrize("coeffs", [
         (1.5, 2), (0, 1.0), ("3",), (True,),
@@ -257,7 +263,7 @@ class TestInterpolation:
             poly = interpolate(f, perm)
             assert poly.degree <= p - 1
             for i in range(p):
-                assert evaluate(poly, i) == perm(i)
+                assert evaluate(poly, i) == perm.images[i]
 
     @pytest.mark.parametrize("p", [2, 5, 97])
     def test_unreduced_values_interpolate_as_their_residues(self, p):
@@ -302,7 +308,7 @@ class TestInterpolation:
         for _ in range(60):
             perm = random_perm(f, rng)
             poly = interpolate(f, perm)
-            assert all(evaluate(poly, i) == perm(i) for i in range(p))
+            assert all(evaluate(poly, i) == perm.images[i] for i in range(p))
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.sampled_from([p for p in range(2, 98) if is_prime(p)])
@@ -311,7 +317,7 @@ class TestInterpolation:
         f = PrimeField(len(images))
         perm = Perm(f, tuple(images))
         poly = interpolate(f, perm)
-        assert all(evaluate(poly, i) == perm(i) for i in range(f.p))
+        assert all(evaluate(poly, i) == perm.images[i] for i in range(f.p))
 
     def test_affinity_criterion_exhaustive(self):
         # Degree <= 1 exactly when consecutive differences are constant,
@@ -319,7 +325,7 @@ class TestInterpolation:
         f = PrimeField(5)
         for perm in all_perms(f):
             deg_affine = interpolate(f, perm).degree <= 1
-            diffs = {(perm((i + 1) % 5) - perm(i)) % 5 for i in range(5)}
+            diffs = {(perm.images[(i + 1) % 5] - perm.images[i]) % 5 for i in range(5)}
             assert deg_affine == (len(diffs) == 1)
             assert deg_affine == (recognize_affine(perm) is not None)
 

@@ -102,7 +102,7 @@ class TestMultisetIdentity:
         for perm in all_perms(f):
             for dset in all_diff_sets(f):
                 rebuilt = all(
-                    {(perm((i + u) % p) - perm(i)) % p for u in dset} == set(dset.elements)
+                    {(perm.images[(i + u) % p] - perm.images[i]) % p for u in dset} == set(dset.elements)
                     for i in range(p)
                 )
                 assert check_preserves(perm, dset) == rebuilt
