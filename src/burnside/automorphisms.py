@@ -48,7 +48,7 @@ import sys
 
 from .errors import FieldMismatch, InputError, PropositionViolated
 from .fields import DiffSet, PrimeField, Value, _fill, cyclic_table, min_nonzero_power_sum
-from .permutations import Perm, recognize_affine
+from .permutations import Perm, affine_coeffs
 
 # A scan's walk holds a 2**(p-1)-slot orbit table and a per-set orbit
 # list: 4.2M slots each at p = 23 (a whole scan there took 11-14 s and a
@@ -115,28 +115,22 @@ def check_preserves(perm: Perm, dset: DiffSet) -> bool:
     return _preserves(perm.images, dset.elements, perm.field.p)
 
 
-def _fixed_by(word: int, shift: int, n: int) -> bool:
-    """Whether rotating the n-bit word by ``shift`` places leaves it as it is.
-
-    For U's word over ``cyclic_table`` (bit k for g**k in U) that is
-    whether g**shift * U = U. Bit k of the rotation is bit k + shift of
-    the word, read off the word written twice over.
-    """
-    return (word | word << n) >> shift & (1 << n) - 1 == word
-
-
 def mult_stabilizer(dset: DiffSet) -> tuple[int, ...]:
     """All a with a*U = U, ascending; a subgroup of the multiplicative group.
 
     With F_p* = <g> (``cyclic_table``), g**d * U = U exactly when the
     rotation by d fixes U's word, and the d that do are the multiples of
     the word's period t, a divisor of p-1. So M(U) = <g**t>, with t the
-    least divisor of p-1 whose rotation fixes the word.
+    least divisor of p-1 whose rotation fixes the word. Bit k of the
+    rotation by d is bit k + d of the word, read off the word written
+    twice over.
     """
     p = dset.field.p
     _, powers, bits, divisors = cyclic_table(p)
     word = sum(map(bits.__getitem__, dset.elements))
-    period = next(d for d in divisors if _fixed_by(word, d, p - 1))
+    double = word | word << p - 1
+    mask = (1 << p - 1) - 1
+    period = next(d for d in divisors if double >> d & mask == word)
     return tuple(sorted(powers[::period]))
 
 
@@ -248,6 +242,12 @@ def _walks_separate(elements, p: int) -> bool:
     only one. Nothing here assumes Burnside's theorem. Each count is at
     most |U|**K < 2**32, so a slot never carries, before or after the
     fold; K - 1 products build R**2, ..., R**K.
+
+    The lengths are taken in turn, and the test returns at the first
+    length k whose vectors (lengths 1..k) separate: longer vectors only
+    refine that partition, so the answer is the one for K. Length 1 is
+    not tried alone: its vectors lie in {0, 1}**2 and tell at most 4
+    points apart.
     """
     low = (1 << 32 * p) - 1
     r = power = sum(1 << 32 * u for u in elements)
@@ -258,7 +258,9 @@ def _walks_separate(elements, p: int) -> bool:
             power = (power & low) + (power >> 32 * p)
         out = memoryview(power.to_bytes(4 * p, sys.byteorder)).cast("I").tolist()
         outs += out, out[:1] + out[:0:-1]
-    return len(set(zip(*outs))) == p
+        if k and len(set(zip(*outs))) == p:
+            return True
+    return False
 
 
 def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
@@ -397,7 +399,7 @@ def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
     fixed, stabilizer = _checked_maps_fixing_zero(dset)
     shifted = [tuple(range(b, p)) + tuple(range(b)) for b in range(p)]
     tables = sorted(
-        tuple(map(shift.__getitem__, s.images)) for s in fixed for shift in shifted
+        tuple(map(shift.__getitem__, s)) for s in fixed for shift in shifted
     )
     perms = tuple(Perm._trusted(field, t) for t in tables)
     return AutResult(dset, perms, stabilizer, True)
@@ -411,23 +413,23 @@ def assert_all_affine(result: AutResult) -> None:
     """
     _assert_theorem(
         result.diff_set,
-        result.automorphisms,
+        [q.images for q in result.automorphisms],
         len(result.automorphisms),
         len(result.mult_stabilizer),
     )
 
 
-def _assert_theorem(dset: DiffSet, perms, count: int, stabilizer_size: int) -> None:
-    """Raise unless every perm is affine and count == p * stabilizer_size."""
+def _assert_theorem(dset: DiffSet, tables, count: int, stabilizer_size: int) -> None:
+    """Raise unless every image table is affine and count == p * stabilizer_size."""
     p = dset.field.p
-    for q in perms:
-        if recognize_affine(q) is None:
+    for images in tables:
+        if affine_coeffs(images, p) is None:
             raise PropositionViolated(
                 "difference-preserving permutation is not affine",
                 payload={
                     "p": p,
                     "diff_set": list(dset.elements),
-                    "permutation": list(q.images),
+                    "permutation": list(images),
                 },
             )
     expected = p * stabilizer_size
@@ -464,31 +466,26 @@ def all_diff_sets(field: PrimeField):
         yield DiffSet(field, combo)
 
 
-def _checked_maps_fixing_zero(dset: DiffSet) -> tuple[list[Perm], tuple[int, ...]]:
-    """The maps fixing 0 and M(U), once Burnside's count law holds on them.
+def _checked_maps_fixing_zero(dset: DiffSet) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """The image tables of the maps fixing 0 and M(U), once Burnside's
+    count law holds on them.
 
     Every solution is a translate of exactly one map fixing 0, and every
     translate of an affine map is affine, so "all p * |fixed| maps are
-    affine and number p * |M(U)|" is decided without the translates. Each
-    map the search returns is a bijection, so its ``Perm`` is built unchecked.
+    affine and number p * |M(U)|" is decided without the translates.
     """
-    fixed = [Perm._trusted(dset.field, s) for s in _maps_fixing_zero(dset)]
+    fixed = _maps_fixing_zero(dset)
     stabilizer = mult_stabilizer(dset)
     _assert_theorem(dset, fixed, dset.field.p * len(fixed), len(stabilizer))
     return fixed, stabilizer
 
 
 def _scan_one(dset: DiffSet) -> ScanRow:
-    """One scan row, checked on the maps fixing 0 alone."""
+    """One scan row, checked on the image tables of the maps fixing 0 alone."""
     fixed, stabilizer = _checked_maps_fixing_zero(dset)
-    return ScanRow(
-        elements=dset.elements,
-        size=len(dset),
-        stabilizer_size=len(stabilizer),
-        automorphism_count=dset.field.p * len(fixed),
-        all_affine=True,
-        min_power_index=min_nonzero_power_sum(dset),
-    )
+    elements = dset.elements
+    return ScanRow._trusted(elements, len(elements), len(stabilizer),
+                            dset.field.p * len(fixed), True, min_nonzero_power_sum(dset))
 
 
 def _check_scan(field: PrimeField) -> None:

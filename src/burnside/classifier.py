@@ -22,7 +22,14 @@ from .automorphisms import check_preserves
 from .errors import BurnsideError, InputError, InternalInvariantViolation
 from .fields import DiffSet, PrimeField, Value, _fill, cyclic_table, require_ints
 from .groups import GroupSpec, bfs_elements, is_doubly_transitive, is_transitive
-from .permutations import AffineCoeffs, Perm, make_affine, recognize_affine, relabel_to_translation
+from .permutations import (
+    AffineCoeffs,
+    Perm,
+    cycle_labels,
+    make_affine,
+    recognize_affine,
+    relabel_to_translation,
+)
 
 NOT_TRANSITIVE = "NOT_TRANSITIVE"
 DOUBLY_TRANSITIVE = "DOUBLY_TRANSITIVE"
@@ -118,7 +125,7 @@ def _certificate(spec: GroupSpec) -> Optional[Classification]:
     if any(2 <= sum(v == i for i, v in enumerate(g.images)) < p for g in spec.generators):
         return None
     elements = islice(bfs_elements(field, spec.generators), p * (p - 1) // 2)
-    tau = next((g for g in elements if g.cycle_type() == (p,)), None)
+    tau = next((g for g in elements if cycle_labels(g) is not None), None)
     if tau is None:
         return None
     lam = relabel_to_translation(tau)

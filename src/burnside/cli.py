@@ -22,9 +22,10 @@ identical bytes, with timing kept out of them. The plain-text rendering
 is a convenience and carries no stability guarantee.
 
 A report is written to stdout or --output as a sequence of text chunks.
-A scan report, in either format, formats its rows one at a time as they
-are written, so no copy of the whole report is held. Every check runs
-before the first byte is written, so a failed command writes nothing and
+A scan report is formatted as it is written, its JSON rows in blocks of
+at most ``SCAN_BLOCK`` rows of one size and its text rows one at a
+time, so no copy of the whole report is held. Every check runs before
+the first byte is written, so a failed command writes nothing and
 creates no --output file.
 """
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -52,6 +54,11 @@ from .groups import GroupSpec
 from .permutations import Perm, recognize_affine
 from .polynomials import interpolate
 from .trace import AFFINE, run_trace
+
+# Rows per JSON block of a scan report: each block is one string built by
+# one join, about 70 KB mod 13, so no chunk grows with the report. Blocks
+# of 64 and of 2048 rows wrote a p = 13 report within noise of this.
+SCAN_BLOCK = 256
 
 
 def parse_group_file(stream: IO[str], name: str = "<group>") -> GroupSpec:
@@ -271,11 +278,15 @@ def _json_chunks(report: dict) -> Iterator[str]:
 
     With ``indent`` set, ``json.dumps`` runs the pure-Python encoder, and a
     scan report is almost all rows of one shape (a non-empty int list, ints
-    and a bool). So the report is dumped without its rows, the tail of each
-    orbit's rows (``stabilizer_size`` to ``min_power_index``) is formatted
-    once, and each row is yielded as its set's member texts joined, its
-    size and its orbit's tail, in the same layout. No row dict, no member
-    ``str`` and no whole-report string is built per row.
+    and a bool). So the report is dumped without its rows, and each orbit's
+    tail is formatted once: its fields from ``stabilizer_size`` to
+    ``min_power_index``, the row's end and the next row's opening. A row is
+    then its set's member texts joined, its size and its orbit's tail, in
+    the same layout. Each run of sets of one size is written in blocks of
+    at most ``SCAN_BLOCK`` rows, one join each over the joined sets, that
+    size's text and the tails looked up by orbit; the last block drops the
+    opening its last tail carries. No row dict, no member ``str`` and no
+    whole-report string is built per row.
     """
     result = report["result"]
     rows = result.get("rows")
@@ -284,22 +295,28 @@ def _json_chunks(report: dict) -> Iterator[str]:
         return
     head = json.dumps({**report, "result": {**result, "rows": []}}, indent=2)
     before, after = head.rsplit('"rows": []', 1)
+    opening = ',\n      {\n        "diff_set": [\n          '
     tails = [
         f""",
         "stabilizer_size": {r.stabilizer_size},
         "automorphism_count": {r.automorphism_count},
         "all_affine": {"true" if r.all_affine else "false"},
         "min_power_index": {r.min_power_index}
-      }}"""
+      }}{opening}"""
         for r in rows.reps
     ]
-    sep = ",\n          "
-    yield f'{before}"rows": ['
-    lead = "\n"
-    for combo, orbit in zip(rows.sets, rows.orbits):
-        yield (f'{lead}      {{\n        "diff_set": [\n          {sep.join(combo)}'
-               f'\n        ],\n        "size": {len(combo)}{tails[orbit]}')
-        lead = ",\n"
+    join = ",\n          ".join
+    # zip pulls from its arguments left to right and stops at the first
+    # that ends, so a block that runs out of sets takes no orbit's tail.
+    tail_of = map(tails.__getitem__, rows.orbits)
+    block = f'{before}"rows": [{opening[1:]}'
+    for size, sets in itertools.groupby(rows.sets, len):
+        size_text = itertools.repeat(f'\n        ],\n        "size": {size}')
+        while text := "".join(itertools.chain.from_iterable(
+                zip(map(join, itertools.islice(sets, SCAN_BLOCK)), size_text, tail_of))):
+            yield block
+            block = text
+    yield block[:-len(opening)]
     yield f"\n    ]{after}\n"
 
 
@@ -309,9 +326,10 @@ def _text_chunks(report: dict, elapsed: float) -> Iterator[str]:
     Each scalar or flat list is a ``key: value`` line; a dict or a nested
     list is a ``key:`` line over its items, indented two more spaces. A
     ``_ScanRows`` value renders as the list of its row dicts would, but a
-    row at a time, as ``_json_chunks`` writes it: each orbit's lines
-    from ``stabilizer_size`` on are rendered once, and each row is its
-    index, its set's member texts joined, its size and its orbit's lines.
+    row at a time, from the same parts as ``_json_chunks`` uses: each
+    orbit's lines from ``stabilizer_size`` on are rendered once, and each
+    row is its index, its set's member texts joined, its size and its
+    orbit's lines.
     """
 
     def emit(key: str, value, indent: int) -> Iterator[str]:

@@ -267,11 +267,17 @@ def min_nonzero_power_sum(dset: DiffSet, sums: tuple[int, ...] | None = None) ->
     """Smallest k in 1..p-1 whose power sum is nonzero.
 
     ``sums`` is the set's ``power_sums`` vector when the caller already
-    holds it. A valid set always has a nonzero power sum (its Vandermonde
-    matrix is nonsingular), so an all-zero vector signals a bug.
+    holds it; otherwise the packed sum's slots are read from S(1) upwards,
+    each reduced mod p only when it is reached. A valid set always has a
+    nonzero power sum (its Vandermonde matrix is nonsingular), so an
+    all-zero vector signals a bug.
     """
     if sums is None:
-        sums = power_sums(dset)
+        p = dset.field.p
+        slot = _slot_width(p)
+        mask = (1 << slot) - 1
+        packed = sum(map(packed_powers(p).__getitem__, dset.elements))
+        sums = ((packed >> s & mask) % p for s in range(0, slot * (p - 1), slot))
     for k, s in enumerate(sums, start=1):
         if s:
             return k

@@ -87,10 +87,6 @@ class Perm(Value):
                 out.append(tuple(cycle))
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """Sorted multiset of cycle lengths, fixed points included."""
-        return tuple(sorted(len(c) for c in self.cycles()))
-
     def cycle_string(self) -> str:
         """Cycle notation, render-only; fixed points omitted."""
         moved = self.cycles(include_fixed=False)
@@ -108,19 +104,42 @@ def make_affine(coeffs: AffineCoeffs | tuple[int, int], field: PrimeField) -> Pe
     return Perm(field, tuple((a * i + b) % p for i in range(p)))
 
 
-def recognize_affine(perm: Perm) -> Optional[AffineCoeffs]:
-    """Return (a, b) with perm(i) = a*i + b for all i, or None.
+def affine_coeffs(images: tuple[int, ...], p: int) -> Optional[AffineCoeffs]:
+    """Return (a, b) with images[i] = a*i + b mod p for all i, or None.
 
-    Uses the O(p) first-difference test; agrees with the interpolating
-    polynomial having degree <= 1.
+    The O(p) first-difference test on an image table, a tuple of length
+    p: b is images[0], a is images[1] - b, and the table must be the
+    residues of b, b + a, ..., b + (p-1)a. A zero a is never affine.
     """
-    p = perm.field.p
-    b = perm.images[0]
-    a = (perm.images[1] - b) % p
-    for i in range(p):
-        if perm.images[i] != (a * i + b) % p:
+    b = images[0]
+    a = (images[1] - b) % p
+    if a and images == tuple(map(p.__rmod__, range(b, b + a * p, a))):
+        return AffineCoeffs(a, b)
+    return None
+
+
+def recognize_affine(perm: Perm) -> Optional[AffineCoeffs]:
+    """Return (a, b) with perm(i) = a*i + b for all i, or None; agrees with
+    the interpolating polynomial having degree <= 1."""
+    return affine_coeffs(perm.images, perm.field.p)
+
+
+def cycle_labels(perm: Perm) -> Optional[list[int]]:
+    """For a p-cycle sigma, the list L with L[sigma^k(0)] = k; None when
+    the orbit of 0 closes in fewer than p steps, so perm is no p-cycle.
+
+    One walk along the orbit of 0: a bijection whose orbit of 0 reaches
+    p points is a single p-cycle.
+    """
+    images = perm.images
+    labels = [0] * len(images)
+    x = images[0]
+    for k in range(1, len(images)):
+        if not x:
             return None
-    return AffineCoeffs(a, b)
+        labels[x] = k
+        x = images[x]
+    return labels
 
 
 def relabel_to_translation(perm: Perm) -> Perm:
@@ -129,12 +148,8 @@ def relabel_to_translation(perm: Perm) -> Perm:
     Conjugating by L turns sigma into translation by one:
     L * sigma * L^-1 maps k to k+1 for every k.
     """
-    p = perm.field.p
-    if perm.cycle_type() != (p,):
+    labels = cycle_labels(perm)
+    if labels is None:
+        p = perm.field.p
         raise InputError(f"relabeling requires a {p}-cycle, got {perm.cycle_string()}")
-    labels = [0] * p
-    x = 0
-    for k in range(p):
-        labels[x] = k
-        x = perm.images[x]
     return Perm._trusted(perm.field, tuple(labels))

@@ -7,9 +7,18 @@ call.
 
 import itertools
 import math
+import sys
 from itertools import zip_longest
 
-from burnside.automorphisms import AutResult, canonical_subsets
+import burnside.automorphisms
+from burnside.automorphisms import (
+    WALK_LENGTH,
+    AutResult,
+    ScanRow,
+    assert_all_affine,
+    canonical_subsets,
+    mult_stabilizer,
+)
 from burnside.errors import FieldMismatch, InputError
 from burnside.fields import (
     DiffSet,
@@ -32,6 +41,25 @@ from burnside.polynomials import (
 
 # 8! = 40320 permutations; 11! would be about 40 million.
 NAIVE_DEGREE_CAP = 8
+
+
+def cycle_type(perm: Perm) -> tuple[int, ...]:
+    """Sorted multiset of cycle lengths, fixed points included."""
+    return tuple(sorted(len(c) for c in perm.cycles()))
+
+
+def relabel_by_cycle_type(perm: Perm) -> Perm:
+    """``relabel_to_translation`` in two walks: the full cycle type first,
+    then the labels along the orbit of 0."""
+    p = perm.field.p
+    if cycle_type(perm) != (p,):
+        raise InputError(f"relabeling requires a {p}-cycle, got {perm.cycle_string()}")
+    labels = [0] * p
+    x = 0
+    for k in range(p):
+        labels[x] = k
+        x = perm.images[x]
+    return Perm(perm.field, labels)
 
 
 def perm_order(perm: Perm) -> int:
@@ -282,3 +310,52 @@ def _det_mod_p(rows: list[list[int]], p: int) -> int:
             if factor:
                 m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
     return det % p
+
+
+def walks_separate_full(elements, p: int, length: int = WALK_LENGTH) -> bool:
+    """``_walks_separate`` without its early exit: the vectors of every
+    walk length 1..``length`` are built before the points are compared."""
+    low = (1 << 32 * p) - 1
+    r = power = sum(1 << 32 * u for u in elements)
+    outs = []
+    for k in range(length):
+        if k:
+            power *= r
+            power = (power & low) + (power >> 32 * p)
+        out = memoryview(power.to_bytes(4 * p, sys.byteorder)).cast("I").tolist()
+        outs += out, out[:1] + out[:0:-1]
+    return len(set(zip(*outs))) == p
+
+
+def affine_by_loop(images, p: int):
+    """(a, b) with images[i] = a*i + b mod p for every i, or None; one
+    comparison per point."""
+    b = images[0]
+    a = (images[1] - b) % p
+    for i in range(p):
+        if images[i] != (a * i + b) % p:
+            return None
+    return (a, b)
+
+
+def first_nonzero_power_sum(dset: DiffSet) -> int:
+    """The least k with S(k) != 0, read off the whole unpacked vector."""
+    return next(k for k, s in enumerate(power_sums(dset), start=1) if s)
+
+
+def scan_row_by_perms(dset: DiffSet) -> ScanRow:
+    """A scan row the long way: every difference-preserving map as a
+    validated ``Perm`` (the p translates of each map fixing 0), checked
+    by ``assert_all_affine`` and by the per-point affinity loop, with
+    M(U) from ``mult_stabilizer`` and the power-sum index from the
+    unpacked vector. Reads the maps fixing 0 through the module, so a
+    patched search is seen."""
+    field = dset.field
+    p = field.p
+    fixed = burnside.automorphisms._maps_fixing_zero(dset)
+    perms = tuple(Perm(field, [(v + b) % p for v in s]) for s in fixed for b in range(p))
+    result = AutResult(dset, perms, mult_stabilizer(dset), True)
+    assert_all_affine(result)
+    assert all(affine_by_loop(q.images, p) is not None for q in perms)
+    return ScanRow(dset.elements, len(dset), len(result.mult_stabilizer), len(perms),
+                   True, first_nonzero_power_sum(dset))

@@ -39,6 +39,7 @@ from test_cli import golden_group_files
 from test_trace import _golden_traces
 from oracles import (
     all_multipliers_stabilizer,
+    cycle_type,
     indicator,
     label_walk,
     mult_stabilizer_by_quotients,
@@ -645,8 +646,8 @@ def _trace_shapes_97():
 
 class TestUncheckedConstruction:
     """Every value derived from validated ones is built without
-    re-validation (``Value._trusted``): the search's maps fixing 0, their
-    translates and the walk's representatives; products, inverses, the
+    re-validation (``Value._trusted``): the translates of the search's
+    maps fixing 0 and the walk's representatives; products, inverses, the
     identity and relabelings; complements and interpolants. Each equals
     what the validating constructor builds from its fields, which also
     pins every field's type, since a list never equals a tuple."""
@@ -657,7 +658,7 @@ class TestUncheckedConstruction:
             fixed, _ = _checked_maps_fixing_zero(dset)
             perms = enumerate_diff_preserving(dset.field, dset).automorphisms
             assert len(perms) == dset.field.p * len(fixed)
-            for q in [*fixed, *perms]:
+            for q in perms:
                 assert Perm(q.field, q.images) == q, (dset.elements, q.images)
 
     def test_golden_sets(self):
@@ -684,7 +685,7 @@ class TestUncheckedConstruction:
         for q in bfs_elements(field, spec.generators):
             for r in (q, q.inverse(), *(q.compose(g) for g in spec.generators)):
                 assert Perm(field, r.images) == r
-            if q.cycle_type() == (field.p,):
+            if cycle_type(q) == (field.p,):
                 cycles += 1
                 lam = relabel_to_translation(q)
                 assert Perm(field, lam.images) == lam

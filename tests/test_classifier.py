@@ -26,7 +26,7 @@ from burnside.groups import (
 )
 from burnside.permutations import AffineCoeffs, Perm, relabel_to_translation
 from conftest import random_perm
-from oracles import multiplier_orbit, perm_order
+from oracles import cycle_type, multiplier_orbit, perm_order
 from test_cli import golden_group_files
 from test_groups import affine_generating_sets
 
@@ -454,7 +454,7 @@ class TestEnumerationOracle:
             )
             sigma = random_perm(f, rng)
             spec = GroupSpec(f, tuple(g.conjugate(sigma) for g in gens))
-            assert all(g.cycle_type() != (p,) for g in spec.generators)
+            assert all(cycle_type(g) != (p,) for g in spec.generators)
             solvable += self.check(spec)
         assert solvable > 0
 
@@ -600,7 +600,7 @@ class TestCertificateDecides:
         """The group ``gens`` generate, relabelled by a seeded shuffle."""
         sigma = random_perm(field, random.Random(seed))
         spec = GroupSpec(field, tuple(g.conjugate(sigma) for g in gens))
-        assert all(g.cycle_type() != (field.p,) for g in spec.generators)
+        assert all(cycle_type(g) != (field.p,) for g in spec.generators)
         return spec
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])

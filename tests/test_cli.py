@@ -370,7 +370,9 @@ class TestScanCommand:
             streamed = {**head, "result": {"p": 43, "violations": 0,
                                            "rows": _ScanRows(iter(texts), orbits, reps)}}
             chunks = list(_json_chunks(streamed))
-            assert len(chunks) == len(sets) + 2  # the head, one per row, the end
+            # the head, one block per run of equal-size sets, the end; here
+            # every set is a size of its own
+            assert len(chunks) == len(sets) + 2
             assert "".join(chunks) == json.dumps(report, indent=2) + "\n"
             # Rows that are not a _ScanRows are dumped whole, in one chunk.
             assert list(_json_chunks(report)) == [json.dumps(report, indent=2) + "\n"]

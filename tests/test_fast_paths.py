@@ -1,0 +1,207 @@
+"""Each fast path of the scan against the slow route it replaced.
+
+The block writer against ``json.dumps(indent=2)``; the row checked on
+image tables against the row built from validated ``Perm``s; the walk
+test that returns at the first separating length against the one that
+builds every length; the lazy power-sum read against the unpacked
+vector; the one-walk p-cycle test against the full cycle type.
+"""
+
+import collections
+import itertools
+import json
+import random
+from contextlib import redirect_stdout
+from io import StringIO
+
+import pytest
+
+import burnside.cli
+import burnside.fields
+from burnside.cli import SCAN_BLOCK, _json_chunks, _ScanRows
+from burnside.automorphisms import (
+    WALK_LENGTH,
+    _scan_one,
+    _walks_separate,
+    all_diff_sets,
+    canonical_subsets,
+    walk_orbits,
+)
+from burnside.classifier import classify
+from burnside.errors import InputError, InternalInvariantViolation
+from burnside.fields import DiffSet, PrimeField, min_nonzero_power_sum
+from burnside.groups import GroupSpec, bfs_elements
+from burnside.permutations import (
+    affine_coeffs,
+    cycle_labels,
+    make_affine,
+    relabel_to_translation,
+)
+
+from conftest import all_perms, exhaustive_report_rows, random_p_cycle, random_perm
+from oracles import (
+    affine_by_loop,
+    cycle_type,
+    first_nonzero_power_sum,
+    relabel_by_cycle_type,
+    scan_row_by_perms,
+    walks_separate_full,
+)
+from test_automorphisms import _orbit_representatives, timing_table_shapes
+
+SMALL_PRIMES = [3, 5, 7, 11, 13]
+
+
+def _every_set(primes=SMALL_PRIMES):
+    return itertools.chain.from_iterable(all_diff_sets(PrimeField(p)) for p in primes)
+
+
+def _scan_json(p):
+    out = StringIO()
+    with redirect_stdout(out):
+        assert burnside.cli.main(["scan", "--p", str(p), "--jobs", "1"]) == 0
+    return out.getvalue()
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_matches_json_dumps(self, monkeypatch, p, block):
+        # The whole report, its rows from the exhaustive scan, dumped by
+        # the pure-Python encoder; blocks of 1 and 7 rows put a block edge
+        # inside every size class of more than one or seven sets.
+        monkeypatch.setattr(burnside.cli, "SCAN_BLOCK", block)
+        out = _scan_json(p)
+        report = json.loads(out)
+        report["result"]["rows"] = exhaustive_report_rows(p)
+        assert out == json.dumps(report, indent=2) + "\n"
+
+    def test_blocks_cross_size_classes_mod_13(self):
+        # Mod 13 the sizes 3, 4 and 5 hold 220, 495 and 792 sets: one
+        # block, two blocks (256 + 239) and four (3 * 256 + 24).
+        report = json.loads(_scan_json(13))
+        sizes = collections.Counter(row["size"] for row in report["result"]["rows"])
+        assert [sizes[k] for k in (3, 4, 5)] == [220, 495, 792]
+        reps, orbits = walk_orbits(PrimeField(13))
+        texts = canonical_subsets([str(u) for u in range(1, 13)])
+        streamed = {**report, "result": {**report["result"],
+                                         "rows": _ScanRows(texts, orbits, reps)}}
+        chunks = list(_json_chunks(streamed))
+        # the head, one chunk per block, the end
+        blocks = [-(-sizes[k] // SCAN_BLOCK) for k in range(1, 12)]
+        assert blocks[2:5] == [1, 2, 4]
+        assert len(chunks) == sum(blocks) + 2
+        assert "".join(chunks) == json.dumps(report, indent=2) + "\n"
+
+
+class TestTableRow:
+    def test_every_small_set(self):
+        for dset in _every_set():
+            assert _scan_one(dset) == scan_row_by_perms(dset), dset.elements
+
+    def test_representatives_mod_17(self, monkeypatch):
+        dsets = _orbit_representatives(17, monkeypatch)
+        assert len(dsets) == 2067
+        for dset in dsets:
+            assert _scan_one(dset) == scan_row_by_perms(dset), dset.elements
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_affine_test_on_every_perm(self, p):
+        for perm in all_perms(PrimeField(p)):
+            assert affine_coeffs(perm.images, p) == affine_by_loop(perm.images, p)
+
+    def test_affine_test_at_97(self):
+        field = PrimeField(97)
+        rng = random.Random(97)
+        perms = [random_perm(field, rng) for _ in range(200)]
+        perms += [make_affine((rng.randrange(1, 97), rng.randrange(97)), field)
+                  for _ in range(200)]
+        for perm in perms:
+            # an affine map with one transposition of images is not affine
+            near = list(perm.images)
+            near[3], near[70] = near[70], near[3]
+            for images in (perm.images, tuple(near)):
+                assert affine_coeffs(images, 97) == affine_by_loop(images, 97)
+
+
+class TestEarlyWalkExit:
+    def test_every_small_set(self):
+        for dset in _every_set():
+            assert (_walks_separate(dset.elements, dset.field.p)
+                    == walks_separate_full(dset.elements, dset.field.p)), dset.elements
+
+    def test_timing_table_shapes(self):
+        for dset in timing_table_shapes():
+            assert _walks_separate(dset.elements, 97) == walks_separate_full(dset.elements, 97)
+
+    def test_first_separating_length_mod_13(self, monkeypatch):
+        # Of the 169 representatives mod 13 that walk counts decide, the
+        # first separating length is 2 for 67, 3 for 83 and 4 for 19.
+        lengths = collections.Counter()
+        for dset in _orbit_representatives(13, monkeypatch):
+            if _walks_separate(dset.elements, 13):
+                lengths[next(k for k in range(1, WALK_LENGTH + 1)
+                             if walks_separate_full(dset.elements, 13, k))] += 1
+        assert lengths == {2: 67, 3: 83, 4: 19}
+
+
+class TestLazyPowerSum:
+    def test_every_small_set(self):
+        for dset in _every_set():
+            assert min_nonzero_power_sum(dset) == first_nonzero_power_sum(dset), dset.elements
+
+    def test_random_sets_at_97(self):
+        field = PrimeField(97)
+        rng = random.Random(1997)
+        for size in (1, 2, 12, 48, 95):
+            for _ in range(40):
+                dset = DiffSet(field, rng.sample(range(1, 97), size))
+                assert min_nonzero_power_sum(dset) == first_nonzero_power_sum(dset)
+
+    def test_all_zero_slots_raise(self, monkeypatch):
+        # Every slot vanishing is a bug signal, as for an all-zero vector.
+        monkeypatch.setattr(burnside.fields, "packed_powers", lambda p: (0,) * (2 * p))
+        with pytest.raises(InternalInvariantViolation, match="every power sum vanished") as exc:
+            min_nonzero_power_sum(DiffSet(PrimeField(7), (1, 2, 4)))
+        assert exc.value.payload == {"p": 7, "elements": [1, 2, 4]}
+
+
+def _relabel_outcome(relabel, perm):
+    try:
+        return relabel(perm)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestOneWalkCycleTest:
+    @staticmethod
+    def _check(perm):
+        p = perm.field.p
+        assert (cycle_labels(perm) is not None) == (cycle_type(perm) == (p,))
+        assert (_relabel_outcome(relabel_to_translation, perm)
+                == _relabel_outcome(relabel_by_cycle_type, perm))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_perm(self, p):
+        for perm in all_perms(PrimeField(p)):
+            self._check(perm)
+
+    def test_random_perms_at_97(self):
+        field = PrimeField(97)
+        rng = random.Random(97)
+        perms = [random_perm(field, rng) for _ in range(300)]
+        perms += [random_p_cycle(field, rng) for _ in range(100)]
+        assert sum(cycle_labels(q) is not None for q in perms) >= 100
+        for perm in perms:
+            self._check(perm)
+
+    @pytest.mark.parametrize("p", [5, 13, 97])
+    def test_classify_relabels_by_the_first_p_cycle(self, p):
+        # A relabelled dihedral group, from x -> x + 1 and x -> -x: the
+        # certificate's relabeling is the one of the first p-cycle in
+        # breadth-first order, as the full cycle type picks it.
+        field = PrimeField(p)
+        sigma = random_perm(field, random.Random(p))
+        gens = tuple(make_affine(c, field).conjugate(sigma) for c in ((1, 1), (p - 1, 0)))
+        tau = next(g for g in bfs_elements(field, gens) if cycle_type(g) == (p,))
+        assert classify(GroupSpec(field, gens)).relabeling == relabel_by_cycle_type(tau)
