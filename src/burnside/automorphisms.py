@@ -245,12 +245,16 @@ def _walks_separate(elements, p: int) -> bool:
 
     The lengths are taken in turn, and the test returns at the first
     length k whose vectors (lengths 1..k) separate: longer vectors only
-    refine that partition, so the answer is the one for K. Length 1 is
-    not tried alone: its vectors lie in {0, 1}**2 and tell at most 4
-    points apart.
+    refine that partition, so the answer is the one for K. A length is
+    compared only where a tie is not already certain: length 1 alone
+    gives vectors in {0, 1}**2, which tell at most 4 points apart, and
+    lengths 1..k tie whenever p >= 2 * C(|U|+k, k) (the count of
+    ``_maps_fixing_zero``).
     """
     low = (1 << 32 * p) - 1
     r = power = sum(1 << 32 * u for u in elements)
+    first = next((k for k in range(1, WALK_LENGTH)
+                  if p < 2 * math.comb(len(elements) + k + 1, k + 1)), WALK_LENGTH)
     outs = []
     for k in range(WALK_LENGTH):
         if k:
@@ -258,7 +262,7 @@ def _walks_separate(elements, p: int) -> bool:
             power = (power & low) + (power >> 32 * p)
         out = memoryview(power.to_bytes(4 * p, sys.byteorder)).cast("I").tolist()
         outs += out, out[:1] + out[:0:-1]
-        if k and len(set(zip(*outs))) == p:
+        if k >= first and len(set(zip(*outs))) == p:
             return True
     return False
 

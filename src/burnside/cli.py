@@ -326,10 +326,9 @@ def _text_chunks(report: dict, elapsed: float) -> Iterator[str]:
     Each scalar or flat list is a ``key: value`` line; a dict or a nested
     list is a ``key:`` line over its items, indented two more spaces. A
     ``_ScanRows`` value renders as the list of its row dicts would, but a
-    row at a time, from the same parts as ``_json_chunks`` uses: each
-    orbit's lines from ``stabilizer_size`` on are rendered once, and each
-    row is its index, its set's member texts joined, its size and its
-    orbit's lines.
+    row at a time: each orbit's lines from ``stabilizer_size`` on are
+    rendered once, and each row is its index, its set's member texts
+    joined, its size and its orbit's lines.
     """
 
     def emit(key: str, value, indent: int) -> Iterator[str]:

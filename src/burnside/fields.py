@@ -13,7 +13,7 @@ import math
 import re
 from functools import lru_cache
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InputError, InternalInvariantViolation
 
@@ -240,12 +240,17 @@ def packed_powers(p: int) -> tuple[int, ...]:
     return tuple(rows + rows)
 
 
-def unpack_powers(packed: int, p: int) -> tuple[int, ...]:
+def _slots(packed: int, p: int) -> Iterator[int]:
     """Slot w-1 of a weighted sum of packed rows, of total weight at most
-    (p-1)**2, reduced mod p, for w = 1..p-1."""
+    (p-1)**2, reduced mod p, for w = 1..p-1 in turn."""
     slot = _slot_width(p)
     mask = (1 << slot) - 1
-    return tuple([(packed >> s & mask) % p for s in range(0, slot * (p - 1), slot)])
+    return ((packed >> s & mask) % p for s in range(0, slot * (p - 1), slot))
+
+
+def unpack_powers(packed: int, p: int) -> tuple[int, ...]:
+    """Every slot of ``_slots``, as a tuple."""
+    return tuple(_slots(packed, p))
 
 
 def power_sums(dset: DiffSet) -> tuple[int, ...]:
@@ -274,10 +279,7 @@ def min_nonzero_power_sum(dset: DiffSet, sums: tuple[int, ...] | None = None) ->
     """
     if sums is None:
         p = dset.field.p
-        slot = _slot_width(p)
-        mask = (1 << slot) - 1
-        packed = sum(map(packed_powers(p).__getitem__, dset.elements))
-        sums = ((packed >> s & mask) % p for s in range(0, slot * (p - 1), slot))
+        sums = _slots(sum(map(packed_powers(p).__getitem__, dset.elements)), p)
     for k, s in enumerate(sums, start=1):
         if s:
             return k
