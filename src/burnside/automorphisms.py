@@ -1,42 +1,28 @@
 """Exhaustive search for difference-preserving permutations.
 
-These are the automorphisms of the circulant digraph whose arcs join pairs
-with difference in a fixed set U. The maps fixing 0 are found in two
-steps. First the walk counts: a map fixing 0 keeps the number of walks of
-each length from 0 to x and from x to 0, the coefficients of the powers
-of R = sum of X**u over U taken mod X**p - 1 (``_walks_separate``; walk
-counts as in Godsil and Royle, "Algebraic Graph Theory", 2001, the first
-round of colour refinement of Weisfeiler and Leman, 1968). When those
-counts tell every point apart, the identity is the only such map and no
-search runs; this decides nearly every set of a scan. Otherwise an
-individualise-refine search (``_search_fixing_zero``; partition
-refinement as in nauty and Traces, McKay and Piperno, "Practical graph
-isomorphism, II", J. Symb. Comput. 60, 2014) finds them all; the tests
-check it against a plain filter over all p! permutations at tiny degree.
-The refinement reads every point's neighbour counts in a splitter cell
-from one packed big-integer sum, the product of the cell with U's packed
-neighbour row taken mod X**p - 1 (``_neighbour_rows``). When one level
-of it makes the partition discrete, each branch x0 -> y is tried with
-the multiplier y / x0, checked, before it is searched.
-Every permutation found must be affine with a multiplier stabilizing U;
-anything else is reported as a violation, since it would contradict a
-theorem. The multiplier stabilizer M(U) is computed once per set, apart
-from the search, from U alone.
+These are the automorphisms of the circulant digraph Cay(Z_p, U), whose
+arcs join pairs with difference in U. Translations preserve every
+difference, so only the maps fixing 0 are sought (``_maps_fixing_zero``).
+Walk counts show when the identity is the only one (``_walks_separate``;
+Godsil and Royle, "Algebraic Graph Theory", 2001, the first round of
+colour refinement of Weisfeiler and Leman, 1968); otherwise an
+individualise-refine search finds them all (``_search_fixing_zero``; as
+in nauty and Traces, McKay and Piperno, "Practical graph isomorphism,
+II", J. Symb. Comput. 60, 2014), which the tests check against a plain
+filter over all p! permutations at tiny degree. Both read the digraph as
+packed rows, R = sum of X**u over U taken mod X**p - 1, in layouts of
+``fields.row_layout``. Every permutation found must be affine with a
+multiplier stabilizing U, and they must number p * |M(U)|; anything else
+is reported as a violation, since it would contradict a theorem.
 
 F_p* is cyclic: with g a primitive root (``fields.cyclic_table``), U is
 the word of p-1 bits with bit k set when g**k is in U, and multiplying U
 by g rotates the word by one place (as in the necklace generation of
 Ruskey, Savage and Wang, J. Algorithms 13, 1992). M(U) is read off the
-word's period, and the orbit walk marks each orbit by rotating one word.
-
-A scan of every valid set mod p searches one set per orbit of
-F_p* x {U -> U, U -> U^c} (``walk_orbits``, the only code that starts
-worker processes); ``scan_all_subsets`` searches them all, in this
-process, and is kept as its oracle. Every row field but the set and its
-size is an orbit invariant: Aut(aU) = a Aut(U) a^-1 and
-Aut(U^c) = Aut(U); M(aU) = M(U^c) = M(U); S_k(aU) = a^k S_k(U) and
-S_k(U^c) = -S_k(U) for k <= p-2, so the least k with a nonzero power sum
-S_k agrees.
+word's period (``mult_stabilizer``). A scan of every valid set searches
+one set per orbit (``walk_orbits``, the only code that starts worker
+processes); ``scan_all_subsets`` searches them all, in this process, and
+is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -44,10 +30,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import sys
 
 from .errors import FieldMismatch, InputError, PropositionViolated
-from .fields import DiffSet, PrimeField, Value, _fill, cyclic_table, min_nonzero_power_sum
+from .fields import (DiffSet, PrimeField, Value, _fill, cyclic_table, min_nonzero_power_sum,
+                     row_layout, subgroup_of_index)
 from .permutations import Perm, affine_coeffs
 
 # A scan's walk holds a 2**(p-1)-slot orbit table and a per-set orbit
@@ -56,7 +42,6 @@ from .permutations import Perm, affine_coeffs
 SCAN_PRIME_CAP = 23
 
 # Walks of length 1..WALK_LENGTH tell points apart in ``_walks_separate``.
-# A count is at most |U|**WALK_LENGTH <= 95**4 < 2**32, one 32-bit slot.
 WALK_LENGTH = 4
 
 class AutResult(Value):
@@ -84,22 +69,20 @@ class ScanRow(Value):
 def _preserves(images, elements, p: int) -> bool:
     """Whether images[i] - images[j] is in U whenever i - j is in U.
 
-    Each table is read as one big-endian integer with a byte per point:
-    ``images`` as x, its rotation by u (byte j holds images[j + u]) as the
-    shift of x by u bytes, wrapped round mod 256**p - 1. Byte j of
-    rot_u + p*(1...1) - x is then images[j + u] - images[j] + p, which lies
-    in 1..2p-1 <= 193 (``PrimeField`` caps p at 97), so no byte borrows
-    from its neighbour. The difference mod p is in U exactly when that
-    byte is u or u + p for some u in U: deleting those byte values must
-    leave nothing. The setup is O(|U|) beside a few integer operations.
+    With x the row of ``images``, slot j of x + p*ones - X**u * x is
+    images[j] - images[j-u] + p, in 1..2p-1, read as one byte. The
+    difference mod p is in U exactly when that byte is v or v + p for some
+    v in U: deleting those byte values must leave nothing.
     """
-    x = int.from_bytes(bytes(images), "big")
-    low = (1 << 8 * p) - 1
-    base = x - p * (low // 255)
+    layout = row_layout(p, 2 * p - 1)
+    if layout.code != "B":
+        raise InputError(f"the difference check needs 2p - 1 to fit one byte, got p = {p}")
+    x = layout.pack(images)
+    top = x + p * layout.ones
     allowed = bytes(elements) + bytes(map(p.__add__, elements))
-    for u in elements:
-        diff = (((x << 8 * u) & low) | (x >> 8 * (p - u))) - base
-        if diff.to_bytes(p, "big").translate(None, allowed):
+    to_bytes = layout.to_bytes
+    for rotated in layout.rotations(x, elements):
+        if to_bytes(top - rotated).translate(None, allowed):
             return False
     return True
 
@@ -126,12 +109,12 @@ def mult_stabilizer(dset: DiffSet) -> tuple[int, ...]:
     twice over.
     """
     p = dset.field.p
-    _, powers, bits, divisors = cyclic_table(p)
+    _, _, bits, divisors = cyclic_table(p)
     word = sum(map(bits.__getitem__, dset.elements))
     double = word | word << p - 1
     mask = (1 << p - 1) - 1
     period = next(d for d in divisors if double >> d & mask == word)
-    return tuple(sorted(powers[::period]))
+    return subgroup_of_index(p, period)
 
 
 def _refine(cells, where, queue, rows, p, expected=None):
@@ -139,16 +122,11 @@ def _refine(cells, where, queue, rows, p, expected=None):
 
     ``cells`` is the list of cells and ``where[x]`` the index of the cell
     holding x; ``queue`` holds the indices of the splitter cells. Each
-    splitter S splits every cell it reaches by the key 128*out + in, where
-    out and in count x's out- and in-neighbours (x + U and x - U) in S.
-    All p keys are the 16-bit slots of one packed sum, the sum of
-    ``rows[w]`` over w in S (see ``_neighbour_rows``): slot x collects 128
-    for each u with x + u in S and 1 for each u with x - u in S. out and
-    in are at most |U| <= p - 2 <= 95 < 128 (``PrimeField`` caps p at 97),
-    so a slot holds at most 128*95 + 95 < 2**16 and never carries, and
-    the key orders fragments as (out, in) does. The sum is read as p
-    unsigned 16-bit words in the native byte order, the order
-    ``memoryview.cast`` reads.
+    splitter S splits every cell it reaches by the key (p-1)*out + in,
+    where out and in count x's out- and in-neighbours (x + U and x - U)
+    in S. All p keys are the slots of one packed sum, the sum of
+    ``rows[w]`` over w in S (see ``_neighbour_rows``). in is at most
+    |U| <= p - 2, so the key orders fragments as (out, in) does.
 
     A touched cell splits into fragments ordered by key, each keeping the
     cell's order; the first keeps the cell's index and the others are
@@ -164,14 +142,13 @@ def _refine(cells, where, queue, rows, p, expected=None):
     the matching refinement on the other side, returns None at the first
     signature that differs instead.
     """
+    unpack = row_layout(p, p * (p - 2)).unpack
     waiting = set(queue)
     trace = []
     while queue and len(cells) < p:
         s = queue.pop()
         waiting.discard(s)
-        keys = memoryview(
-            sum(map(rows.__getitem__, cells[s])).to_bytes(2 * p, sys.byteorder)
-        ).cast("H").tolist()
+        keys = unpack(sum(map(rows.__getitem__, cells[s])))
         key = keys.__getitem__
         touched = set(map(where.__getitem__, itertools.compress(range(p), keys)))
         signature = []
@@ -206,18 +183,14 @@ def _refine(cells, where, queue, rows, p, expected=None):
 
 
 def _neighbour_rows(elements, p: int) -> list[int]:
-    """Row w packs, in 16-bit slot x, 128 if x + u = w and 1 if x - u = w,
-    summed over u in U (indices mod p).
-
-    With X = 2**16 this is the product X**w * R folded mod X**p - 1, where
-    R is the sum over u in U of 128 * X**(p-u) + X**u; so the sum of the
-    rows over a set S is S * R mod X**p - 1, one packed product giving
-    every point's (out, in) counts in S. The fold is done here, once per
-    row: X**w * R shifted past slot p-1 wraps round to slot 0.
-    """
-    low = (1 << 16 * p) - 1
-    r = sum((128 << 16 * (p - u)) + (1 << 16 * u) for u in elements)
-    return [((r << 16 * w) & low) | (r >> 16 * (p - w)) for w in range(p)]
+    """Row w is X**w * R mod X**p - 1, for R the sum over u in U of
+    (p-1) * X**(p-u) + X**u: slot x holds p-1 for each u with x + u = w
+    and 1 for each u with x - u = w. So the sum of the rows over a set S
+    holds every point's key (p-1)*out + in in S (``_refine``), each at
+    most p(p-2)."""
+    layout = row_layout(p, p * (p - 2))
+    r = (p - 1) * layout.monomials(p - u for u in elements) + layout.monomials(elements)
+    return list(layout.rotations(r, range(p)))
 
 
 def _individualise(cells, where, c, x):
@@ -231,17 +204,16 @@ def _individualise(cells, where, c, x):
 def _walks_separate(elements, p: int) -> bool:
     """Whether walk counts from and to 0 tell all p points apart.
 
-    With X = 2**32, R = sum of X**u over U, and slot x of R**k folded mod
-    X**p - 1 counts out_k(x), the walks of length k from 0 to x. The
-    walks from x to 0 are those from 0 to -x translated, so
-    in_k(x) = out_k(-x). A map fixing 0 that preserves U-differences is
-    an automorphism of the digraph, so it carries the walks from 0 to x
-    onto those from 0 to its image, and keeps every out_k and in_k. If
-    the p vectors (out_1..K(x), in_1..K(x)) with K = ``WALK_LENGTH`` are
-    pairwise distinct, such a map fixes every point: the identity is the
-    only one. Nothing here assumes Burnside's theorem. Each count is at
-    most |U|**K < 2**32, so a slot never carries, before or after the
-    fold; K - 1 products build R**2, ..., R**K.
+    With R = sum of X**u over U, slot x of R**k mod X**p - 1 counts
+    out_k(x), the walks of length k from 0 to x. The walks from x to 0
+    are those from 0 to -x translated, so in_k(x) = out_k(-x). A map
+    fixing 0 that preserves U-differences is an automorphism of the
+    digraph, so it carries the walks from 0 to x onto those from 0 to its
+    image, and keeps every out_k and in_k. If the p vectors
+    (out_1..K(x), in_1..K(x)) with K = ``WALK_LENGTH`` are pairwise
+    distinct, such a map fixes every point: the identity is the only one.
+    Nothing here assumes Burnside's theorem. K - 1 products build
+    R**2, ..., R**K, each count at most |U|**K <= (p-2)**K.
 
     The lengths are taken in turn, and the test returns at the first
     length k whose vectors (lengths 1..k) separate: longer vectors only
@@ -251,16 +223,16 @@ def _walks_separate(elements, p: int) -> bool:
     lengths 1..k tie whenever p >= 2 * C(|U|+k, k) (the count of
     ``_maps_fixing_zero``).
     """
-    low = (1 << 32 * p) - 1
-    r = power = sum(1 << 32 * u for u in elements)
+    layout = row_layout(p, (p - 2) ** WALK_LENGTH)
+    r = power = layout.monomials(elements)
     first = next((k for k in range(1, WALK_LENGTH)
                   if p < 2 * math.comb(len(elements) + k + 1, k + 1)), WALK_LENGTH)
+    fold, unpack = layout.fold, layout.unpack
     outs = []
     for k in range(WALK_LENGTH):
         if k:
-            power *= r
-            power = (power & low) + (power >> 32 * p)
-        out = memoryview(power.to_bytes(4 * p, sys.byteorder)).cast("I").tolist()
+            power = fold(power * r)
+        out = unpack(power)
         outs += out, out[:1] + out[:0:-1]
         if k >= first and len(set(zip(*outs))) == p:
             return True

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .automorphisms import check_preserves
 from .errors import BurnsideError, InputError, InternalInvariantViolation
-from .fields import DiffSet, PrimeField, Value, _fill, cyclic_table, require_ints
+from .fields import DiffSet, PrimeField, Value, _fill, cyclic_table, require_ints, subgroup_of_index
 from .groups import GroupSpec, bfs_elements, is_doubly_transitive, is_transitive
 from .permutations import (
     AffineCoeffs,
@@ -133,11 +133,11 @@ def _certificate(spec: GroupSpec) -> Optional[Classification]:
     if None in embedding:
         return None
     # A is <g**t> for F_p* = <g> and t the gcd of p-1 and each log_g(a).
-    _, powers, bits, _ = cyclic_table(p)
+    bits = cyclic_table(p).bits
     t = math.gcd(p - 1, *(bits[c.a].bit_length() - 1 for c in embedding))
     if t == 1:
         return None
-    units = tuple(sorted(powers[::t]))
+    units = subgroup_of_index(p, t)
     return Classification(
         field,
         SOLVABLE_AFFINE,

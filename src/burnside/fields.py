@@ -2,6 +2,8 @@
 
 Residues are canonical representatives in [0, p-1]. Every power sum is read
 from one packed table of x**w mod p, whose layout only this module knows.
+Every other packed row of p slots, taken mod X**p - 1, has the layout of
+``row_layout``, its slot width set by the largest value its caller states.
 The multiplicative group F_p* is cyclic; ``cyclic_table`` fixes a primitive
 root g and labels each nonzero x by its logarithm, so that a set of nonzero
 residues is a word of p-1 bits and multiplying by g rotates it.
@@ -11,14 +13,17 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import InputError, InternalInvariantViolation
 
-# Trial division is deterministic and instant at desk scale; the cap keeps
-# accidental huge moduli out rather than limiting the mathematics.
+# Trial division is instant at desk scale; the cap keeps accidental huge
+# moduli out. Packed slot widths derive from p (``row_layout``), and only
+# the byte-wide difference check stops, with an InputError, past p = 127.
 DEFAULT_PRIME_CAP = 97
 
 
@@ -214,6 +219,70 @@ def cyclic_table(p: int) -> CyclicTable:
     for k, x in enumerate(powers):
         bits[x] = 1 << k
     return CyclicTable(root, tuple(powers), tuple(bits), divisors)
+
+
+@lru_cache(maxsize=None)
+def subgroup_of_index(p: int, t: int) -> tuple[int, ...]:
+    """<g**t>, the subgroup of index t in F_p* = <g>, ascending; t divides p-1."""
+    return tuple(sorted(cyclic_table(p).powers[::t]))
+
+
+class RowLayout(NamedTuple):
+    """p slots of ``width`` bits packed in one integer: slot j holds the
+    coefficient of X**j, X = 2**width, of a polynomial taken mod X**p - 1.
+    Rows, sums and folded products read back exactly while no slot passes
+    the largest value the layout was made for (``row_layout``)."""
+
+    p: int
+    width: int  # bits per slot
+    code: str  # the slot's array format
+    span: int  # bits per row, width * p
+    mask: int  # (1 << span) - 1
+    ones: int  # 1 in every slot
+
+    def pack(self, values) -> int:
+        """The row whose slot j holds values[j]."""
+        slots = array(self.code, values)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return int.from_bytes(slots, "little")
+
+    def monomials(self, ks) -> int:
+        """The sum of X**k over ks, each k in 0..p-1."""
+        return sum(map((1).__lshift__, map(self.width.__mul__, ks)))
+
+    def rotations(self, row: int, ks) -> Iterator[int]:
+        """X**k * row mod X**p - 1 for each k of ks in 0..p-1, lazily: slot j
+        moves to j + k, read off the row written twice over."""
+        width, mask, span = self.width, self.mask, self.span
+        double = row | row << span
+        return (double >> span - width * k & mask for k in ks)
+
+    def fold(self, product: int) -> int:
+        """A product of two rows, taken mod X**p - 1."""
+        return (product & self.mask) + (product >> self.span)
+
+    def to_bytes(self, row: int) -> bytes:
+        """The row's slots in order, each little-endian."""
+        return row.to_bytes(self.span // 8, "little")
+
+    def unpack(self, row: int) -> list[int]:
+        """Every slot of the row, as a list. ``to_bytes`` is written out: this
+        runs once per splitter and per walk length, and a call costs."""
+        slots = array(self.code, row.to_bytes(self.span // 8, "little"))
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return slots.tolist()
+
+
+@lru_cache(maxsize=None)
+def row_layout(p: int, largest: int) -> RowLayout:
+    """The narrowest layout of 8, 16, 32 or 64-bit slots holding ``largest``."""
+    for b, code in (8, "B"), (16, "H"), (32, "I"), (64, "Q"):
+        if largest < 1 << b:
+            mask = (1 << b * p) - 1
+            return RowLayout(p, b, code, b * p, mask, mask // ((1 << b) - 1))
+    raise InputError(f"a packed slot cannot hold {largest} (p = {p})")
 
 
 def _slot_width(p: int) -> int:

@@ -96,10 +96,35 @@ MUTANTS = (
     Mutant(
         "preserves-without-offset",
         "src/burnside/automorphisms.py",
-        "base = x - p * (low // 255)",
-        "base = x",
+        "top = x + p * layout.ones",
+        "top = x",
         ("tests/test_automorphisms.py::TestBytePackedCheck::test_random_maps",
          "tests/test_automorphisms.py::TestCheckPreserves"),
+    ),
+    Mutant(
+        "slot-one-bit-too-narrow",
+        "src/burnside/fields.py",
+        "if largest < 1 << b:",
+        "if largest < 2 << b:",
+        ("tests/test_fields.py::TestRowLayout::test_narrowest_width",
+         "tests/test_automorphisms.py::TestSlotWidths::test_refinement_keys",
+         "tests/test_automorphisms.py::TestSlotWidths::test_difference_check_raises_past_one_byte"),
+    ),
+    Mutant(
+        "certificate-log-off-by-one",
+        "src/burnside/classifier.py",
+        "bits[c.a].bit_length() - 1",
+        "bits[c.a].bit_length()",
+        ("tests/test_classifier.py::TestCyclicTableUnits::test_every_pair_of_units",
+         "tests/test_classifier.py::TestCertificateProperty::test_classify_then_verify"),
+    ),
+    Mutant(
+        "subgroup-unsorted",
+        "src/burnside/fields.py",
+        "tuple(sorted(cyclic_table(p).powers[::t]))",
+        "tuple(cyclic_table(p).powers[::t])",
+        ("tests/test_automorphisms.py::TestMultStabilizer::test_matches_all_multipliers_oracle",
+         "tests/test_classifier.py::TestCyclicTableUnits::test_every_pair_of_units"),
     ),
 )
 

@@ -7,7 +7,7 @@ call.
 
 import itertools
 import math
-import sys
+from collections import Counter
 from itertools import zip_longest
 
 import burnside.automorphisms
@@ -312,19 +312,47 @@ def _det_mod_p(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
+def neighbour_keys(elements, cell, p: int) -> list[int]:
+    """The refinement key (p-1)*out + in of every point x, with out and in
+    counted by ``Counter``: the u in U with x + u in the cell, and those
+    with x - u in it; the oracle for the packed keys of ``_refine``."""
+    outs = Counter((w - u) % p for w in cell for u in elements)
+    ins = Counter((w + u) % p for w in cell for u in elements)
+    return [(p - 1) * outs[x] + ins[x] for x in range(p)]
+
+
+def equitable_refinement(elements, p: int) -> list[list[int]]:
+    """The coarsest equitable partition of Z_p finer than {0} | rest, each
+    cell ascending, in ascending order: plain colour refinement, each
+    point recoloured by its colour and the sorted colours of x + U and of
+    x - U until the number of colours stops growing."""
+    colour = [0] + [1] * (p - 1)
+    while True:
+        signature = [(colour[x], tuple(sorted(colour[(x + u) % p] for u in elements)),
+                      tuple(sorted(colour[(x - u) % p] for u in elements))) for x in range(p)]
+        names = {s: i for i, s in enumerate(sorted(set(signature)))}
+        refined = list(map(names.__getitem__, signature))
+        if len(set(refined)) == len(set(colour)):
+            break
+        colour = refined
+    cells = {}
+    for x in range(p):
+        cells.setdefault(colour[x], []).append(x)
+    return sorted(cells.values())
+
+
 def walks_separate_full(elements, p: int, length: int = WALK_LENGTH) -> bool:
-    """``_walks_separate`` without its early exit: the vectors of every
-    walk length 1..``length`` are built before the points are compared."""
-    low = (1 << 32 * p) - 1
-    r = power = sum(1 << 32 * u for u in elements)
-    outs = []
-    for k in range(length):
-        if k:
-            power *= r
-            power = (power & low) + (power >> 32 * p)
-        out = memoryview(power.to_bytes(4 * p, sys.byteorder)).cast("I").tolist()
-        outs += out, out[:1] + out[:0:-1]
-    return len(set(zip(*outs))) == p
+    """``_walks_separate`` without its early exit or packed rows: out_k(x),
+    the walks of length k from 0 to x, is the sum of out_(k-1)(x - u) over
+    u in U, counted point by point for k = 1..``length``, and
+    in_k(x) = out_k(-x). True when the p vectors of both are distinct."""
+    out = [1] + [0] * (p - 1)
+    vectors = [[] for _ in range(p)]
+    for _ in range(length):
+        out = [sum(out[(x - u) % p] for u in elements) for x in range(p)]
+        for x in range(p):
+            vectors[x] += out[x], out[-x % p]
+    return len(set(map(tuple, vectors))) == p
 
 
 def affine_by_loop(images, p: int):

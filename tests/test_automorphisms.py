@@ -16,6 +16,8 @@ from burnside.automorphisms import (
     AutResult,
     _checked_maps_fixing_zero,
     _maps_fixing_zero,
+    _neighbour_rows,
+    _refine,
     _scan_one,
     _search_fixing_zero,
     _walks_separate,
@@ -29,7 +31,7 @@ from burnside.automorphisms import (
 )
 from burnside.errors import InputError, PropositionViolated
 from burnside.cli import parse_group_file
-from burnside.fields import DEFAULT_PRIME_CAP, cyclic_table, is_prime, parse_ints
+from burnside.fields import cyclic_table, is_prime, parse_ints, row_layout
 from burnside.groups import bfs_elements, is_transitive
 from burnside.permutations import Perm, recognize_affine, relabel_to_translation
 from burnside.polynomials import FpPoly, interpolate
@@ -40,11 +42,14 @@ from test_trace import _golden_traces
 from oracles import (
     all_multipliers_stabilizer,
     cycle_type,
+    equitable_refinement,
     indicator,
     label_walk,
     mult_stabilizer_by_quotients,
     naive_enumerate,
+    neighbour_keys,
     preserves_by_pairs,
+    walks_separate_full,
 )
 
 
@@ -157,16 +162,71 @@ class TestBytePackedCheck:
         assert not check_preserves(_transposed(make_affine((1, 0), f), rng), sets[0])
 
 
-def test_prime_cap_fits_both_packings():
-    # check_preserves holds images[j+u] - images[j] + p in 1..2p-1 in one
-    # byte, _refine holds 128*out + in, with out, in <= |U| <= p-2, in
-    # one 16-bit slot, and _walks_separate holds a count of walks of length
-    # at most WALK_LENGTH, at most |U|**WALK_LENGTH, in one 32-bit slot. A
-    # larger cap or a longer walk needs wider slots.
-    p = DEFAULT_PRIME_CAP
-    assert 2 * p - 1 <= 255
-    assert 128 * (p - 2) + (p - 2) < 2 ** 16
-    assert (p - 2) ** WALK_LENGTH < 2 ** 32
+class TestSlotWidths:
+    """Each packed kernel's slot width is the narrowest that holds the
+    largest value it states (``fields.row_layout``), so the widths change
+    with p. Refinement keys go from 8 to 16 bits, and walk counts from 16
+    to 32, between p = 17 and p = 19; ``TestWalkCounts::
+    test_orbit_representatives[17]`` and ``[19]`` run the search and the
+    walk test on both sides. Keys go from 16 to 32 bits, and walk counts
+    from 32 to 64, between p = 257 and p = 263, and the difference check's
+    one byte per point ends at p = 127: past the prime cap, so the kernels
+    are called directly, on unchecked fields."""
+
+    @pytest.mark.parametrize("p, width", [(257, 16), (263, 32)])
+    def test_refinement_keys(self, p, width):
+        layout = row_layout(p, p * (p - 2))
+        assert layout.width == width
+        rng = random.Random(p)
+        for size in (1, 4, (p - 1) // 2, p - 3, p - 2):
+            elements = tuple(sorted(rng.sample(range(1, p), size)))
+            rows = _neighbour_rows(elements, p)
+            for k in (1, 7, p // 2, p - 1, p):
+                cell = rng.sample(range(p), k)
+                packed = layout.unpack(sum(rows[w] for w in cell))
+                assert packed == neighbour_keys(elements, cell, p), (size, k)
+
+    @pytest.mark.parametrize("p", [257, 263])
+    def test_refinement(self, p):
+        rng = random.Random(p + 1)
+        for size in (1, 4, 9, (p - 1) // 2):
+            elements = tuple(sorted(rng.sample(range(1, p), size)))
+            cells, where = [[0], list(range(1, p))], [0] + [1] * (p - 1)
+            _refine(cells, where, [0], _neighbour_rows(elements, p), p)
+            assert sorted(map(sorted, cells)) == equitable_refinement(elements, p)
+
+    @pytest.mark.parametrize("p, width", [(257, 32), (263, 64)])
+    def test_walk_counts(self, p, width):
+        assert row_layout(p, (p - 2) ** WALK_LENGTH).width == width
+        rng = random.Random(p + 2)
+        outcomes = []
+        for size in (1, 4, 9, (p - 1) // 2, p - 3, p - 2):
+            elements = tuple(sorted(rng.sample(range(1, p), size)))
+            outcomes.append(_walks_separate(elements, p))
+            assert outcomes[-1] == walks_separate_full(elements, p), size
+        assert set(outcomes) == {False, True}
+
+    def test_difference_check_at_the_top_of_one_byte(self):
+        # 2p - 1 = 253 at p = 127; with 1 and p-1 in U, maps x -> ±x + b
+        # reach both ends of the byte range, 1 and 2p - 1.
+        p = 127
+        f = PrimeField._trusted(p)
+        rng = random.Random(p)
+        sets = [qr_set(f), DiffSet(f, (1, p - 1)),
+                DiffSet(f, (1, *rng.sample(range(2, p - 1), 40), p - 1))]
+        for dset in sets:
+            affine = [make_affine((a, rng.randrange(p)), f)
+                      for a in (*mult_stabilizer(dset)[:4], 1, p - 1, 3)]
+            others = [_transposed(q, rng) for q in affine] + [random_perm(f, rng) for _ in range(8)]
+            for perm in affine + others:
+                assert check_preserves(perm, dset) == preserves_by_pairs(perm, dset)
+        assert check_preserves(make_affine((p - 1, 5), f), sets[1])
+
+    def test_difference_check_raises_past_one_byte(self):
+        # 2p - 1 = 261 at p = 131 no longer fits one byte.
+        f = PrimeField._trusted(131)
+        with pytest.raises(InputError, match="one byte"):
+            check_preserves(make_affine((1, 0), f), DiffSet(f, (1,)))
 
 
 class TestMultStabilizer:

@@ -15,6 +15,8 @@ from burnside.fields import (
     parse_ints,
     power_sum,
     power_sums,
+    row_layout,
+    subgroup_of_index,
 )
 
 from conftest import poly_from_roots, qr_set
@@ -309,3 +311,47 @@ class TestCyclicTable:
             word = sum(bits[u] for u in elements)
             moved = sum(bits[g * u % p] for u in elements)
             assert moved == (word << 1 | word >> p - 2) & full
+
+
+class TestRowLayout:
+    """The packed-row layout against plain lists: slot j of a row is
+    coefficient j of a polynomial taken mod X**p - 1."""
+
+    @pytest.mark.parametrize("largest, width", [
+        (1, 8), (255, 8), (256, 16), (2**16 - 1, 16), (2**16, 32), (2**32, 64), (2**64 - 1, 64),
+    ])
+    def test_narrowest_width(self, largest, width):
+        assert row_layout(13, largest).width == width
+
+    def test_no_slot_holds_more_than_64_bits(self):
+        with pytest.raises(InputError, match="cannot hold"):
+            row_layout(13, 2**64)
+
+    @pytest.mark.parametrize("p, largest", [(5, 200), (13, 40000), (29, 2**31), (97, 2**60)])
+    def test_operations_match_plain_lists(self, p, largest):
+        layout = row_layout(p, largest)
+        rng = random.Random(p)
+        values = [rng.randrange(largest + 1) for _ in range(p)]
+        row = layout.pack(values)
+        assert layout.unpack(row) == values
+        assert layout.unpack(layout.ones) == [1] * p
+        assert layout.to_bytes(row) == b"".join(v.to_bytes(layout.width // 8, "little")
+                                                for v in values)
+        ks = [0, 1, p - 1, *rng.sample(range(p), 3)]
+        rotated = [values[-k:] + values[:-k] for k in ks]
+        assert list(map(layout.unpack, layout.rotations(row, ks))) == rotated
+        assert layout.unpack(layout.monomials(ks[3:])) == [int(j in ks[3:]) for j in range(p)]
+        # a cyclic product whose slots stay at most ``largest``
+        small = [rng.randrange(2) for _ in range(p)]
+        bound = largest // p
+        big = [rng.randrange(bound + 1) for _ in range(p)]
+        product = [sum(small[i] * big[(j - i) % p] for i in range(p)) for j in range(p)]
+        assert layout.unpack(layout.fold(layout.pack(small) * layout.pack(big))) == product
+
+
+@pytest.mark.parametrize("p", [5, 13, 31, 97])
+def test_subgroup_of_index(p):
+    g = cyclic_table(p).root
+    for t in cyclic_table(p).divisors:
+        expected = sorted({pow(g, t * k, p) for k in range(p - 1)})
+        assert subgroup_of_index(p, t) == tuple(expected)
