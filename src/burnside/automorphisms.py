@@ -30,10 +30,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from functools import lru_cache
 
 from .errors import FieldMismatch, InputError, PropositionViolated
-from .fields import (DiffSet, PrimeField, Value, _fill, cyclic_table, min_nonzero_power_sum,
-                     row_layout, subgroup_of_index)
+from .fields import (DiffSet, PrimeField, RowLayout, Value, _fill, cyclic_table,
+                     min_nonzero_power_sum, row_layout, subgroup_of_index)
 from .permutations import Perm, affine_coeffs
 
 # A scan's walk holds a 2**(p-1)-slot orbit table and a per-set orbit
@@ -201,6 +202,30 @@ def _individualise(cells, where, c, x):
     return where[x]
 
 
+@lru_cache(maxsize=None)
+def _walk_plan(p: int, size: int) -> tuple[int, RowLayout, tuple[int, ...]]:
+    """The walk test's table for sets of s = ``size`` elements mod p. At
+    most C(s+k, k) - 1 points have nonzero counts of walks of length 1..k
+    from 0 (sums of multisets of steps from U), as many to 0, so these tie
+    when p >= 2 * C(s+k, k): ``first`` is the least index k >= 1 (length
+    k + 1) where they need not, or ``WALK_LENGTH`` for no test. A walk's
+    first k - 1 steps fix its last, so out_k <= s**(k-1), whose bits make
+    length k's field in a key. The fields share one slot if they fit 32
+    bits; else the slot holds the longest, and lengths share a key in
+    order while they fit (64-bit products were 2x slower at p = 97)."""
+    first = next((k for k in range(1, WALK_LENGTH)
+                  if p < 2 * math.comb(size + k + 1, k + 1)), WALK_LENGTH)
+    widths = [(size ** k).bit_length() for k in range(WALK_LENGTH)]
+    layout = row_layout(p, (1 << (sum(widths) if sum(widths) <= 32 else widths[-1])) - 1)
+    shifts, used = [], 0
+    for width in widths:
+        if used + width > layout.width:
+            used = 0
+        shifts.append(used)
+        used += width
+    return first, layout, tuple(shifts)
+
+
 def _walks_separate(elements, p: int) -> bool:
     """Whether walk counts from and to 0 tell all p points apart.
 
@@ -212,30 +237,30 @@ def _walks_separate(elements, p: int) -> bool:
     image, and keeps every out_k and in_k. If the p vectors
     (out_1..K(x), in_1..K(x)) with K = ``WALK_LENGTH`` are pairwise
     distinct, such a map fixes every point: the identity is the only one.
-    Nothing here assumes Burnside's theorem. K - 1 products build
-    R**2, ..., R**K, each count at most |U|**K <= (p-2)**K.
-
-    The lengths are taken in turn, and the test returns at the first
-    length k whose vectors (lengths 1..k) separate: longer vectors only
-    refine that partition, so the answer is the one for K. A length is
-    compared only where a tie is not already certain: length 1 alone
-    gives vectors in {0, 1}**2, which tell at most 4 points apart, and
-    lengths 1..k tie whenever p >= 2 * C(|U|+k, k) (the count of
-    ``_maps_fixing_zero``).
+    Nothing here assumes Burnside's theorem. K - 1 products build R**2,
+    ..., R**K, each added into a key row in its length's field
+    (``_walk_plan``): slot x of the keys holds out_1..k(x) and slot -x
+    in_1..k(x). The test returns at the first length k whose vectors
+    (lengths 1..k) separate, one unpack and one set of slot pairs each:
+    longer vectors only refine that partition, so the answer is the one
+    for K. Length 1 alone, vectors in {0, 1}**2, tells at most 4 apart.
     """
-    layout = row_layout(p, (p - 2) ** WALK_LENGTH)
-    r = power = layout.monomials(elements)
-    first = next((k for k in range(1, WALK_LENGTH)
-                  if p < 2 * math.comb(len(elements) + k + 1, k + 1)), WALK_LENGTH)
+    first, layout, shifts = _walk_plan(p, len(elements))
+    key = r = power = layout.monomials(elements)
     fold, unpack = layout.fold, layout.unpack
-    outs = []
-    for k in range(WALK_LENGTH):
-        if k:
-            power = fold(power * r)
-        out = unpack(power)
-        outs += out, out[:1] + out[:0:-1]
-        if k >= first and len(set(zip(*outs))) == p:
-            return True
+    done = []
+    for k in range(1, WALK_LENGTH):
+        power = fold(power * r)
+        if shifts[k]:
+            key += power << shifts[k]
+        else:  # length k + 1 starts a new key
+            keys = unpack(key)
+            done += keys, keys[:1] + keys[:0:-1]
+            key = power
+        if k >= first:
+            keys = unpack(key)
+            if len(set(zip(*done, keys, keys[:1] + keys[:0:-1]))) == p:
+                return True
     return False
 
 
@@ -245,19 +270,12 @@ def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     When walk counts tell every point apart (``_walks_separate``) that is
     the identity alone, with no search; otherwise it is what
     ``_search_fixing_zero`` finds. Both give the same list, so scan and
-    aut, which read only this, never depend on which step decided.
-
-    A walk of length k from 0 ends at the sum of a multiset of k steps
-    from U, so with |U| = s at most C(s+k-1, k) points have a nonzero
-    out_k, and as many a nonzero in_k. Over k = 1..K that is
-    C(s+K, K) - 1 points each way; when p is at least 2 * C(s+K, K), two
-    points share the all-zero vector, the counts must tie, and they are
-    not taken.
+    aut, which read only this, never depend on which step decided. Sets
+    too small for their walks to separate skip the test (``_walk_plan``).
     """
     p = dset.field.p
     elements = dset.elements
-    reach = 2 * math.comb(len(elements) + WALK_LENGTH, WALK_LENGTH)
-    if p < reach and _walks_separate(elements, p):
+    if _walk_plan(p, len(elements))[0] < WALK_LENGTH and _walks_separate(elements, p):
         return [tuple(range(p))]
     return _search_fixing_zero(dset)
 
@@ -402,23 +420,13 @@ def _assert_theorem(dset: DiffSet, tables, count: int, stabilizer_size: int) -> 
         if affine_coeffs(images, p) is None:
             raise PropositionViolated(
                 "difference-preserving permutation is not affine",
-                payload={
-                    "p": p,
-                    "diff_set": list(dset.elements),
-                    "permutation": list(images),
-                },
-            )
+                payload={"p": p, "diff_set": list(dset.elements), "permutation": list(images)})
     expected = p * stabilizer_size
     if count != expected:
         raise PropositionViolated(
             "automorphism count disagrees with p * |stabilizer|",
-            payload={
-                "p": p,
-                "diff_set": list(dset.elements),
-                "count": count,
-                "expected": expected,
-            },
-        )
+            payload={"p": p, "diff_set": list(dset.elements), "count": count,
+                     "expected": expected})
 
 
 def canonical_subsets(labels):
@@ -456,12 +464,16 @@ def _checked_maps_fixing_zero(dset: DiffSet) -> tuple[list[tuple[int, ...]], tup
     return fixed, stabilizer
 
 
-def _scan_one(dset: DiffSet) -> ScanRow:
-    """One scan row, checked on the image tables of the maps fixing 0 alone."""
-    fixed, stabilizer = _checked_maps_fixing_zero(dset)
-    elements = dset.elements
-    return ScanRow._trusted(elements, len(elements), len(stabilizer),
-                            dset.field.p * len(fixed), True, min_nonzero_power_sum(dset))
+def _scan_rows(dsets) -> list[ScanRow]:
+    """The scan row of each set, in order, in one pass, each checked on the
+    image tables of its maps fixing 0 alone (``_checked_maps_fixing_zero``)."""
+    rows = []
+    for dset in dsets:
+        fixed, stabilizer = _checked_maps_fixing_zero(dset)
+        size, count = len(dset.elements), dset.field.p * len(fixed)
+        rows.append(ScanRow._trusted(dset.elements, size, len(stabilizer), count, True,
+                                     min_nonzero_power_sum(dset)))
+    return rows
 
 
 def _check_scan(field: PrimeField) -> None:
@@ -477,20 +489,22 @@ def _check_scan(field: PrimeField) -> None:
 
 
 def _scan_sets(dsets: list[DiffSet], jobs: int) -> list[ScanRow]:
-    """``_scan_one`` of each set, in order.
+    """``_scan_rows`` of the sets, in order.
 
     At most ``min(jobs, len(dsets), os.cpu_count())`` worker processes
-    start; with one, the sets are scanned in this process. The pool is
-    imported only here: concurrent.futures.process pulls in
-    multiprocessing (about 2.5 MB resident), which no other command needs.
+    start; with one, the sets are scanned in this process, and otherwise
+    in about 8 chunks a worker. The pool is imported only here:
+    concurrent.futures.process pulls in multiprocessing (about 2.5 MB
+    resident), which no other command needs.
     """
     workers = min(jobs, len(dsets), os.cpu_count() or 1)
     if workers == 1:
-        return [_scan_one(dset) for dset in dsets]
+        return _scan_rows(dsets)
     from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(dsets) // (workers * 8))
+    chunks = [dsets[i:i + chunk] for i in range(0, len(dsets), chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_one, dsets, chunksize=chunk))
+        return list(itertools.chain.from_iterable(pool.map(_scan_rows, chunks)))
 
 
 def scan_all_subsets(field: PrimeField) -> list[ScanRow]:
@@ -501,7 +515,7 @@ def scan_all_subsets(field: PrimeField) -> list[ScanRow]:
     ``walk_orbits``, and it shares none of the walk's orbit or worker code.
     """
     _check_scan(field)
-    return [_scan_one(dset) for dset in all_diff_sets(field)]
+    return _scan_rows(list(all_diff_sets(field)))
 
 
 def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[int]]:
@@ -517,28 +531,28 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
       k-th powers of F_p* sum to 0; S_(p-1) = |U| mod p is nonzero for
       every valid set, so the least k with S_k != 0 agrees.
 
-    The sets are walked in ``canonical_subsets`` order, each as its word
-    over ``cyclic_table`` (bit k for g**k in U), so the first set met of
-    an orbit is its least member. The words are the sums of the tuples of
-    the same walk over the bits of 1..p-1, so no member is looked up one
-    by one. That first set becomes the orbit's representative. The words
-    of g**r * U are the p-1 rotations of its word and those of
-    g**r * U^c their complements; all are entered in a table of 2**(p-1)
-    slots that maps each word to its orbit. Each representative is a valid
-    set, built unchecked. Only the representatives are searched, each with
-    the count law and the power sums checked, on at most
-    ``min(jobs, orbits, os.cpu_count())`` worker processes. Returns the
-    representatives' rows, in orbit order, and the orbit index of every
-    set in canonical order; both are the same for any ``jobs``.
+    The sets of at most (p-1)/2 elements are walked in ``canonical_subsets``
+    order, each as its word over ``cyclic_table`` (bit k for g**k in U),
+    the sum of its tuple over the bits of 1..p-1. The first set met of an
+    orbit is its least member and its representative, built unchecked; a
+    table of 2**(p-1) slots maps the p-1 rotations of its word (g**r * U)
+    to its orbit, and at size (p-1)/2, where U^c has U's size, their
+    complements too. Within one size A precedes B exactly when min(A ^ B)
+    is in A, so complementing reverses the order: the orbits of size
+    p-1-k are those of size k reversed. Only the representatives are
+    searched (``_scan_sets``). Returns their rows, in orbit order, and the
+    orbit of every set in canonical order, the same for any ``jobs``.
     """
     _check_scan(field)
     if jobs < 1:
         raise InputError(f"worker count must be >= 1, got {jobs}")
     p = field.p
     n = p - 1
+    half = n // 2
     full = (1 << n) - 1
     bits = cyclic_table(p).bits
-    words = map(sum, canonical_subsets(bits[1:]))
+    sizes = [math.comb(n, k) for k in range(1, half + 1)]
+    words = map(sum, itertools.islice(canonical_subsets(bits[1:]), sum(sizes)))
     orbit_of = [None] * (full + 1)
     reps, orbits = [], []
     for word, combo in zip(words, canonical_subsets(field.nonzero())):
@@ -547,8 +561,12 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
             orbit = len(reps)
             reps.append(DiffSet._trusted(field, combo))
             double = word | word << n
+            flip = full if len(combo) == half else 0
             for r in range(n):
                 image = double >> r & full
-                orbit_of[image] = orbit_of[image ^ full] = orbit
+                orbit_of[image] = orbit_of[image ^ flip] = orbit
         orbits.append(orbit)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    for k in range(half - 1, 0, -1):
+        orbits += orbits[starts[k - 1]:starts[k]][::-1]
     return _scan_sets(reps, jobs), orbits

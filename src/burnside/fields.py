@@ -249,7 +249,8 @@ class RowLayout(NamedTuple):
 
     def monomials(self, ks) -> int:
         """The sum of X**k over ks, each k in 0..p-1."""
-        return sum(map((1).__lshift__, map(self.width.__mul__, ks)))
+        width = self.width
+        return sum([1 << width * k for k in ks])
 
     def rotations(self, row: int, ks) -> Iterator[int]:
         """X**k * row mod X**p - 1 for each k of ks in 0..p-1, lazily: slot j

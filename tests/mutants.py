@@ -9,10 +9,11 @@ Run from the repository root:
 
     python tests/mutants.py
 
-Each mutant is applied to a copy of ``src/``, ``tests/`` and
-``pyproject.toml`` in a temporary directory, and its nodes run there with
-``pytest -x``. The run fails if any mutant's nodes all pass (the mutant
-survives) or cannot be run. ``tests/test_mutants.py`` checks, in the
+Each mutant is applied to a copy of ``src/``, ``tests/`` and the files the
+suite reads besides them (``FILES``) in a temporary directory, where the
+whole suite collects, and its nodes run there with ``pytest -x``. The run
+fails if any mutant's nodes all pass (the mutant survives) or cannot be
+run. ``tests/test_mutants.py`` checks, in the
 Tier-1 suite, that every snippet occurs exactly once in its file, so a
 refactor that moves a mutated line must update this record.
 """
@@ -28,6 +29,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Read by the suite besides src/ and tests/: the README's examples and the
+# tracer's wrapped names.
+FILES = ("pyproject.toml", "README.md", "perfbench/tracer.py")
 
 
 class Mutant(NamedTuple):
@@ -50,25 +55,41 @@ MUTANTS = (
     Mutant(
         "walk-exit-with-a-tie",
         "src/burnside/automorphisms.py",
-        "if k >= first and len(set(zip(*outs))) == p:",
-        "if k >= first and len(set(zip(*outs))) >= p - 1:",
+        "if len(set(zip(*done, keys, keys[:1] + keys[:0:-1]))) == p:",
+        "if len(set(zip(*done, keys, keys[:1] + keys[:0:-1]))) >= p - 1:",
         ("tests/test_fast_paths.py::TestEarlyWalkExit::test_every_small_set",
          "tests/test_automorphisms.py::TestWalkCounts::test_every_set"),
     ),
     Mutant(
         "walk-tie-bound-halved",
         "src/burnside/automorphisms.py",
-        "if p < 2 * math.comb(len(elements) + k + 1, k + 1)), WALK_LENGTH)",
-        "if p < math.comb(len(elements) + k + 1, k + 1)), WALK_LENGTH)",
+        "if p < 2 * math.comb(size + k + 1, k + 1)), WALK_LENGTH)",
+        "if p < math.comb(size + k + 1, k + 1)), WALK_LENGTH)",
         ("tests/test_fast_paths.py::TestEarlyWalkExit::test_every_small_set",),
     ),
     Mutant(
         "walk-one-length-short",
         "src/burnside/automorphisms.py",
-        "for k in range(WALK_LENGTH):",
-        "for k in range(WALK_LENGTH - 1):",
+        "for k in range(1, WALK_LENGTH):",
+        "for k in range(1, WALK_LENGTH - 1):",
         ("tests/test_fast_paths.py::TestEarlyWalkExit::test_every_small_set",
          "tests/test_fast_paths.py::TestEarlyWalkExit::test_first_separating_length_mod_13"),
+    ),
+    Mutant(
+        "walk-key-field-one-bit-short",
+        "src/burnside/automorphisms.py",
+        "(size ** k).bit_length() for k in range(WALK_LENGTH)]",
+        "(size ** k).bit_length() - 1 for k in range(WALK_LENGTH)]",
+        ("tests/test_fast_paths.py::TestEarlyWalkExit::test_every_small_set",
+         "tests/test_fast_paths.py::TestWalkKey::test_fields_fit_their_slots"),
+    ),
+    Mutant(
+        "walk-complement-not-reversed",
+        "src/burnside/automorphisms.py",
+        "orbits += orbits[starts[k - 1]:starts[k]][::-1]",
+        "orbits += orbits[starts[k - 1]:starts[k]]",
+        ("tests/test_automorphisms.py::TestRotationWalk::test_matches_label_walk",
+         "tests/test_cli.py::TestScanCommand::test_report_bytes"),
     ),
     Mutant(
         "block-tail-slice-off-by-one",
@@ -85,6 +106,21 @@ MUTANTS = (
         "sums = _slots(sum(map(packed_powers(p).__getitem__, dset.elements)), p); next(sums)",
         ("tests/test_fast_paths.py::TestLazyPowerSum::test_every_small_set",
          "tests/test_fields.py"),
+    ),
+    Mutant(
+        "linear-base-dropped",
+        "src/burnside/trace.py",
+        "others.append(linear_power_sum(linear, w, p))",
+        "others.append(linear_power_sum(linear[1:], w, p))",
+        ("tests/test_trace.py::TestMillerKernel",),
+    ),
+    Mutant(
+        "miller-ratio-index-off-by-one",
+        "src/burnside/polynomials.py",
+        "ratio = (e1 - k) * inv[k]",
+        "ratio = (e1 - k) * inv[k - 1]",
+        ("tests/test_polynomials.py::TestLinearPowerSum",
+         "tests/test_trace.py::TestMillerKernel"),
     ),
     Mutant(
         "cycle-walk-one-step-short",
@@ -133,7 +169,9 @@ def _copy_tree(target: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache", ".hypothesis")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, target / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", target / "pyproject.toml")
+    for name in FILES:
+        (target / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(ROOT / name, target / name)
 
 
 def run_mutant(mutant: Mutant) -> tuple[bool, str]:

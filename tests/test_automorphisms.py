@@ -18,7 +18,7 @@ from burnside.automorphisms import (
     _maps_fixing_zero,
     _neighbour_rows,
     _refine,
-    _scan_one,
+    _scan_rows,
     _search_fixing_zero,
     _walks_separate,
     all_diff_sets,
@@ -1045,7 +1045,7 @@ def _count_by_orbit_scan(dset):
 # Every caller that checks Burnside's count law on the maps fixing 0: a
 # scan row, the orbit scan, the enumeration, and the `aut` command.
 _COUNTERS = [
-    lambda dset: _scan_one(dset).automorphism_count,
+    lambda dset: _scan_rows([dset])[0].automorphism_count,
     _count_by_orbit_scan,
     lambda dset: len(enumerate_diff_preserving(dset.field, dset).automorphisms),
     _count_by_aut_command,
@@ -1064,6 +1064,19 @@ class TestCanonicalSubsets:
         assert [tuple(b.bit_length() for b in combo) for combo in bits] == sets
         texts = list(canonical_subsets([str(u) for u in range(1, p)]))
         assert [tuple(map(int, combo)) for combo in texts] == sets
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_complements_reverse_each_size(self, n):
+        # Within one size, A precedes B exactly when min(A ^ B) is in A,
+        # so complementing reverses the order: the walk reads the orbits
+        # of the sizes above n/2 off those below, reversed.
+        by_size = {k: [] for k in range(n + 1)}
+        for combo in canonical_subsets(range(1, n + 1)):
+            by_size[len(combo)].append(combo)
+        members = set(range(1, n + 1))
+        for k in range(1, n):
+            complements = [tuple(sorted(members.difference(c))) for c in by_size[k]]
+            assert complements == by_size[n - k][::-1], (n, k)
 
 
 class TestScan:

@@ -21,7 +21,8 @@ import burnside.fields
 from burnside.cli import SCAN_BLOCK, _json_chunks, _ScanRows
 from burnside.automorphisms import (
     WALK_LENGTH,
-    _scan_one,
+    _scan_rows,
+    _walk_plan,
     _walks_separate,
     all_diff_sets,
     canonical_subsets,
@@ -29,7 +30,7 @@ from burnside.automorphisms import (
 )
 from burnside.classifier import classify
 from burnside.errors import InputError, InternalInvariantViolation
-from burnside.fields import DiffSet, PrimeField, min_nonzero_power_sum
+from burnside.fields import DiffSet, PrimeField, is_prime, min_nonzero_power_sum
 from burnside.groups import GroupSpec, bfs_elements
 from burnside.permutations import (
     affine_coeffs,
@@ -96,14 +97,14 @@ class TestBlockWriter:
 
 class TestTableRow:
     def test_every_small_set(self):
-        for dset in _every_set():
-            assert _scan_one(dset) == scan_row_by_perms(dset), dset.elements
+        for p in SMALL_PRIMES:
+            dsets = list(all_diff_sets(PrimeField(p)))
+            assert _scan_rows(dsets) == list(map(scan_row_by_perms, dsets)), p
 
     def test_representatives_mod_17(self, monkeypatch):
         dsets = _orbit_representatives(17, monkeypatch)
         assert len(dsets) == 2067
-        for dset in dsets:
-            assert _scan_one(dset) == scan_row_by_perms(dset), dset.elements
+        assert _scan_rows(dsets) == list(map(scan_row_by_perms, dsets))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_affine_test_on_every_perm(self, p):
@@ -143,6 +144,29 @@ class TestEarlyWalkExit:
                 lengths[next(k for k in range(1, WALK_LENGTH + 1)
                              if walks_separate_full(dset.elements, 13, k))] += 1
         assert lengths == {2: 67, 3: 83, 4: 19}
+
+
+class TestWalkKey:
+    """The packed walk key where counts come nearest their fields' bounds:
+    out_2 = |U| at x = |U| + 1 for an interval, and every count about
+    (p-2)/p of its bound for a set missing one residue."""
+
+    @pytest.mark.parametrize("p", [17, 23, 31, 37, 97])
+    def test_intervals_and_near_full_sets(self, p):
+        sets = [tuple(range(1, s + 1)) for s in range(2, p - 1)]
+        sets += [tuple(u for u in range(1, p) if u != v) for v in (1, 2, p // 2)]
+        for elements in sets:
+            assert _walks_separate(elements, p) == walks_separate_full(elements, p), elements
+
+    def test_fields_fit_their_slots(self):
+        # Each length's field lies inside the slot, above the previous
+        # length's unless it starts a new key, up to p = 263.
+        for p in filter(is_prime, range(3, 264)):
+            for size in range(1, p - 1):
+                _, layout, shifts = _walk_plan(p, size)
+                tops = [shift + (size ** k).bit_length() for k, shift in enumerate(shifts)]
+                assert max(tops) <= layout.width, (p, size)
+                assert all(b <= a for a, b in zip(tops, shifts[1:]) if b), (p, size)
 
 
 class TestLazyPowerSum:
