@@ -18,16 +18,14 @@ import math
 from itertools import islice
 from typing import Optional
 
-from .automorphisms import check_preserves
 from .errors import BurnsideError, InputError, InternalInvariantViolation
 from .fields import DiffSet, PrimeField, Value, _fill, cyclic_table, require_ints, subgroup_of_index
 from .groups import GroupSpec, bfs_elements, is_doubly_transitive, is_transitive
 from .permutations import (
     AffineCoeffs,
     Perm,
+    conjugate_affine_coeffs,
     cycle_labels,
-    make_affine,
-    recognize_affine,
     relabel_to_translation,
 )
 
@@ -129,7 +127,7 @@ def _certificate(spec: GroupSpec) -> Optional[Classification]:
     if tau is None:
         return None
     lam = relabel_to_translation(tau)
-    embedding = tuple(recognize_affine(g.conjugate(lam)) for g in spec.generators)
+    embedding = tuple(conjugate_affine_coeffs(g.images, lam.images, p) for g in spec.generators)
     if None in embedding:
         return None
     # A is <g**t> for F_p* = <g> and t the gcd of p-1 and each log_g(a).
@@ -151,9 +149,11 @@ def _certificate(spec: GroupSpec) -> Optional[Classification]:
 def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
     """Re-derive everything a classification claims; True only if all holds.
 
-    For the solvable branch: the group must be transitive, its conjugated
-    generators must equal their claimed affine maps and preserve U's
-    differences, and ``group_order`` must be an int, as ``from_payload``
+    For the solvable branch: the group must be transitive, each generator
+    g and its claimed (a, b) must satisfy L(g(j)) = a*L(j) + b mod p for
+    every j, so that L*g*L^-1 is x -> a*x + b with a nonzero mod p, and
+    a*U must be U, which for an affine map is the same as preserving U's
+    differences; ``group_order`` must be an int, as ``from_payload``
     requires, equal to p*|A| for A the group the multipliers a_i generate.
     Affine conjugates put the group inside AGL(1, p), which is solvable;
     being transitive, it holds the translations, so its order is p*|A|
@@ -162,10 +162,10 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
     cosets of A, so 1 in U and p*|U| = group_order make U = A. A ``DiffSet``
     has at most p-2 elements, so that order is at most p(p-1)/2, and p(p-1)
     divides the order of a doubly transitive group: no pair orbit is
-    needed. The relabeling must be a ``Perm``, U a ``DiffSet`` and the
-    embedding one pair (a, b) per generator, an ``AffineCoeffs`` or a plain
-    pair. Never raises; any mismatch, malformed part or internal error
-    yields False.
+    needed. The relabeling must be a ``Perm`` and U a ``DiffSet``, both of
+    the group's degree, and the embedding one pair (a, b) per generator,
+    an ``AffineCoeffs`` or a plain pair. Never raises; any mismatch,
+    malformed part or internal error yields False.
     """
     try:
         field = spec.field
@@ -189,11 +189,13 @@ def verify_certificate(spec: GroupSpec, classification: Classification) -> bool:
             return False
         require_ints([v for c in embedding for v in c] + [classification.group_order],
                      "embedding and group_order")
-        for g, coeffs in zip(spec.generators, embedding):
-            conj = g.conjugate(lam)
-            if conj != make_affine(coeffs, field):
+        if lam.field != field or dset.field != field:
+            return False
+        labels, units = lam.images, list(dset.elements)
+        for g, (a, b) in zip(spec.generators, embedding):
+            if conjugate_affine_coeffs(g.images, labels, p) != (a % p, b % p):
                 return False
-            if not check_preserves(conj, dset):
+            if sorted(a * u % p for u in units) != units:
                 return False
         if 1 not in dset or p * len(dset) != classification.group_order:
             return False

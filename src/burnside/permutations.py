@@ -1,10 +1,11 @@
 """Permutations of F_p given by image tables.
 
-Provides the group algebra (compose, invert, conjugate, cycle structure),
-construction and recognition of affine maps i -> a*i + b, and the
-relabeling that turns any p-cycle into translation by one. The
-constructor checks its table; every permutation derived from checked ones
-(products, inverses, the identity, relabelings) is built unchecked.
+Provides the group algebra (compose, invert, cycle structure),
+construction and recognition of affine maps i -> a*i + b, including on a
+conjugate read off two image tables, and the relabeling that turns any
+p-cycle into translation by one. The constructor checks its table; every
+permutation derived from checked ones (products, inverses, the identity,
+relabelings) is built unchecked.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class Perm(Value):
             inv[v] = i
         return Perm._trusted(self.field, tuple(inv))
 
-    def conjugate(self, by: "Perm") -> "Perm":
-        """by * self * by^-1."""
-        return by.compose(self).compose(by.inverse())
-
     def cycles(self, include_fixed: bool = True) -> list[tuple[int, ...]]:
         """Cycle decomposition; each cycle starts at its least point."""
         seen = [False] * self.field.p
@@ -122,6 +119,24 @@ def recognize_affine(perm: Perm) -> Optional[AffineCoeffs]:
     """Return (a, b) with perm(i) = a*i + b for all i, or None; agrees with
     the interpolating polynomial having degree <= 1."""
     return affine_coeffs(perm.images, perm.field.p)
+
+
+def conjugate_affine_coeffs(images: tuple[int, ...], labels: tuple[int, ...],
+                            p: int) -> Optional[AffineCoeffs]:
+    """``recognize_affine`` of L * g * L^-1, read off the image tables of g
+    and of the relabeling L, or None; no conjugate is built.
+
+    L * g * L^-1 is i -> a*i + b exactly when L(g(j)) = a*L(j) + b for
+    every j, with b = L(g(L^-1(0))) and a = L(g(L^-1(1))) - b: the table
+    of L after g must be the line's table read at L's labels.
+    """
+    b = labels[images[labels.index(0)]]
+    a = (labels[images[labels.index(1)]] - b) % p
+    if a:
+        line = tuple(map(p.__rmod__, range(b, b + a * p, a)))
+        if tuple(map(labels.__getitem__, images)) == tuple(map(line.__getitem__, labels)):
+            return AffineCoeffs(a, b)
+    return None
 
 
 def cycle_labels(perm: Perm) -> Optional[list[int]]:

@@ -162,6 +162,36 @@ MUTANTS = (
         ("tests/test_automorphisms.py::TestMultStabilizer::test_matches_all_multipliers_oracle",
          "tests/test_classifier.py::TestCyclicTableUnits::test_every_pair_of_units"),
     ),
+    Mutant(
+        "certificate-fixed-point-rule-dropped",
+        "src/burnside/classifier.py",
+        "if any(2 <= sum(v == i for i, v in enumerate(g.images)) < p for g in spec.generators):",
+        "if False:",
+        ("tests/test_classifier.py::TestCertificateDecides::test_no_p_cycle_among_generators",),
+    ),
+    Mutant(
+        "verify-order-check-always-true",
+        "src/burnside/classifier.py",
+        "return classification.group_order == p * exponent",
+        "return True",
+        ("tests/test_classifier.py::TestClosedFormOrder::test_consistent_supergroup_claim_rejected",),
+    ),
+    Mutant(
+        "verify-unit-stabilizer-dropped",
+        "src/burnside/classifier.py",
+        "if sorted(a * u % p for u in units) != units:",
+        "if False:",
+        ("tests/test_fast_paths.py::TestVerifyOnTables::test_golden_certificates_and_tampers",),
+    ),
+    Mutant(
+        "verify-claimed-b-dropped",
+        "src/burnside/classifier.py",
+        "if conjugate_affine_coeffs(g.images, labels, p) != (a % p, b % p):",
+        "if (conjugate_affine_coeffs(g.images, labels, p) or (None,))[0] != a % p:",
+        ("tests/test_classifier.py::TestVerifyCertificate::test_tampered_embedding_rejected",
+         "tests/test_classifier.py::TestMalformedCertificate::test_parts",
+         "tests/test_fast_paths.py::TestVerifyOnTables::test_golden_certificates_and_tampers"),
+    ),
 )
 
 

@@ -17,9 +17,16 @@ from burnside.automorphisms import (
     ScanRow,
     assert_all_affine,
     canonical_subsets,
+    check_preserves,
     mult_stabilizer,
 )
-from burnside.errors import FieldMismatch, InputError
+from burnside.classifier import (
+    DOUBLY_TRANSITIVE,
+    NOT_TRANSITIVE,
+    SOLVABLE_AFFINE,
+    Classification,
+)
+from burnside.errors import BurnsideError, FieldMismatch, InputError
 from burnside.fields import (
     DiffSet,
     PrimeField,
@@ -27,9 +34,10 @@ from burnside.fields import (
     binomial_mod_p,
     packed_powers,
     power_sums,
+    require_ints,
     unpack_powers,
 )
-from burnside.groups import GroupSpec, orbit_of_point
+from burnside.groups import GroupSpec, is_doubly_transitive, is_transitive, orbit_of_point
 from burnside.permutations import Perm, make_affine
 from burnside.polynomials import (
     FpPoly,
@@ -60,6 +68,11 @@ def relabel_by_cycle_type(perm: Perm) -> Perm:
         labels[x] = k
         x = perm.images[x]
     return Perm(perm.field, labels)
+
+
+def conjugate(perm: Perm, by: Perm) -> Perm:
+    """by * perm * by^-1, by two ``compose`` calls and an ``inverse``."""
+    return by.compose(perm).compose(by.inverse())
 
 
 def perm_order(perm: Perm) -> int:
@@ -387,3 +400,41 @@ def scan_row_by_perms(dset: DiffSet) -> ScanRow:
     assert all(affine_by_loop(q.images, p) is not None for q in perms)
     return ScanRow(dset.elements, len(dset), len(result.mult_stabilizer), len(perms),
                    True, first_nonzero_power_sum(dset))
+
+
+def verify_by_conjugates(spec: GroupSpec, classification) -> bool:
+    """``verify_certificate`` the long way: each conjugated generator built
+    as a ``Perm``, compared with the checked ``make_affine`` map of its
+    claimed (a, b), and run through the byte-packed ``check_preserves``;
+    the oracle for the table identity and the a*U = U check. A part of
+    another degree fails through the ``FieldMismatch`` these raise."""
+    try:
+        field = spec.field
+        p = field.p
+        if not isinstance(classification, Classification) or classification.field != field:
+            return False
+        if classification.variant == NOT_TRANSITIVE:
+            return not is_transitive(spec)
+        if classification.variant == DOUBLY_TRANSITIVE:
+            return is_doubly_transitive(spec)
+        if classification.variant != SOLVABLE_AFFINE or not is_transitive(spec):
+            return False
+        lam = classification.relabeling
+        dset = classification.diff_set
+        embedding = classification.embedding
+        if not (isinstance(lam, Perm) and isinstance(dset, DiffSet)
+                and isinstance(embedding, (tuple, list)) and len(embedding) == len(spec.generators)
+                and all(isinstance(c, (tuple, list)) and len(c) == 2 for c in embedding)):
+            return False
+        require_ints([v for c in embedding for v in c] + [classification.group_order],
+                     "embedding and group_order")
+        for g, coeffs in zip(spec.generators, embedding):
+            conj = conjugate(g, lam)
+            if conj != make_affine(coeffs, field) or not check_preserves(conj, dset):
+                return False
+        if 1 not in dset or p * len(dset) != classification.group_order:
+            return False
+        exponent = next(m for m in range(1, p) if all(pow(a, m, p) == 1 for a, _ in embedding))
+        return classification.group_order == p * exponent
+    except BurnsideError:
+        return False

@@ -164,10 +164,10 @@ class TestClassifyCommand:
         assert "cannot read" in err
 
     def test_internal_violation_exits_2(self, capsys, d5_path, monkeypatch):
-        # Inject a fault: affine recognition that always fails leaves D_5,
-        # which is not doubly transitive, without a certificate: a theorem
-        # contradiction.
-        monkeypatch.setattr(burnside.classifier, "recognize_affine", lambda _: None)
+        # Inject a fault: affine recognition of the conjugates that always
+        # fails leaves D_5, which is not doubly transitive, without a
+        # certificate: a theorem contradiction.
+        monkeypatch.setattr(burnside.classifier, "conjugate_affine_coeffs", lambda *_: None)
         code, out, err = run_cli(capsys, "classify", "--group", d5_path)
         assert code == 2
         assert out == ""

@@ -4,7 +4,10 @@ The block writer against ``json.dumps(indent=2)``; the row checked on
 image tables against the row built from validated ``Perm``s; the walk
 test that returns at the first separating length against the one that
 builds every length; the lazy power-sum read against the unpacked
-vector; the one-walk p-cycle test against the full cycle type.
+vector; the one-walk p-cycle test against the full cycle type; the
+certificate's conjugates read off image tables against the conjugates
+built as ``Perm``s, and ``verify_certificate`` against the verifier that
+builds them.
 """
 
 import collections
@@ -28,27 +31,41 @@ from burnside.automorphisms import (
     canonical_subsets,
     walk_orbits,
 )
-from burnside.classifier import classify
+from burnside.classifier import SOLVABLE_AFFINE, classify, verify_certificate
+from burnside.cli import parse_group_file
 from burnside.errors import InputError, InternalInvariantViolation
-from burnside.fields import DiffSet, PrimeField, is_prime, min_nonzero_power_sum
+from burnside.fields import (
+    DiffSet,
+    PrimeField,
+    is_prime,
+    min_nonzero_power_sum,
+    subgroup_of_index,
+)
 from burnside.groups import GroupSpec, bfs_elements
 from burnside.permutations import (
+    Perm,
     affine_coeffs,
+    conjugate_affine_coeffs,
     cycle_labels,
     make_affine,
+    recognize_affine,
     relabel_to_translation,
 )
 
 from conftest import all_perms, exhaustive_report_rows, random_p_cycle, random_perm
 from oracles import (
     affine_by_loop,
+    conjugate,
     cycle_type,
     first_nonzero_power_sum,
     relabel_by_cycle_type,
     scan_row_by_perms,
+    verify_by_conjugates,
     walks_separate_full,
 )
 from test_automorphisms import _orbit_representatives, timing_table_shapes
+from test_classifier import replaced
+from test_cli import golden_group_files
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -226,6 +243,114 @@ class TestOneWalkCycleTest:
         # breadth-first order, as the full cycle type picks it.
         field = PrimeField(p)
         sigma = random_perm(field, random.Random(p))
-        gens = tuple(make_affine(c, field).conjugate(sigma) for c in ((1, 1), (p - 1, 0)))
+        gens = tuple(conjugate(make_affine(c, field), sigma) for c in ((1, 1), (p - 1, 0)))
         tau = next(g for g in bfs_elements(field, gens) if cycle_type(g) == (p,))
         assert classify(GroupSpec(field, gens)).relabeling == relabel_by_cycle_type(tau)
+
+
+def _golden_specs():
+    return {name: parse_group_file(StringIO(text)) for name, text in golden_group_files().items()}
+
+
+class TestConjugateOnTables:
+    """``conjugate_affine_coeffs`` against ``recognize_affine`` of the
+    conjugate built by two ``compose`` calls and an ``inverse``."""
+
+    @staticmethod
+    def _check(g, lam):
+        got = conjugate_affine_coeffs(g.images, lam.images, g.field.p)
+        assert got == recognize_affine(conjugate(g, lam))
+        return got is not None
+
+    def test_golden_group_files(self):
+        rng = random.Random(1)
+        for name, spec in _golden_specs().items():
+            field = spec.field
+            lams = [Perm.identity(field), random_perm(field, rng)]
+            lams += [relabel_to_translation(g) for g in spec.generators
+                     if cycle_labels(g) is not None]
+            c = classify(spec)
+            if c.variant == SOLVABLE_AFFINE:
+                lams.append(c.relabeling)
+            for lam in lams:
+                for g in spec.generators:
+                    self._check(g, lam)
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 23, 97])
+    def test_seeded_relabelings(self, p):
+        # g = L^-1 * h * L for an affine h, so L * g * L^-1 = h; with two
+        # images of g swapped it is not affine; a random g rarely is.
+        field = PrimeField(p)
+        rng = random.Random(p)
+        affine = 0
+        for _ in range(60):
+            lam = random_perm(field, rng)
+            h = make_affine((rng.randrange(1, p), rng.randrange(p)), field)
+            g = conjugate(h, lam.inverse())
+            near = list(g.images)
+            i, j = rng.sample(range(p), 2)
+            near[i], near[j] = near[j], near[i]
+            affine += self._check(g, lam)
+            assert not self._check(Perm(field, near), lam)
+            self._check(random_perm(field, rng), lam)
+        assert affine == 60
+
+    def test_every_perm_of_degree_5(self):
+        field = PrimeField(5)
+        rng = random.Random(5)
+        lams = [Perm.identity(field)] + [random_perm(field, rng) for _ in range(6)]
+        for lam in lams:
+            # 20 of the 120 are affine after relabelling, as AGL(1, 5) has 20
+            assert sum(self._check(g, lam) for g in all_perms(field)) == 20
+
+
+def _tampered(c):
+    """Each tamper of a solvable certificate, by name."""
+    field, p = c.field, c.field.p
+    other = PrimeField(5 if p != 5 else 7)
+    out = {}
+    for i, (a, b) in enumerate(c.embedding):
+        for key, coeffs in (("a+1", (a + 1, b)), ("a-1", (a - 1, b)), ("a+p", (a + p, b)),
+                            ("a=0", (0, b)), ("a=p", (p, b)), ("b+1", (a, b + 1)),
+                            ("b-1", (a, b - 1)), ("b+p", (a, b + p))):
+            embedding = list(c.embedding)
+            embedding[i] = coeffs
+            out[f"{key}@{i}"] = {"embedding": tuple(embedding)}
+    swapped = list(c.relabeling.images)
+    swapped[1], swapped[-1] = swapped[-1], swapped[1]
+    out["relabeling-swapped"] = {"relabeling": Perm(field, swapped)}
+    out["relabeling-of-other-degree"] = {"relabeling": Perm.identity(other)}
+    out["diff-set-of-other-degree"] = {"diff_set": DiffSet(other, (1,))}
+    units = c.diff_set.elements
+    for t in (t for t in range(2, p) if (p - 1) % t == 0):
+        if subgroup_of_index(p, t) != units:
+            out[f"subgroup-of-index-{t}"] = {"diff_set": DiffSet(field, subgroup_of_index(p, t))}
+    if len(units) > 1:
+        out["one-removed"] = {"diff_set": DiffSet(field, units[1:])}
+        # the same size, 1 kept: only a*U = U can tell
+        outside = next(u for u in range(1, p) if u not in units)
+        out["last-replaced"] = {"diff_set": DiffSet(field, units[:-1] + (outside,))}
+    out["order+p"] = {"group_order": c.group_order + p}
+    out["order-p"] = {"group_order": c.group_order - p}
+    return out
+
+
+class TestVerifyOnTables:
+    """``verify_certificate`` against ``verify_by_conjugates``, which builds
+    each conjugate, its claimed affine map and the difference check."""
+
+    def test_golden_certificates_and_tampers(self):
+        kept = []
+        for name, spec in _golden_specs().items():
+            c = classify(spec)
+            assert verify_certificate(spec, c) is verify_by_conjugates(spec, c) is True
+            if c.variant != SOLVABLE_AFFINE:
+                continue
+            for tamper, changes in _tampered(c).items():
+                claim = replaced(c, **changes)
+                expected = verify_by_conjugates(spec, claim)
+                assert verify_certificate(spec, claim) is expected, (name, tamper)
+                if expected:
+                    kept.append(tamper.split("@")[0])
+        # a and b are read mod p; every other tamper is rejected
+        assert set(kept) == {"a+p", "b+p"}

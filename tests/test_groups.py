@@ -15,6 +15,7 @@ from burnside.groups import (
 )
 from burnside.permutations import Perm
 from conftest import random_perm
+from oracles import conjugate
 
 
 def c_p(field):
@@ -279,7 +280,7 @@ class TestDerivedSeriesOracle:
             sigma = random_perm(f, rng)
             m = rng.randrange(2, p)
             gens = (make_affine((1, rng.randrange(1, p)), f), make_affine((m, rng.randrange(p)), f))
-            group = enumerate_group(GroupSpec(f, tuple(g.conjugate(sigma) for g in gens)), p * (p - 1))
+            group = enumerate_group(GroupSpec(f, tuple(conjugate(g, sigma) for g in gens)), p * (p - 1))
             assert derived_series(group) == all_pairs_derived_series(group.elements)
 
     @pytest.mark.parametrize("gens, expected", [
