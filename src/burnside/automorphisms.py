@@ -3,17 +3,22 @@
 These are the automorphisms of the circulant digraph Cay(Z_p, U), whose
 arcs join pairs with difference in U. Translations preserve every
 difference, so only the maps fixing 0 are sought (``_maps_fixing_zero``).
-Walk counts show when the identity is the only one (``_walks_separate``;
-Godsil and Royle, "Algebraic Graph Theory", 2001, the first round of
-colour refinement of Weisfeiler and Leman, 1968); otherwise an
+The multipliers x -> a*x with a in M(U) are among them, and walk counts
+often show that they are all (``_walks_separate``; Godsil and Royle,
+"Algebraic Graph Theory", 2001, the first round of colour refinement of
+Weisfeiler and Leman, 1968): when the counts from and to 0 tell every
+point apart, the identity is the only map; when they tell every point
+apart relative to a point x0 whose class of equal counts is M(U) * x0,
+orbit and stabilizer leave the multipliers alone. Otherwise an
 individualise-refine search finds them all (``_search_fixing_zero``; as
 in nauty and Traces, McKay and Piperno, "Practical graph isomorphism,
 II", J. Symb. Comput. 60, 2014), which the tests check against a plain
-filter over all p! permutations at tiny degree. Both read the digraph as
-packed rows, R = sum of X**u over U taken mod X**p - 1, in layouts of
-``fields.row_layout``. Every permutation found must be affine with a
-multiplier stabilizing U, and they must number p * |M(U)|; anything else
-is reported as a violation, since it would contradict a theorem.
+filter over all p! permutations at tiny degree and keep as the walk
+test's oracle. Both read the digraph as packed rows, R = sum of X**u
+over U taken mod X**p - 1, in layouts of ``fields.row_layout``. Every
+permutation found must be affine with a multiplier stabilizing U, and
+they must number p * |M(U)|; anything else is reported as a violation,
+since it would contradict a theorem.
 
 F_p* is cyclic: with g a primitive root (``fields.cyclic_table``), U is
 the word of p-1 bits with bit k set when g**k is in U, and multiplying U
@@ -27,6 +32,7 @@ is kept as its oracle.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -42,8 +48,10 @@ from .permutations import Perm, affine_coeffs
 # 120 MB peak RSS on a 2-vCPU host), but 268M each at p = 29.
 SCAN_PRIME_CAP = 23
 
-# Walks of length 1..WALK_LENGTH tell points apart in ``_walks_separate``.
+# Walks of length 1..K tell points apart in ``_walks_separate``, with K
+# from WALK_LENGTH up to LONGEST_WALK (``_walk_plan``).
 WALK_LENGTH = 4
+LONGEST_WALK = 6
 
 class AutResult(Value):
     """All difference-preserving permutations for one set U."""
@@ -203,19 +211,31 @@ def _individualise(cells, where, c, x):
 
 
 @lru_cache(maxsize=None)
-def _walk_plan(p: int, size: int) -> tuple[int, RowLayout, tuple[int, ...]]:
-    """The walk test's table for sets of s = ``size`` elements mod p. At
-    most C(s+k, k) - 1 points have nonzero counts of walks of length 1..k
-    from 0 (sums of multisets of steps from U), as many to 0, so these tie
-    when p >= 2 * C(s+k, k): ``first`` is the least index k >= 1 (length
-    k + 1) where they need not, or ``WALK_LENGTH`` for no test. A walk's
-    first k - 1 steps fix its last, so out_k <= s**(k-1), whose bits make
-    length k's field in a key. The fields share one slot if they fit 32
-    bits; else the slot holds the longest, and lengths share a key in
-    order while they fit (64-bit products were 2x slower at p = 97)."""
-    first = next((k for k in range(1, WALK_LENGTH)
-                  if p < 2 * math.comb(size + k + 1, k + 1)), WALK_LENGTH)
-    widths = [(size ** k).bit_length() for k in range(WALK_LENGTH)]
+def _walk_plan(p: int, size: int, order: int) -> tuple[int, int, RowLayout, tuple[int, ...]]:
+    """The walk test's table for sets of s = ``size`` elements mod p with
+    |M(U)| = ``order``. At most C(s+k, k) - 1 points have nonzero counts of
+    walks of length 1..k from 0 (sums of multisets of steps from U), as
+    many to 0, so at most n = 2*C(s+k, k) - 2 have a nonzero vector; with
+    -1 in M(U) (``order`` even), U = -U, the walks to 0 are those from 0
+    negated, and n = C(s+k, k) - 1. The vectors tie while p > n + 1, and
+    the pairs of the two-point test while two points have both vectors
+    zero, so while p > 2n + 1. K = ``last`` is the least k >= WALK_LENGTH
+    with p <= n + 1, where the walks could reach every point, but at most
+    LONGEST_WALK. The pairs are tested at K alone, if they need not tie
+    there, and with order 1 the vectors from the least k >= 2 where they
+    need not tie (length 1 alone, vectors in {0, 1}**2, tells at most 4
+    apart): ``first`` is the first length tested, or K + 1 for no test. A walk's first k - 1 steps fix its last, so out_k <= s**(k-1),
+    whose bits make length k's field in a key. The fields share one slot
+    if they fit 32 bits; else the slot holds the longest, and lengths
+    share a key in order while they fit (64-bit products were 2x slower at
+    p = 97)."""
+    def reach(k):  # n + 1
+        multisets = math.comb(size + k, k)
+        return multisets if order % 2 == 0 else 2 * multisets - 1
+    last = next((k for k in range(WALK_LENGTH, LONGEST_WALK) if p <= reach(k)), LONGEST_WALK)
+    pairs = last if p <= 2 * reach(last) - 1 else last + 1
+    first = next((k for k in range(2, last) if order == 1 and p <= reach(k)), pairs)
+    widths = [(size ** k).bit_length() for k in range(last)]
     layout = row_layout(p, (1 << (sum(widths) if sum(widths) <= 32 else widths[-1])) - 1)
     shifts, used = [], 0
     for width in widths:
@@ -223,33 +243,49 @@ def _walk_plan(p: int, size: int) -> tuple[int, RowLayout, tuple[int, ...]]:
             used = 0
         shifts.append(used)
         used += width
-    return first, layout, tuple(shifts)
+    return first, last, layout, tuple(shifts)
 
 
-def _walks_separate(elements, p: int) -> bool:
-    """Whether walk counts from and to 0 tell all p points apart.
+def _walks_separate(elements, p: int, order: int) -> bool:
+    """Whether walk counts show that the maps fixing 0 number ``order``,
+    |M(U)|, so that they are the multipliers x -> a*x, a in M(U).
 
     With R = sum of X**u over U, slot x of R**k mod X**p - 1 counts
     out_k(x), the walks of length k from 0 to x. The walks from x to 0
     are those from 0 to -x translated, so in_k(x) = out_k(-x). A map
     fixing 0 that preserves U-differences is an automorphism of the
     digraph, so it carries the walks from 0 to x onto those from 0 to its
-    image, and keeps every out_k and in_k. If the p vectors
-    (out_1..K(x), in_1..K(x)) with K = ``WALK_LENGTH`` are pairwise
-    distinct, such a map fixes every point: the identity is the only one.
-    Nothing here assumes Burnside's theorem. K - 1 products build R**2,
+    image, and keeps x's vector v(x) = (out_1..K(x), in_1..K(x)), K =
+    ``last`` of ``_walk_plan``. The walks from x0 to y are those from 0
+    to y - x0 translated, so a map fixing 0 and x0 keeps v(y - x0) too.
+    The test passes when
+
+    - ``order`` is 1 and the p vectors v(x) are pairwise distinct: every
+      point is fixed, and the identity is the only map; or
+    - some class of equal vectors holds exactly ``order`` points, and
+      for one x0 != 0 in it the pairs (v(y), v(y - x0)) are pairwise
+      distinct (``_separated``). The multipliers keep every v, so
+      M(U) * x0, of ``order`` points, lies in the orbit of x0, which lies
+      in its class: the orbit is M(U) * x0. The maps fixing 0 and x0
+      keep every pair, so the identity is the only one, and by
+      orbit-stabilizer the maps fixing 0 number ``order``.
+
+    Nothing here assumes Burnside's theorem; that the multipliers are
+    among the maps is checked by the caller. K - 1 products build R**2,
     ..., R**K, each added into a key row in its length's field
     (``_walk_plan``): slot x of the keys holds out_1..k(x) and slot -x
-    in_1..k(x). The test returns at the first length k whose vectors
-    (lengths 1..k) separate, one unpack and one set of slot pairs each:
-    longer vectors only refine that partition, so the answer is the one
-    for K. Length 1 alone, vectors in {0, 1}**2, tells at most 4 apart.
+    in_1..k(x). The vectors are compared at each length k from ``first``
+    on, one unpack each, and the test returns at the first that
+    separates: longer vectors only refine the partition, so the answer is
+    the one for K. The pairs are compared at K alone.
     """
-    first, layout, shifts = _walk_plan(p, len(elements))
+    first, last, layout, shifts = _walk_plan(p, len(elements), order)
+    if first > last:
+        return False
     key = r = power = layout.monomials(elements)
     fold, unpack = layout.fold, layout.unpack
     done = []
-    for k in range(1, WALK_LENGTH):
+    for k in range(1, last):
         power = fold(power * r)
         if shifts[k]:
             key += power << shifts[k]
@@ -257,26 +293,65 @@ def _walks_separate(elements, p: int) -> bool:
             keys = unpack(key)
             done += keys, keys[:1] + keys[:0:-1]
             key = power
-        if k >= first:
+        if k >= first - 1:
             keys = unpack(key)
-            if len(set(zip(*done, keys, keys[:1] + keys[:0:-1]))) == p:
+            columns = (*done, keys, keys[:1] + keys[:0:-1])
+            if order == 1 and len(set(zip(*columns))) == p:
+                return True
+            if k == last - 1:
+                return _separated(list(zip(*columns)), order)
+    return False
+
+
+def _separated(vectors, order: int) -> bool:
+    """The two-point test of ``_walks_separate`` on the vectors v(x),
+    x = 0..p-1: whether for some x0 != 0 whose class of equal vectors
+    holds ``order`` points the pairs (v(y), v(y - x0)) are pairwise
+    distinct. One x0 is tried per such class, its least member: the
+    multipliers keep every v, so they carry the pairs of x0 onto those of
+    a*x0. The points of one class need pairs that differ in v(y - x0), so
+    no class may hold more points than there are classes, and the largest
+    class C and C + x0 may share at most one point. Slot x0 of the packed
+    product of C and -C counts the points they share, for every x0 at
+    once."""
+    p = len(vectors)
+    sizes = collections.Counter(vectors)
+    largest = max(sizes.values())
+    if largest > len(sizes):
+        return False
+    big = next(v for v, size in sizes.items() if size == largest)
+    members = list(itertools.compress(range(p), map(big.__eq__, vectors)))
+    layout = row_layout(p, p)
+    shared = layout.unpack(layout.fold(layout.monomials(members)
+                                       * layout.monomials([-y % p for y in members])))
+    tried = {vectors[0]}
+    for x0 in itertools.compress(range(p), map((2).__gt__, shared)):
+        vector = vectors[x0]
+        if sizes[vector] == order and vector not in tried:
+            tried.add(vector)
+            if len(set(zip(vectors, vectors[-x0:] + vectors[:-x0]))) == p:
                 return True
     return False
 
 
-def _maps_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
-    """Every difference-preserving map with pi(0) = 0.
+def _maps_fixing_zero(dset: DiffSet, stabilizer: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every difference-preserving map with pi(0) = 0, given M(U).
 
-    When walk counts tell every point apart (``_walks_separate``) that is
-    the identity alone, with no search; otherwise it is what
-    ``_search_fixing_zero`` finds. Both give the same list, so scan and
-    aut, which read only this, never depend on which step decided. Sets
-    too small for their walks to separate skip the test (``_walk_plan``).
+    When walk counts show that the maps fixing 0 are the multipliers
+    (``_walks_separate``), those are x -> a*x for a in M(U), ascending
+    from the identity (``mult_stabilizer`` is sorted), each other one
+    re-checked by ``_preserves`` as the search re-checks its maps;
+    otherwise, or if a check fails, it is what ``_search_fixing_zero``
+    finds. Both give the same maps, so scan and aut, which read only
+    their number or sort them, never depend on which step decided. Sets
+    too small for their walks to decide skip the test (``_walk_plan``).
     """
     p = dset.field.p
     elements = dset.elements
-    if _walk_plan(p, len(elements))[0] < WALK_LENGTH and _walks_separate(elements, p):
-        return [tuple(range(p))]
+    if _walks_separate(elements, p, len(stabilizer)):
+        maps = [tuple([a * x % p for x in range(p)]) for a in stabilizer[1:]]
+        if all(_preserves(images, elements, p) for images in maps):
+            return [tuple(range(p)), *maps]
     return _search_fixing_zero(dset)
 
 
@@ -458,8 +533,8 @@ def _checked_maps_fixing_zero(dset: DiffSet) -> tuple[list[tuple[int, ...]], tup
     translate of an affine map is affine, so "all p * |fixed| maps are
     affine and number p * |M(U)|" is decided without the translates.
     """
-    fixed = _maps_fixing_zero(dset)
     stabilizer = mult_stabilizer(dset)
+    fixed = _maps_fixing_zero(dset, stabilizer)
     _assert_theorem(dset, fixed, dset.field.p * len(fixed), len(stabilizer))
     return fixed, stabilizer
 

@@ -55,33 +55,73 @@ MUTANTS = (
     Mutant(
         "walk-exit-with-a-tie",
         "src/burnside/automorphisms.py",
-        "if len(set(zip(*done, keys, keys[:1] + keys[:0:-1]))) == p:",
-        "if len(set(zip(*done, keys, keys[:1] + keys[:0:-1]))) >= p - 1:",
-        ("tests/test_fast_paths.py::TestEarlyWalkExit::test_every_small_set",
-         "tests/test_automorphisms.py::TestWalkCounts::test_every_set"),
+        "if order == 1 and len(set(zip(*columns))) == p:",
+        "if order == 1 and len(set(zip(*columns))) >= p - 1:",
+        ("tests/test_fast_paths.py::TestEarlyWalkExit::test_vectors_alone",),
     ),
     Mutant(
         "walk-tie-bound-halved",
         "src/burnside/automorphisms.py",
-        "if p < 2 * math.comb(size + k + 1, k + 1)), WALK_LENGTH)",
-        "if p < math.comb(size + k + 1, k + 1)), WALK_LENGTH)",
-        ("tests/test_fast_paths.py::TestEarlyWalkExit::test_every_small_set",),
+        "return multisets if order % 2 == 0 else 2 * multisets - 1",
+        "return multisets",
+        ("tests/test_automorphisms.py::TestWalkGuard::test_guard_edges",
+         "tests/test_automorphisms.py::TestWalkGuard::test_small_sets_mod_97",
+         "tests/test_automorphisms.py::TestSlotWidths::test_two_point_layout"),
     ),
     Mutant(
         "walk-one-length-short",
         "src/burnside/automorphisms.py",
-        "for k in range(1, WALK_LENGTH):",
-        "for k in range(1, WALK_LENGTH - 1):",
+        "for k in range(1, last):",
+        "for k in range(1, last - 1):",
         ("tests/test_fast_paths.py::TestEarlyWalkExit::test_every_small_set",
          "tests/test_fast_paths.py::TestEarlyWalkExit::test_first_separating_length_mod_13"),
     ),
     Mutant(
         "walk-key-field-one-bit-short",
         "src/burnside/automorphisms.py",
-        "(size ** k).bit_length() for k in range(WALK_LENGTH)]",
-        "(size ** k).bit_length() - 1 for k in range(WALK_LENGTH)]",
+        "widths = [(size ** k).bit_length() for k in range(last)]",
+        "widths = [(size ** k).bit_length() - 1 for k in range(last)]",
         ("tests/test_fast_paths.py::TestEarlyWalkExit::test_every_small_set",
-         "tests/test_fast_paths.py::TestWalkKey::test_fields_fit_their_slots"),
+         "tests/test_fast_paths.py::TestWalkKey::test_fields_fit_their_slots",
+         "tests/test_automorphisms.py::TestSlotWidths::test_walk_counts"),
+    ),
+    Mutant(
+        "walk-class-size-loosened",
+        "src/burnside/automorphisms.py",
+        "if sizes[vector] == order and vector not in tried:",
+        "if sizes[vector] % order == 0 and vector not in tried:",
+        ("tests/test_automorphisms.py::TestWalkCounts::test_count_law_checks_the_shortcut",
+         "tests/test_automorphisms.py::TestWalkCounts::test_proper_subgroup_refused"),
+    ),
+    Mutant(
+        "walk-maps-unchecked",
+        "src/burnside/automorphisms.py",
+        "if all(_preserves(images, elements, p) for images in maps):",
+        "if True:",
+        ("tests/test_automorphisms.py::TestWalkCounts::test_walk_maps_are_checked",),
+    ),
+    Mutant(
+        "representative-as-list",
+        "src/burnside/automorphisms.py",
+        "reps.append(DiffSet._trusted(field, combo))",
+        "reps.append(DiffSet._trusted(field, list(combo)))",
+        ("tests/test_automorphisms.py::TestRotationWalk::test_matches_label_walk",
+         "tests/test_automorphisms.py::TestUncheckedConstruction::test_orbit_representatives"),
+    ),
+    Mutant(
+        "translate-as-list",
+        "src/burnside/automorphisms.py",
+        "perms = tuple(Perm._trusted(field, t) for t in tables)",
+        "perms = tuple(Perm._trusted(field, list(t)) for t in tables)",
+        ("tests/test_automorphisms.py::TestUncheckedConstruction::test_golden_sets",
+         "tests/test_automorphisms.py::TestEnumeration::test_matches_naive_filter"),
+    ),
+    Mutant(
+        "walk-maps-as-lists",
+        "src/burnside/automorphisms.py",
+        "maps = [tuple([a * x % p for x in range(p)]) for a in stabilizer[1:]]",
+        "maps = [[a * x % p for x in range(p)] for a in stabilizer[1:]]",
+        ("tests/test_automorphisms.py::TestWalkCounts::test_maps_fixing_zero_takes_the_shortcut",),
     ),
     Mutant(
         "walk-complement-not-reversed",
@@ -98,6 +138,24 @@ MUTANTS = (
         "yield block[:-len(opening) - 1]",
         ("tests/test_fast_paths.py::TestBlockWriter::test_matches_json_dumps",
          "tests/test_cli.py::TestScanCommand::test_report_bytes"),
+    ),
+    Mutant(
+        "power-sum-slot-two-bits-narrow",
+        "src/burnside/fields.py",
+        "    return ((p - 1) ** 3).bit_length()",
+        "    return ((p - 1) ** 3).bit_length() - 2",
+        ("tests/test_fields.py::TestPackedPowersBuild::test_column_build_matches_pow_build",
+         "tests/test_polynomials.py::TestInterpolation::test_largest_weighted_row_sum_does_not_carry",
+         "tests/test_trace.py::TestGoldenTraceBytes::test_trace_json_bytes_unchanged"),
+    ),
+    Mutant(
+        "power-sum-unpack-compare-dropped",
+        "src/burnside/trace.py",
+        "left, right = unpack_powers(left, p), unpack_powers(right, p)\n"
+        "            passed = [ok and a == b for ok, a, b in zip(passed, left, right)]",
+        "passed = [False] * (p - 1)",
+        ("tests/test_trace.py::TestPackedPowerSums::test_matches_direct_check_exhaustive_p5",
+         "tests/test_trace.py::TestColumnSums::test_matches_point_sums_on_non_preserving_maps"),
     ),
     Mutant(
         "lazy-power-sum-from-slot-2",

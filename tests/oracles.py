@@ -354,18 +354,43 @@ def equitable_refinement(elements, p: int) -> list[list[int]]:
     return sorted(cells.values())
 
 
-def walks_separate_full(elements, p: int, length: int = WALK_LENGTH) -> bool:
-    """``_walks_separate`` without its early exit or packed rows: out_k(x),
-    the walks of length k from 0 to x, is the sum of out_(k-1)(x - u) over
-    u in U, counted point by point for k = 1..``length``, and
-    in_k(x) = out_k(-x). True when the p vectors of both are distinct."""
+def walk_counts(elements, p: int, length: int) -> list[list[int]]:
+    """Row k-1 holds out_k(x), the walks of length k from 0 to x, for
+    x = 0..p-1 and k = 1..``length``: the sum of out_(k-1)(x - u) over u
+    in U, counted point by point."""
     out = [1] + [0] * (p - 1)
-    vectors = [[] for _ in range(p)]
+    rows = []
     for _ in range(length):
         out = [sum(out[(x - u) % p] for u in elements) for x in range(p)]
-        for x in range(p):
-            vectors[x] += out[x], out[-x % p]
-    return len(set(map(tuple, vectors))) == p
+        rows.append(out)
+    return rows
+
+
+def walk_vectors(elements, p: int, length: int) -> list[tuple[int, ...]]:
+    """v(x) = (out_1(x), in_1(x), ..., out_k(x), in_k(x)) with
+    in_k(x) = out_k(-x), for k up to ``length``."""
+    rows = walk_counts(elements, p, length)
+    return [tuple(c for row in rows for c in (row[x], row[-x % p])) for x in range(p)]
+
+
+def walks_separate_full(elements, p: int, length: int = WALK_LENGTH) -> bool:
+    """The vectors alone, with no early exit or packed rows: True when the
+    p vectors of lengths 1..``length`` are pairwise distinct."""
+    return len(set(walk_vectors(elements, p, length))) == p
+
+
+def walk_decision_full(elements, p: int, order: int, length: int) -> bool:
+    """``_walks_separate`` by its definition, with no guard, filter or
+    packed rows: order 1 and distinct vectors, or some x0 != 0 (every one
+    is tried) whose class of equal vectors holds ``order`` points and
+    whose pairs (v(y), v(y - x0)) are pairwise distinct."""
+    vectors = walk_vectors(elements, p, length)
+    if order == 1 and len(set(vectors)) == p:
+        return True
+    sizes = Counter(vectors)
+    return any(sizes[vectors[x0]] == order
+               and len({(vectors[y], vectors[(y - x0) % p]) for y in range(p)}) == p
+               for x0 in range(1, p))
 
 
 def affine_by_loop(images, p: int):
@@ -393,7 +418,7 @@ def scan_row_by_perms(dset: DiffSet) -> ScanRow:
     patched search is seen."""
     field = dset.field
     p = field.p
-    fixed = burnside.automorphisms._maps_fixing_zero(dset)
+    fixed = burnside.automorphisms._maps_fixing_zero(dset, mult_stabilizer(dset))
     perms = tuple(Perm(field, [(v + b) % p for v in s]) for s in fixed for b in range(p))
     result = AutResult(dset, perms, mult_stabilizer(dset), True)
     assert_all_affine(result)

@@ -12,6 +12,7 @@ import burnside.automorphisms
 import burnside.cli
 from burnside import DiffSet, PrimeField, enumerate_diff_preserving, make_affine
 from burnside.automorphisms import (
+    LONGEST_WALK,
     WALK_LENGTH,
     AutResult,
     _checked_maps_fixing_zero,
@@ -20,6 +21,7 @@ from burnside.automorphisms import (
     _refine,
     _scan_rows,
     _search_fixing_zero,
+    _walk_plan,
     _walks_separate,
     all_diff_sets,
     assert_all_affine,
@@ -49,6 +51,8 @@ from oracles import (
     naive_enumerate,
     neighbour_keys,
     preserves_by_pairs,
+    walk_counts,
+    walk_decision_full,
     walks_separate_full,
 )
 
@@ -162,6 +166,37 @@ class TestBytePackedCheck:
         assert not check_preserves(_transposed(make_affine((1, 0), f), rng), sets[0])
 
 
+def _walk_key_counts(monkeypatch, elements, p):
+    """out_k(x) and in_k(x) for k = 1..K and every x, read off the walk
+    key at length K by fields of the bits of |U|**(k-1) each, at the
+    plan's shifts. Given an odd order other than 1 the walk test compares
+    the pairs alone, at K, so a spy on ``_separated`` sees the key there
+    (the plan is the one for order 1). None when the test is skipped."""
+    _, last, _, shifts = _walk_plan(p, len(elements), 1)
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(burnside.automorphisms, "_separated",
+                      lambda vectors, order: seen.append(vectors))
+        _walks_separate(elements, p, 3)
+    if not seen:
+        return None
+    columns = list(zip(*seen[0]))
+    counts = []
+    row = -1
+    for k, shift in enumerate(shifts):
+        row += not shift
+        mask = (1 << (len(elements) ** k).bit_length()) - 1
+        counts += [[c >> shift & mask for c in column] for column in columns[2 * row:2 * row + 2]]
+    return counts
+
+
+def _oracle_key_counts(elements, p):
+    """The same counts, walked point by point."""
+    last = _walk_plan(p, len(elements), 1)[1]
+    return [counts for out in walk_counts(elements, p, last)
+            for counts in (out, [out[-x % p] for x in range(p)])]
+
+
 class TestSlotWidths:
     """Each packed kernel's slot width is the narrowest that holds the
     largest value it states (``fields.row_layout``), so the widths change
@@ -196,15 +231,52 @@ class TestSlotWidths:
             assert sorted(map(sorted, cells)) == equitable_refinement(elements, p)
 
     @pytest.mark.parametrize("p, width", [(257, 32), (263, 64)])
-    def test_walk_counts(self, p, width):
+    def test_walk_counts(self, monkeypatch, p, width):
+        # Every field of the walk key against the counts, for random sets
+        # and for the intervals {1..s} with s a power of two, whose out_2
+        # = s at x = s + 1 fills its field: a field one bit short spills.
         assert row_layout(p, (p - 2) ** WALK_LENGTH).width == width
         rng = random.Random(p + 2)
         outcomes = []
-        for size in (1, 4, 9, (p - 1) // 2, p - 3, p - 2):
-            elements = tuple(sorted(rng.sample(range(1, p), size)))
-            outcomes.append(_walks_separate(elements, p))
-            assert outcomes[-1] == walks_separate_full(elements, p), size
+        sets = [tuple(sorted(rng.sample(range(1, p), size)))
+                for size in (1, 4, 9, (p - 1) // 2, p - 3, p - 2)]
+        sets += [tuple(range(1, s + 1)) for s in (2, 4, 8, 16, 32, 64, 128)]
+        decoded = 0
+        for elements in sets:
+            order = len(mult_stabilizer(DiffSet(PrimeField._trusted(p), elements)))
+            counts = _walk_key_counts(monkeypatch, elements, p)
+            if counts is not None:
+                assert counts == _oracle_key_counts(elements, p), elements
+                decoded += 1
+            last = _walk_plan(p, len(elements), order)[1]
+            outcomes.append(_walks_separate(elements, p, order))
+            assert outcomes[-1] == walk_decision_full(elements, p, order, last), elements
         assert set(outcomes) == {False, True}
+        assert decoded == len(sets) - 2  # all but {1} and {1, 2}
+
+    @pytest.mark.parametrize("p", [127, 131, 257, 263])
+    def test_two_point_layout(self, monkeypatch, p):
+        # Sets the pairs test reaches around the one-byte and 8/16-bit
+        # edges: small random sets, whose walks run to LONGEST_WALK, and
+        # unions of cosets of {1, -1}, where |M(U)| is even.
+        f = PrimeField._trusted(p)
+        rng = random.Random(p + 3)
+        sets = [tuple(sorted(rng.sample(range(1, p), size))) for size in (3, 3, 4, 5)]
+        for size in (4, 10, 16):
+            half = rng.sample(range(1, (p + 1) // 2), size)
+            sets.append(tuple(sorted(half + [p - u for u in half])))
+        paths = []
+        for elements in sets:
+            stabilizer = mult_stabilizer(DiffSet(f, elements))
+            order = len(stabilizer)
+            first, last, _, _ = _walk_plan(p, len(elements), order)
+            assert first <= last, elements
+            if order % 2:
+                assert _walk_key_counts(monkeypatch, elements, p) == _oracle_key_counts(elements, p)
+            decided = _walks_separate(elements, p, order)
+            assert decided == walk_decision_full(elements, p, order, last), elements
+            paths.append(decided and not (order == 1 and walks_separate_full(elements, p, last)))
+        assert any(paths)
 
     def test_difference_check_at_the_top_of_one_byte(self):
         # 2p - 1 = 253 at p = 127; with 1 and p-1 in U, maps x -> ±x + b
@@ -531,12 +603,13 @@ class TestGoldenSearch:
     def test_maps_fixing_zero_digest(self):
         # The maps fixing 0, in the order the search returns them, for all
         # 5194 sets with p <= 13 and the hard sets. The order follows the
-        # search tree, so this pins the tree the refinement walks.
+        # search tree, so this pins the tree the refinement walks. The
+        # search runs on every set, also where walk counts decide.
         sets = [dset for p in (3, 5, 7, 11, 13) for dset in all_diff_sets(PrimeField(p))]
         sets += [DiffSet(PrimeField(p), elements) for p, elements in HARD_SETS]
         digest = hashlib.sha256()
         for dset in sets:
-            digest.update(repr((dset.field.p, dset.elements, _maps_fixing_zero(dset))).encode())
+            digest.update(repr((dset.field.p, dset.elements, _search_fixing_zero(dset))).encode())
         assert len(sets) == 5201
         assert digest.hexdigest() == (
             "15d9a27161c2ad1142445eb8597b0e5fd26041dcf028cfc6d4fd17cd991e6622"
@@ -566,28 +639,56 @@ def _orbit_representatives(p, monkeypatch):
     return reps
 
 
+def _multipliers(dset):
+    p = dset.field.p
+    return [tuple(a * x % p for x in range(p)) for a in mult_stabilizer(dset)]
+
+
 def _walk_decisions(dsets):
     """How many sets walk counts decide, after checking each decision
-    against the search: wherever they separate the points, the search
-    must find the identity alone."""
-    decided = 0
+    against the search: wherever they decide, the search must find the
+    multipliers x -> a*x, a in M(U), alone. Returns the sets the vectors
+    of lengths up to WALK_LENGTH decide where they can reach p points
+    (each must be decided), then the sets decided by the vectors of
+    lengths up to K and by the pairs."""
+    short = one = two = 0
     for dset in dsets:
-        if _walks_separate(dset.elements, dset.field.p):
-            assert _search_fixing_zero(dset) == [tuple(range(dset.field.p))], dset.elements
-            decided += 1
-    return decided
+        p, elements = dset.field.p, dset.elements
+        order = len(mult_stabilizer(dset))
+        decided = _walks_separate(elements, p, order)
+        if p <= _reach(len(elements)) and walks_separate_full(elements, p, WALK_LENGTH):
+            assert decided, elements
+            short += 1
+        if decided:
+            assert sorted(_search_fixing_zero(dset)) == _multipliers(dset), elements
+            last = _walk_plan(p, len(elements), order)[1]
+            if order == 1 and walks_separate_full(elements, p, last):
+                one += 1
+            else:
+                two += 1
+    return short, one, two
+
+
+# The sets decided by the vectors of lengths up to K and by the pairs,
+# beside the counts of lengths up to WALK_LENGTH in the parameters below.
+EVERY_SET_DECISIONS = {3: (2, 0), 5: (12, 2), 7: (54, 6), 11: (980, 40), 13: (4008, 66)}
+REPRESENTATIVE_DECISIONS = {13: (170, 5), 17: (2034, 30), 19: (7249, 58)}
 
 
 class TestWalkCounts:
-    """Walk counts decide a trivial Aut_0 without a search; the search
-    stays their oracle. The decision counts are pinned, so a weaker test
-    (shorter walks, or out-walks alone) fails here as well as a wrong one."""
+    """Walk counts decide Aut_0 = M(U) without a search; the search stays
+    their oracle. The decision counts are pinned per path, so a weaker
+    test (shorter walks, out-walks alone, a looser class size) fails here
+    as well as a wrong one."""
 
     @pytest.mark.parametrize("p, decided", [(3, 2), (5, 12), (7, 54), (11, 970), (13, 3996)])
     def test_every_set(self, p, decided):
-        assert _walk_decisions(all_diff_sets(PrimeField(p))) == decided
+        short, one, two = _walk_decisions(all_diff_sets(PrimeField(p)))
+        assert short == decided
+        assert (one, two) == EVERY_SET_DECISIONS[p]
 
-    # (p, representatives, with trivial Aut_0, decided by walk counts)
+    # (p, representatives, with trivial Aut_0, decided by walks of
+    # lengths up to WALK_LENGTH)
     @pytest.mark.parametrize("p, reps, trivial, decided", [
         (13, 179, 170, 169),
         (17, 2067, 2048, 2034),
@@ -597,78 +698,155 @@ class TestWalkCounts:
         dsets = _orbit_representatives(p, monkeypatch)
         assert len(dsets) == reps
         identity = [tuple(range(p))]
-        searched = [_maps_fixing_zero(dset) == identity for dset in dsets]
+        searched = [_search_fixing_zero(dset) == identity for dset in dsets]
         assert sum(searched) == trivial
-        assert _walk_decisions(dsets) == decided
+        short, one, two = _walk_decisions(dsets)
+        assert short == decided
+        assert (one, two) == REPRESENTATIVE_DECISIONS[p]
 
     def test_timing_table_shapes(self):
         dsets = timing_table_shapes()
         assert len(dsets) == 96 + 48 + 24 + 20 + 5 + 1
-        assert _walk_decisions(dsets) == 39
+        assert _walk_decisions(dsets) == (39, 39, 2)
+
+    def test_hard_sets(self):
+        assert _walk_decisions(DiffSet(PrimeField(p), e) for p, e in HARD_SETS) == (2, 2, 0)
 
     def test_maps_fixing_zero_takes_the_shortcut(self, monkeypatch):
-        # A set walk counts decide never reaches the search; one they do
-        # not decide (a nontrivial M(U)) does.
+        # A set walk counts decide never reaches the search, with a
+        # trivial M(U) or not; one they do not decide does.
         def no_search(dset):
             raise AssertionError(dset.elements)
 
         f = PrimeField(13)
         monkeypatch.setattr(burnside.automorphisms, "_search_fixing_zero", no_search)
-        assert _maps_fixing_zero(DiffSet(f, (1, 2, 5))) == [tuple(range(13))]
+        for elements in (1, 2, 5), (1, 12):
+            dset = DiffSet(f, elements)
+            assert _maps_fixing_zero(dset, mult_stabilizer(dset)) == _multipliers(dset)
         with pytest.raises(AssertionError):
-            _maps_fixing_zero(DiffSet(f, (1, 12)))
+            dset = DiffSet(f, (1, 3, 9))
+            _maps_fixing_zero(dset, mult_stabilizer(dset))
 
     def test_count_law_checks_the_shortcut(self, monkeypatch):
-        # A shortcut that always answered "the identity alone" would be
-        # caught by Burnside's count law against M(U), on every path.
-        monkeypatch.setattr(burnside.automorphisms, "_walks_separate", lambda elements, p: True)
+        # A multiplier group missing a member, as a wrong mult_stabilizer
+        # would return: the walk test must refuse to decide, the search
+        # finds the member's map, and Burnside's count law catches the
+        # mismatch on every path.
+        dset = DiffSet(PrimeField(5), (1, 4))
+        assert not _walks_separate(dset.elements, 5, 1)
+        monkeypatch.setattr(burnside.automorphisms, "mult_stabilizer", lambda dset: (1,))
         for count in _COUNTERS:
             with pytest.raises(PropositionViolated, match="count disagrees") as exc:
-                count(DiffSet(PrimeField(5), (1, 4)))
-            assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
+                count(dset)
+            assert exc.value.payload == {"p": 5, "diff_set": [1, 4], "count": 10, "expected": 5}
+
+    @pytest.mark.parametrize("p, elements", [
+        (5, (1, 4)), (13, (1, 12)), (13, (1, 2, 11, 12)), (17, (1, 16)), (19, (1, 2, 17, 18)),
+    ])
+    def test_proper_subgroup_refused(self, p, elements):
+        # Sets the pairs decide with M(U) = {1, -1}. Told that M(U) is
+        # {1}, the walk test refuses: -1 ties every point with its
+        # negative, and every class but 0's holds whole orbits of -1.
+        dset = DiffSet(PrimeField(p), elements)
+        assert mult_stabilizer(dset) == (1, p - 1)
+        assert _walks_separate(elements, p, 2)
+        assert not _walks_separate(elements, p, 1)
+
+    def test_walk_maps_are_checked(self, monkeypatch):
+        # A walk test that always decided, given a group whose members do
+        # not stabilize U: each multiplier map is checked, so the search
+        # runs, and the count law catches the wrong group.
+        monkeypatch.setattr(burnside.automorphisms, "_walks_separate", lambda elements, p, order: True)
+        monkeypatch.setattr(burnside.automorphisms, "mult_stabilizer", lambda dset: (1, 4))
+        for count in _COUNTERS:
+            with pytest.raises(PropositionViolated, match="count disagrees") as exc:
+                count(DiffSet(PrimeField(5), (1, 2)))
+            assert exc.value.payload == {"p": 5, "diff_set": [1, 2], "count": 5, "expected": 10}
 
 
-def _reach(s):
-    """1 + 2 * (the multisets of 1..WALK_LENGTH steps from |U| = s): the
-    most points walk counts can give a nonzero vector, out or in."""
-    return 1 + 2 * sum(math.comb(s + k - 1, k) for k in range(1, WALK_LENGTH + 1))
+def _reach(s, length=WALK_LENGTH):
+    """1 + 2 * (the multisets of 1..length steps from |U| = s): one more
+    than the most points walk counts can give a nonzero vector, out or
+    in, with -1 not in M(U)."""
+    return 1 + 2 * sum(math.comb(s + k - 1, k) for k in range(1, length + 1))
+
+
+def _pairs_reach(s):
+    """The largest p where the pairs of the two-point test need not tie,
+    at the walk length K of sets of s elements with -1 not in M(U): the
+    least length from WALK_LENGTH where the vectors could reach p points,
+    at most LONGEST_WALK."""
+    def pairs_reach(p):
+        length = next((k for k in range(WALK_LENGTH, LONGEST_WALK) if p <= _reach(s, k)),
+                      LONGEST_WALK)
+        return 2 * _reach(s, length) - 1
+    return max(p for p in range(3, 400) if p <= pairs_reach(p))
 
 
 class TestWalkGuard:
-    """Sets too small for their walks to reach p points skip the walk
-    test; it must reject every one of them."""
+    """Sets too small for their walks to decide skip the walk test; the
+    test's definition must reject every one of them."""
 
-    # (p, |U|): the walk runs up to p = _reach(|U|) = 9, 29, 69, 139
+    # (p, |U|): all walked, since walks run to LONGEST_WALK and the pairs
+    # reach up to p = 25 for |U| = 1, 109 for 2 and 333 for 3
     @pytest.mark.parametrize("p, size", [(7, 1), (11, 1), (29, 2), (31, 2), (67, 3), (71, 3), (97, 4)])
-    def test_guard_bound(self, monkeypatch, p, size):
-        walked = []
-        real = burnside.automorphisms._walks_separate
-
-        def spy(elements, p):
-            walked.append(elements)
-            return real(elements, p)
-
-        monkeypatch.setattr(burnside.automorphisms, "_walks_separate", spy)
-        dset = DiffSet(PrimeField(p), range(1, size + 1))
-        _maps_fixing_zero(dset)
-        assert bool(walked) == (p <= _reach(size))
+    def test_guard_bound(self, p, size):
+        first, last, _, _ = _walk_plan(p, size, 1)
+        assert (first <= last) == (p <= _pairs_reach(size))
         assert [_reach(s) for s in range(5)] == [1, 9, 29, 69, 139]
+        assert [_pairs_reach(s) for s in range(1, 4)] == [25, 109, 333]
+
+    @pytest.mark.parametrize("p, elements, walked", [
+        (23, (1,), True), (29, (1,), False), (53, (1, 52), True), (59, (1, 58), False),
+    ])
+    def test_guard_edges(self, p, elements, walked):
+        # A singleton's pairs reach 25 points; with -1 in M(U) the walks
+        # to 0 are those from 0 negated, so {1, -1}'s reach 2 * 28 - 1.
+        dset = DiffSet(PrimeField(p), elements)
+        first, last, _, _ = _walk_plan(p, len(elements), len(mult_stabilizer(dset)))
+        assert (first <= last) == walked
 
     @pytest.mark.parametrize("p, skipped", [(3, 0), (5, 0), (7, 0), (11, 10), (13, 12)])
     def test_every_set(self, p, skipped):
-        guarded = [d for d in all_diff_sets(PrimeField(p)) if p > _reach(len(d))]
-        assert len(guarded) == skipped
-        assert not any(_walks_separate(d.elements, p) for d in guarded)
+        # The sets whose walks of length up to WALK_LENGTH cannot reach p
+        # points (the singletons mod 11 and 13) now walk to LONGEST_WALK,
+        # and that decides each; no set with p <= 13 skips the test.
+        short = [d for d in all_diff_sets(PrimeField(p)) if p > _reach(len(d))]
+        assert len(short) == skipped
+        assert all(_walks_separate(d.elements, p, 1) for d in short)
+        for dset in all_diff_sets(PrimeField(p)):
+            first, last, _, _ = _walk_plan(p, len(dset), len(mult_stabilizer(dset)))
+            assert first <= last, dset.elements
 
     def test_small_sets_mod_97(self):
-        # Every set of at most 3 elements mod 97 is guarded (the bound for
-        # 3 is 69 < 97): the intervals {1..k} and 300 seeded sets a size.
-        assert 97 > _reach(3)
+        # The singletons and the pairs {u, -u} mod 97 skip the test, and
+        # its definition rejects each at LONGEST_WALK (multiplying by u
+        # maps {1} and {1, -1} onto them); seeded pairs and triples are
+        # walked, with the definition's answer.
+        assert _walk_plan(97, 1, 1)[0] > LONGEST_WALK
+        assert _walk_plan(97, 2, 2)[0] > LONGEST_WALK
+        assert not walk_decision_full((1,), 97, 1, LONGEST_WALK)
+        assert not walk_decision_full((1, 96), 97, 2, LONGEST_WALK)
         rng = random.Random(97)
-        for k in (1, 2, 3):
-            sets = [tuple(range(1, k + 1))] + [rng.sample(range(1, 97), k) for _ in range(300)]
-            for elements in sets:
-                assert not _walks_separate(elements, 97), elements
+        for k in (2, 3):
+            for _ in range(20):
+                dset = DiffSet(PrimeField(97), rng.sample(range(1, 97), k))
+                order = len(mult_stabilizer(dset))
+                first, last, _, _ = _walk_plan(97, k, order)
+                assert first <= last
+                assert (_walks_separate(dset.elements, 97, order)
+                        == walk_decision_full(dset.elements, 97, order, last)), dset.elements
+
+    @pytest.mark.parametrize("p", [p for p in range(29, 98) if is_prime(p)])
+    def test_guarded_sets_cannot_pass(self, p):
+        # Each prime from 29 to 97: {1} skips the test, and so does
+        # {1, -1} from 59 on; the definition rejects every skipped one.
+        for elements, order in ((1,), 1), ((1, p - 1), 2):
+            first, last, _, _ = _walk_plan(p, len(elements), order)
+            if first > last:
+                assert not walk_decision_full(elements, p, order, last), elements
+        assert _walk_plan(p, 1, 1)[0] > LONGEST_WALK
+        assert (_walk_plan(p, 2, 2)[0] > LONGEST_WALK) == (p >= 59)
 
 
 class TestRotationWalk:
@@ -688,9 +866,12 @@ def _golden_sets():
 
 
 def _golden_digest(sets):
+    """``TestGoldenSearch``'s digest, each set's maps found by the search,
+    called through the module so that a spy or a patch sees it."""
     digest = hashlib.sha256()
     for dset in sets:
-        digest.update(repr((dset.field.p, dset.elements, _maps_fixing_zero(dset))).encode())
+        maps = burnside.automorphisms._search_fixing_zero(dset)
+        digest.update(repr((dset.field.p, dset.elements, maps)).encode())
     return digest.hexdigest()
 
 
@@ -849,7 +1030,7 @@ class TestMultiplierBranches:
         emitted = self._spy(monkeypatch)
         self._reject_once(monkeypatch)
         assert _golden_digest(_golden_sets()) == GOLDEN_DIGEST
-        assert len(emitted) == 165 and not any(emitted)
+        assert len(emitted) == 5201 and not any(emitted)
 
     @pytest.mark.parametrize("p, elements", HARD_SETS)
     def test_non_multiplier_candidates(self, monkeypatch, p, elements):
@@ -897,7 +1078,7 @@ class TestMultiplierBranches:
                             lambda images, elements, p: tuple(images) == sigma
                             or check(images, elements, p))
         emitted = self._spy(monkeypatch)
-        found = _maps_fixing_zero(dset)
+        found = burnside.automorphisms._search_fixing_zero(dset)
         assert emitted == [0]
         assert sorted(found) == sorted([sigma] + [
             tuple(a * x % p for x in range(p)) for a in (1, 2, 4)])
@@ -905,16 +1086,19 @@ class TestMultiplierBranches:
     def test_multiplier_path_on_golden_sets(self, monkeypatch):
         emitted = self._spy(monkeypatch)
         assert _golden_digest(_golden_sets()) == GOLDEN_DIGEST
-        assert (len(emitted), sum(map(bool, emitted)), sum(emitted)) == (165, 119, 219)
+        assert (len(emitted), sum(map(bool, emitted)), sum(emitted)) == (5201, 119, 219)
 
-    # (p, searches, searches that emitted a multiplier, maps they emitted)
+    # (p, searches, searches that emitted a multiplier, maps they emitted),
+    # on the representatives that the vectors of walks of length up to
+    # WALK_LENGTH leave undecided
     @pytest.mark.parametrize("p, searched, taken, maps", [
         (13, 10, 9, 17), (17, 33, 19, 29), (19, 66, 35, 51)])
     def test_multiplier_path_on_representatives(self, monkeypatch, p, searched, taken, maps):
-        dsets = _orbit_representatives(p, monkeypatch)
+        dsets = [dset for dset in _orbit_representatives(p, monkeypatch)
+                 if not (p <= _reach(len(dset)) and walks_separate_full(dset.elements, p))]
         emitted = self._spy(monkeypatch)
         for dset in dsets:
-            _maps_fixing_zero(dset)
+            burnside.automorphisms._search_fixing_zero(dset)
         assert (len(emitted), sum(map(bool, emitted)), sum(emitted)) == (searched, taken, maps)
 
     def test_mult_stabilizer_once_per_set(self, monkeypatch):
@@ -1168,7 +1352,7 @@ class TestScan:
         # A search that found only the identity: the count law fails with
         # the counts of all solutions, p * |fixed| against p * |M(U)|.
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
-                            lambda dset: [tuple(range(dset.field.p))])
+                            lambda dset, stabilizer: [tuple(range(dset.field.p))])
         for count in _COUNTERS:
             assert count(DiffSet(PrimeField(5), (1,))) == 5
             with pytest.raises(PropositionViolated, match="count disagrees") as exc:
@@ -1181,7 +1365,7 @@ class TestScan:
         # both scans; `scan` exits 2 with that counterexample and writes
         # no part of its report, to stdout or to --output.
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
-                            lambda dset: [tuple(range(dset.field.p))])
+                            lambda dset, stabilizer: [tuple(range(dset.field.p))])
         payload = {"p": 5, "diff_set": [1, 4], "count": 5, "expected": 10}
         for scan in (scan_all_subsets, walk_orbits):
             with pytest.raises(PropositionViolated, match="count disagrees") as exc:
@@ -1203,7 +1387,7 @@ class TestScan:
 
     def test_row_rejects_a_non_affine_map(self, monkeypatch):
         monkeypatch.setattr(burnside.automorphisms, "_maps_fixing_zero",
-                            lambda dset: [(0, 2, 1, 3, 4)])
+                            lambda dset, stabilizer: [(0, 2, 1, 3, 4)])
         for count in _COUNTERS:
             with pytest.raises(PropositionViolated, match="not affine") as exc:
                 count(DiffSet(PrimeField(5), (1,)))

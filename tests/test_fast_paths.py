@@ -19,16 +19,18 @@ from io import StringIO
 
 import pytest
 
+import burnside.automorphisms
 import burnside.cli
 import burnside.fields
 from burnside.cli import SCAN_BLOCK, _json_chunks, _ScanRows
 from burnside.automorphisms import (
-    WALK_LENGTH,
+    LONGEST_WALK,
     _scan_rows,
     _walk_plan,
     _walks_separate,
     all_diff_sets,
     canonical_subsets,
+    mult_stabilizer,
     walk_orbits,
 )
 from burnside.classifier import SOLVABLE_AFFINE, classify, verify_certificate
@@ -61,6 +63,7 @@ from oracles import (
     relabel_by_cycle_type,
     scan_row_by_perms,
     verify_by_conjugates,
+    walk_decision_full,
     walks_separate_full,
 )
 from test_automorphisms import _orbit_representatives, timing_table_shapes
@@ -142,25 +145,50 @@ class TestTableRow:
                 assert affine_coeffs(images, 97) == affine_by_loop(images, 97)
 
 
+def _walk_decision(dset):
+    """``_walks_separate`` on the set and ``walk_decision_full`` at the
+    set's walk length K, with no guard."""
+    p, elements = dset.field.p, dset.elements
+    order = len(mult_stabilizer(dset))
+    last = _walk_plan(p, len(elements), order)[1]
+    return _walks_separate(elements, p, order), walk_decision_full(elements, p, order, last)
+
+
 class TestEarlyWalkExit:
+    """The walk test, with its guard, early exit, filters and one x0 per
+    class, against its definition at length K: so the guard skips only
+    sets the walks cannot decide."""
+
     def test_every_small_set(self):
         for dset in _every_set():
-            assert (_walks_separate(dset.elements, dset.field.p)
-                    == walks_separate_full(dset.elements, dset.field.p)), dset.elements
+            fast, full = _walk_decision(dset)
+            assert fast == full, dset.elements
 
     def test_timing_table_shapes(self):
         for dset in timing_table_shapes():
-            assert _walks_separate(dset.elements, 97) == walks_separate_full(dset.elements, 97)
+            fast, full = _walk_decision(dset)
+            assert fast == full, dset.elements
+
+    def test_vectors_alone(self, monkeypatch):
+        # With the pairs switched off, the early exit on the vectors of
+        # lengths up to k against the vectors of lengths up to K.
+        monkeypatch.setattr(burnside.automorphisms, "_separated", lambda vectors, order: False)
+        for dset in _every_set():
+            p, elements = dset.field.p, dset.elements
+            last = _walk_plan(p, len(elements), 1)[1]
+            assert _walks_separate(elements, p, 1) == walks_separate_full(elements, p, last), elements
 
     def test_first_separating_length_mod_13(self, monkeypatch):
-        # Of the 169 representatives mod 13 that walk counts decide, the
-        # first separating length is 2 for 67, 3 for 83 and 4 for 19.
+        # Of the 175 representatives mod 13 that walk counts decide, the
+        # vectors alone first separate at length 2 for 67, 3 for 83, 4 for
+        # 19 and 6 for 1, and the pairs decide 5.
         lengths = collections.Counter()
         for dset in _orbit_representatives(13, monkeypatch):
-            if _walks_separate(dset.elements, 13):
-                lengths[next(k for k in range(1, WALK_LENGTH + 1)
-                             if walks_separate_full(dset.elements, 13, k))] += 1
-        assert lengths == {2: 67, 3: 83, 4: 19}
+            order = len(mult_stabilizer(dset))
+            if _walks_separate(dset.elements, 13, order):
+                lengths[next((k for k in range(1, LONGEST_WALK + 1) if order == 1
+                              and walks_separate_full(dset.elements, 13, k)), "pairs")] += 1
+        assert lengths == {2: 67, 3: 83, 4: 19, 6: 1, "pairs": 5}
 
 
 class TestWalkKey:
@@ -173,17 +201,20 @@ class TestWalkKey:
         sets = [tuple(range(1, s + 1)) for s in range(2, p - 1)]
         sets += [tuple(u for u in range(1, p) if u != v) for v in (1, 2, p // 2)]
         for elements in sets:
-            assert _walks_separate(elements, p) == walks_separate_full(elements, p), elements
+            fast, full = _walk_decision(DiffSet(PrimeField(p), elements))
+            assert fast == full, elements
 
     def test_fields_fit_their_slots(self):
         # Each length's field lies inside the slot, above the previous
-        # length's unless it starts a new key, up to p = 263.
+        # length's unless it starts a new key, up to p = 263, for the
+        # walk lengths of both parities of |M(U)|.
         for p in filter(is_prime, range(3, 264)):
             for size in range(1, p - 1):
-                _, layout, shifts = _walk_plan(p, size)
-                tops = [shift + (size ** k).bit_length() for k, shift in enumerate(shifts)]
-                assert max(tops) <= layout.width, (p, size)
-                assert all(b <= a for a, b in zip(tops, shifts[1:]) if b), (p, size)
+                for order in (1, 2):
+                    _, _, layout, shifts = _walk_plan(p, size, order)
+                    tops = [shift + (size ** k).bit_length() for k, shift in enumerate(shifts)]
+                    assert max(tops) <= layout.width, (p, size)
+                    assert all(b <= a for a, b in zip(tops, shifts[1:]) if b), (p, size)
 
 
 class TestLazyPowerSum:
