@@ -224,10 +224,11 @@ def _walk_plan(p: int, size: int, order: int) -> tuple[int, int, RowLayout, tupl
     LONGEST_WALK. The pairs are tested at K alone, if they need not tie
     there, and with order 1 the vectors from the least k >= 2 where they
     need not tie (length 1 alone, vectors in {0, 1}**2, tells at most 4
-    apart): ``first`` is the first length tested, or K + 1 for no test. A walk's first k - 1 steps fix its last, so out_k <= s**(k-1),
-    whose bits make length k's field in a key. The fields share one slot
-    if they fit 32 bits; else the slot holds the longest, and lengths
-    share a key in order while they fit (64-bit products were 2x slower at
+    apart): ``first`` is the first length tested, or K + 1 for no test.
+    A walk's first k - 1 steps fix its last, so out_k <= s**(k-1), whose
+    bits make length k's field in a key. The fields share one slot if
+    they fit 32 bits; else the slot holds the longest, and lengths share
+    a key in order while they fit (64-bit products were 2x slower at
     p = 97)."""
     def reach(k):  # n + 1
         multisets = math.comb(size + k, k)
@@ -274,10 +275,10 @@ def _walks_separate(elements, p: int, order: int) -> bool:
     among the maps is checked by the caller. K - 1 products build R**2,
     ..., R**K, each added into a key row in its length's field
     (``_walk_plan``): slot x of the keys holds out_1..k(x) and slot -x
-    in_1..k(x). The vectors are compared at each length k from ``first``
-    on, one unpack each, and the test returns at the first that
-    separates: longer vectors only refine the partition, so the answer is
-    the one for K. The pairs are compared at K alone.
+    in_1..k(x). With order 1 the vectors are compared at each length k
+    from ``first`` on, one unpack each, and the test returns at the first
+    that separates: longer vectors only refine the partition, so the
+    answer is the one for K. The pairs are compared at K alone.
     """
     first, last, layout, shifts = _walk_plan(p, len(elements), order)
     if first > last:
