@@ -9,7 +9,8 @@ often show that they are all (``_walks_separate``; Godsil and Royle,
 Weisfeiler and Leman, 1968): when the counts from and to 0 tell every
 point apart, the identity is the only map; when they tell every point
 apart relative to a point x0 whose class of equal counts is M(U) * x0,
-orbit and stabilizer leave the multipliers alone. Otherwise an
+orbit and stabilizer leave the multipliers alone, which never happens
+when |M(U)| >= 3, so those sets skip the test. Otherwise an
 individualise-refine search finds them all (``_search_fixing_zero``; as
 in nauty and Traces, McKay and Piperno, "Practical graph isomorphism,
 II", J. Symb. Comput. 60, 2014), which the tests check against a plain
@@ -24,10 +25,10 @@ F_p* is cyclic: with g a primitive root (``fields.cyclic_table``), U is
 the word of p-1 bits with bit k set when g**k is in U, and multiplying U
 by g rotates the word by one place (as in the necklace generation of
 Ruskey, Savage and Wang, J. Algorithms 13, 1992). M(U) is read off the
-word's period (``mult_stabilizer``). A scan of every valid set searches
-one set per orbit (``walk_orbits``, the only code that starts worker
-processes); ``scan_all_subsets`` searches them all, in this process, and
-is kept as its oracle.
+word's period (``_period``). A scan of every valid set searches one set
+per orbit (``walk_orbits``, the only code that starts worker processes),
+which reads M(U) off its walk; ``scan_all_subsets`` searches them all, in
+this process, and is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -112,18 +113,26 @@ def mult_stabilizer(dset: DiffSet) -> tuple[int, ...]:
 
     With F_p* = <g> (``cyclic_table``), g**d * U = U exactly when the
     rotation by d fixes U's word, and the d that do are the multiples of
-    the word's period t, a divisor of p-1. So M(U) = <g**t>, with t the
-    least divisor of p-1 whose rotation fixes the word. Bit k of the
-    rotation by d is bit k + d of the word, read off the word written
-    twice over.
+    the word's period t (``_period``). So M(U) = <g**t>.
     """
     p = dset.field.p
-    _, _, bits, divisors = cyclic_table(p)
-    word = sum(map(bits.__getitem__, dset.elements))
-    double = word | word << p - 1
-    mask = (1 << p - 1) - 1
-    period = next(d for d in divisors if double >> d & mask == word)
-    return subgroup_of_index(p, period)
+    word = sum(map(cyclic_table(p).bits.__getitem__, dset.elements))
+    return subgroup_of_index(p, _period(word, p))
+
+
+def _period(word: int, p: int) -> int:
+    """The least divisor of p-1 whose rotation fixes a word of p-1 bits.
+    Bit k of the rotation by d is bit k + d of the word written twice."""
+    n = p - 1
+    double = word | word << n
+    mask = (1 << n) - 1
+    return next(d for d in cyclic_table(p).divisors if double >> d & mask == word)
+
+
+@lru_cache(maxsize=None)
+def _multiplier_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """Row a is the image table of x -> a*x mod p."""
+    return tuple(tuple([a * x % p for x in range(p)]) for a in range(p))
 
 
 def _refine(cells, where, queue, rows, p, expected=None):
@@ -345,14 +354,18 @@ def _maps_fixing_zero(dset: DiffSet, stabilizer: tuple[int, ...]) -> list[tuple[
     otherwise, or if a check fails, it is what ``_search_fixing_zero``
     finds. Both give the same maps, so scan and aut, which read only
     their number or sort them, never depend on which step decided. Sets
-    too small for their walks to decide skip the test (``_walk_plan``).
+    too small for their walks to decide skip the test (``_walk_plan``),
+    and so do sets with |M(U)| >= 3, where it fails: for a != b in M(U)
+    other than 1 and any x0 != 0, y = (1-b)*x0 / (a-b) and y' = a*y
+    differ, v(y') = v(y) and y' - x0 = b*(y - x0), so their pairs tie.
     """
     p = dset.field.p
     elements = dset.elements
-    if _walks_separate(elements, p, len(stabilizer)):
-        maps = [tuple([a * x % p for x in range(p)]) for a in stabilizer[1:]]
+    if len(stabilizer) < 3 and _walks_separate(elements, p, len(stabilizer)):
+        lines = _multiplier_tables(p)
+        maps = [lines[a] for a in stabilizer[1:]]
         if all(_preserves(images, elements, p) for images in maps):
-            return [tuple(range(p)), *maps]
+            return [lines[1], *maps]
     return _search_fixing_zero(dset)
 
 
@@ -466,7 +479,8 @@ def enumerate_diff_preserving(field: PrimeField, dset: DiffSet) -> AutResult:
     if dset.field != field:
         raise FieldMismatch("difference set built over a different modulus")
     p = field.p
-    fixed, stabilizer = _checked_maps_fixing_zero(dset)
+    stabilizer = mult_stabilizer(dset)
+    fixed = _checked_maps_fixing_zero(dset, stabilizer)
     shifted = [tuple(range(b, p)) + tuple(range(b)) for b in range(p)]
     tables = sorted(
         tuple(map(shift.__getitem__, s)) for s in fixed for shift in shifted
@@ -490,10 +504,12 @@ def assert_all_affine(result: AutResult) -> None:
 
 
 def _assert_theorem(dset: DiffSet, tables, count: int, stabilizer_size: int) -> None:
-    """Raise unless every image table is affine and count == p * stabilizer_size."""
+    """Raise unless every image table is affine and count == p * stabilizer_size.
+    A table equal to the line x -> a*x, a = images[1] != 0, skips ``affine_coeffs``."""
     p = dset.field.p
+    lines = _multiplier_tables(p)
     for images in tables:
-        if affine_coeffs(images, p) is None:
+        if not (images[1] and images == lines[images[1]]) and affine_coeffs(images, p) is None:
             raise PropositionViolated(
                 "difference-preserving permutation is not affine",
                 payload={"p": p, "diff_set": list(dset.elements), "permutation": list(images)})
@@ -526,26 +542,25 @@ def all_diff_sets(field: PrimeField):
         yield DiffSet(field, combo)
 
 
-def _checked_maps_fixing_zero(dset: DiffSet) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """The image tables of the maps fixing 0 and M(U), once Burnside's
+def _checked_maps_fixing_zero(dset: DiffSet, stabilizer: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The image tables of the maps fixing 0, given M(U), once Burnside's
     count law holds on them.
 
     Every solution is a translate of exactly one map fixing 0, and every
     translate of an affine map is affine, so "all p * |fixed| maps are
     affine and number p * |M(U)|" is decided without the translates.
     """
-    stabilizer = mult_stabilizer(dset)
     fixed = _maps_fixing_zero(dset, stabilizer)
     _assert_theorem(dset, fixed, dset.field.p * len(fixed), len(stabilizer))
-    return fixed, stabilizer
+    return fixed
 
 
-def _scan_rows(dsets) -> list[ScanRow]:
-    """The scan row of each set, in order, in one pass, each checked on the
-    image tables of its maps fixing 0 alone (``_checked_maps_fixing_zero``)."""
+def _scan_rows(dsets, stabilizers) -> list[ScanRow]:
+    """The scan row of each set, given its M(U), in order, in one pass, each
+    checked on the image tables of its maps fixing 0 alone."""
     rows = []
-    for dset in dsets:
-        fixed, stabilizer = _checked_maps_fixing_zero(dset)
+    for dset, stabilizer in zip(dsets, stabilizers):
+        fixed = _checked_maps_fixing_zero(dset, stabilizer)
         size, count = len(dset.elements), dset.field.p * len(fixed)
         rows.append(ScanRow._trusted(dset.elements, size, len(stabilizer), count, True,
                                      min_nonzero_power_sum(dset)))
@@ -564,8 +579,8 @@ def _check_scan(field: PrimeField) -> None:
         )
 
 
-def _scan_sets(dsets: list[DiffSet], jobs: int) -> list[ScanRow]:
-    """``_scan_rows`` of the sets, in order.
+def _scan_sets(dsets: list[DiffSet], stabilizers: list[tuple], jobs: int) -> list[ScanRow]:
+    """``_scan_rows`` of the sets and their M(U), in order.
 
     At most ``min(jobs, len(dsets), os.cpu_count())`` worker processes
     start; with one, the sets are scanned in this process, and otherwise
@@ -575,12 +590,14 @@ def _scan_sets(dsets: list[DiffSet], jobs: int) -> list[ScanRow]:
     """
     workers = min(jobs, len(dsets), os.cpu_count() or 1)
     if workers == 1:
-        return _scan_rows(dsets)
+        return _scan_rows(dsets, stabilizers)
     from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(dsets) // (workers * 8))
-    chunks = [dsets[i:i + chunk] for i in range(0, len(dsets), chunk)]
+    starts = range(0, len(dsets), chunk)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(itertools.chain.from_iterable(pool.map(_scan_rows, chunks)))
+        rows = pool.map(_scan_rows, [dsets[i:i + chunk] for i in starts],
+                        [stabilizers[i:i + chunk] for i in starts])
+        return list(itertools.chain.from_iterable(rows))
 
 
 def scan_all_subsets(field: PrimeField) -> list[ScanRow]:
@@ -591,7 +608,8 @@ def scan_all_subsets(field: PrimeField) -> list[ScanRow]:
     ``walk_orbits``, and it shares none of the walk's orbit or worker code.
     """
     _check_scan(field)
-    return _scan_rows(list(all_diff_sets(field)))
+    dsets = list(all_diff_sets(field))
+    return _scan_rows(dsets, list(map(mult_stabilizer, dsets)))
 
 
 def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[int]]:
@@ -610,8 +628,9 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
     The sets of at most (p-1)/2 elements are walked in ``canonical_subsets``
     order, each as its word over ``cyclic_table`` (bit k for g**k in U),
     the sum of its tuple over the bits of 1..p-1. The first set met of an
-    orbit is its least member and its representative, built unchecked; a
-    table of 2**(p-1) slots maps the p-1 rotations of its word (g**r * U)
+    orbit is its least member and its representative, built unchecked,
+    and its word's period t gives M(U) = <g**t> (``_period``); a table of
+    2**(p-1) slots maps the t distinct rotations of its word (g**r * U)
     to its orbit, and at size (p-1)/2, where U^c has U's size, their
     complements too. Within one size A precedes B exactly when min(A ^ B)
     is in A, so complementing reverses the order: the orbits of size
@@ -630,19 +649,21 @@ def walk_orbits(field: PrimeField, jobs: int = 1) -> tuple[list[ScanRow], list[i
     sizes = [math.comb(n, k) for k in range(1, half + 1)]
     words = map(sum, itertools.islice(canonical_subsets(bits[1:]), sum(sizes)))
     orbit_of = [None] * (full + 1)
-    reps, orbits = [], []
+    reps, stabilizers, orbits = [], [], []
     for word, combo in zip(words, canonical_subsets(field.nonzero())):
         orbit = orbit_of[word]
         if orbit is None:
             orbit = len(reps)
             reps.append(DiffSet._trusted(field, combo))
+            period = _period(word, p)
+            stabilizers.append(subgroup_of_index(p, period))
             double = word | word << n
             flip = full if len(combo) == half else 0
-            for r in range(n):
+            for r in range(period):
                 image = double >> r & full
                 orbit_of[image] = orbit_of[image ^ flip] = orbit
         orbits.append(orbit)
     starts = list(itertools.accumulate(sizes, initial=0))
     for k in range(half - 1, 0, -1):
         orbits += orbits[starts[k - 1]:starts[k]][::-1]
-    return _scan_sets(reps, jobs), orbits
+    return _scan_sets(reps, stabilizers, jobs), orbits

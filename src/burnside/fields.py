@@ -16,6 +16,7 @@ import re
 import sys
 from array import array
 from functools import lru_cache
+from itertools import repeat
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
@@ -48,8 +49,7 @@ _set = object.__setattr__
 
 def _fill(obj, *values):
     """``obj`` with its fields, in ``__slots__`` order, set to ``values``."""
-    for name, value in zip(obj.__slots__, values):
-        _set(obj, name, value)
+    any(map(_set, repeat(obj), obj.__slots__, values))
     return obj
 
 
@@ -342,13 +342,15 @@ def min_nonzero_power_sum(dset: DiffSet, sums: tuple[int, ...] | None = None) ->
     """Smallest k in 1..p-1 whose power sum is nonzero.
 
     ``sums`` is the set's ``power_sums`` vector when the caller already
-    holds it; otherwise the packed sum's slots are read from S(1) upwards,
-    each reduced mod p only when it is reached. A valid set always has a
-    nonzero power sum (its Vandermonde matrix is nonsingular), so an
-    all-zero vector signals a bug.
+    holds it. Otherwise S(1), the sum mod p, is tried first; then the
+    packed sum's slots are read from S(1) upwards, each reduced mod p only
+    when it is reached. A valid set always has a nonzero power sum (its
+    Vandermonde matrix is nonsingular), so an all-zero vector is a bug.
     """
     if sums is None:
         p = dset.field.p
+        if sum(dset.elements) % p:
+            return 1
         sums = _slots(sum(map(packed_powers(p).__getitem__, dset.elements)), p)
     for k, s in enumerate(sums, start=1):
         if s:

@@ -75,8 +75,8 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
 
 @pytest.fixture

@@ -47,8 +47,8 @@ MUTANTS = (
     Mutant(
         "row-affinity-dropped",
         "src/burnside/automorphisms.py",
-        "if affine_coeffs(images, p) is None:",
-        "if False:",
+        "and affine_coeffs(images, p) is None:",
+        "and False:",
         ("tests/test_automorphisms.py::TestScan::test_row_rejects_a_non_affine_map",
          "tests/test_automorphisms.py::TestAffineAssertions::test_nonaffine_member_raises"),
     ),
@@ -119,9 +119,50 @@ MUTANTS = (
     Mutant(
         "walk-maps-as-lists",
         "src/burnside/automorphisms.py",
-        "maps = [tuple([a * x % p for x in range(p)]) for a in stabilizer[1:]]",
-        "maps = [[a * x % p for x in range(p)] for a in stabilizer[1:]]",
-        ("tests/test_automorphisms.py::TestWalkCounts::test_maps_fixing_zero_takes_the_shortcut",),
+        "return tuple(tuple([a * x % p for x in range(p)]) for a in range(p))",
+        "return tuple([a * x % p for x in range(p)] for a in range(p))",
+        ("tests/test_automorphisms.py::TestWalkCounts::test_maps_fixing_zero_takes_the_shortcut",
+         "tests/test_fast_paths.py::TestMultiplierLines::test_rows_are_the_multiplier_maps"),
+    ),
+    Mutant(
+        "line-compare-always-accepting",
+        "src/burnside/automorphisms.py",
+        "if not (images[1] and images == lines[images[1]]) and",
+        "if False and",
+        ("tests/test_automorphisms.py::TestScan::test_row_rejects_a_non_affine_map",
+         "tests/test_automorphisms.py::TestAffineAssertions::test_nonaffine_member_raises",
+         "tests/test_fast_paths.py::TestMultiplierLines::test_line_compare_on_tampered_tables"),
+    ),
+    Mutant(
+        "line-compare-zero-row",
+        "src/burnside/automorphisms.py",
+        "if not (images[1] and images == lines[images[1]]) and",
+        "if not (images == lines[images[1]]) and",
+        ("tests/test_fast_paths.py::TestMultiplierLines::test_line_compare_on_tampered_tables",),
+    ),
+    Mutant(
+        "multiplier-skip-loosened",
+        "src/burnside/automorphisms.py",
+        "if len(stabilizer) < 3 and",
+        "if len(stabilizer) < 2 and",
+        ("tests/test_automorphisms.py::TestWalkCounts::test_maps_fixing_zero_takes_the_shortcut",
+         "tests/test_automorphisms.py::TestNoWalkTestFromThreeMultipliers"
+         "::test_maps_fixing_zero_skips_the_walk_test"),
+    ),
+    Mutant(
+        "period-wrong-divisor",
+        "src/burnside/automorphisms.py",
+        "return next(d for d in cyclic_table(p).divisors if double >> d & mask == word)",
+        "return next(n // d for d in cyclic_table(p).divisors if double >> d & mask == word)",
+        ("tests/test_fast_paths.py::TestWalkStabilizer::test_representatives",
+         "tests/test_automorphisms.py::TestMultStabilizer::test_matches_all_multipliers_oracle"),
+    ),
+    Mutant(
+        "orbit-rotations-one-short",
+        "src/burnside/automorphisms.py",
+        "for r in range(period):",
+        "for r in range(period - 1):",
+        ("tests/test_automorphisms.py::TestRotationWalk::test_matches_label_walk",),
     ),
     Mutant(
         "walk-complement-not-reversed",
@@ -156,6 +197,14 @@ MUTANTS = (
         "passed = [False] * (p - 1)",
         ("tests/test_trace.py::TestPackedPowerSums::test_matches_direct_check_exhaustive_p5",
          "tests/test_trace.py::TestColumnSums::test_matches_point_sums_on_non_preserving_maps"),
+    ),
+    Mutant(
+        "power-sum-first-always-one",
+        "src/burnside/fields.py",
+        "if sum(dset.elements) % p:",
+        "if True:",
+        ("tests/test_fast_paths.py::TestLazyPowerSum::test_every_small_set",
+         "tests/test_fast_paths.py::TestLazyPowerSum::test_sum_first"),
     ),
     Mutant(
         "lazy-power-sum-from-slot-2",

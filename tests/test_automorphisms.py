@@ -1,3 +1,5 @@
+import collections
+import functools
 import gc
 import hashlib
 import json
@@ -53,6 +55,7 @@ from oracles import (
     preserves_by_pairs,
     walk_counts,
     walk_decision_full,
+    walk_vectors,
     walks_separate_full,
 )
 
@@ -634,7 +637,8 @@ def timing_table_shapes():
 
 def _orbit_representatives(p, monkeypatch):
     """The sets ``walk_orbits`` searches mod p, without searching them."""
-    monkeypatch.setattr(burnside.automorphisms, "_scan_sets", lambda dsets, jobs: dsets)
+    monkeypatch.setattr(burnside.automorphisms, "_scan_sets",
+                        lambda dsets, stabilizers, jobs: dsets)
     reps, _ = walk_orbits(PrimeField(p))
     return reps
 
@@ -728,13 +732,14 @@ class TestWalkCounts:
             _maps_fixing_zero(dset, mult_stabilizer(dset))
 
     def test_count_law_checks_the_shortcut(self, monkeypatch):
-        # A multiplier group missing a member, as a wrong mult_stabilizer
-        # would return: the walk test must refuse to decide, the search
-        # finds the member's map, and Burnside's count law catches the
-        # mismatch on every path.
+        # A multiplier group missing a member, as a wrong period of U's
+        # word would give, to mult_stabilizer and the orbit walk alike:
+        # the walk test must refuse to decide, the search finds the
+        # member's map, and Burnside's count law catches the mismatch on
+        # every path.
         dset = DiffSet(PrimeField(5), (1, 4))
         assert not _walks_separate(dset.elements, 5, 1)
-        monkeypatch.setattr(burnside.automorphisms, "mult_stabilizer", lambda dset: (1,))
+        monkeypatch.setattr(burnside.automorphisms, "_period", lambda word, p: p - 1)
         for count in _COUNTERS:
             with pytest.raises(PropositionViolated, match="count disagrees") as exc:
                 count(dset)
@@ -754,14 +759,88 @@ class TestWalkCounts:
 
     def test_walk_maps_are_checked(self, monkeypatch):
         # A walk test that always decided, given a group whose members do
-        # not stabilize U: each multiplier map is checked, so the search
-        # runs, and the count law catches the wrong group.
+        # not stabilize U (period 2 of the word gives {1, 4}): each
+        # multiplier map is checked, so the search runs, and the count law
+        # catches the wrong group.
         monkeypatch.setattr(burnside.automorphisms, "_walks_separate", lambda elements, p, order: True)
-        monkeypatch.setattr(burnside.automorphisms, "mult_stabilizer", lambda dset: (1, 4))
+        monkeypatch.setattr(burnside.automorphisms, "_period", lambda word, p: 2)
         for count in _COUNTERS:
             with pytest.raises(PropositionViolated, match="count disagrees") as exc:
                 count(DiffSet(PrimeField(5), (1, 2)))
             assert exc.value.payload == {"p": 5, "diff_set": [1, 2], "count": 5, "expected": 10}
+
+
+@functools.lru_cache(maxsize=None)
+def _three_or_more_multipliers():
+    """Every set with |M(U)| >= 3 at p <= 13, every such orbit
+    representative mod 17 and 19, and seeded unions of cosets of the
+    subgroups of order 3, 4, 6, 8 and 12 mod 97 (four of each; a union
+    may have a larger M(U))."""
+    sets = [dset for p in (3, 5, 7, 11, 13) for dset in all_diff_sets(PrimeField(p))]
+    with pytest.MonkeyPatch.context() as mp:
+        for p in (17, 19):
+            sets += _orbit_representatives(p, mp)
+    powers = cyclic_table(97).powers
+    rng = random.Random(97)
+    for order in (3, 4, 6, 8, 12):
+        index = 96 // order
+        for _ in range(4):
+            cosets = rng.sample(range(index), rng.randrange(1, index))
+            sets.append(DiffSet(PrimeField(97), [powers[j + index * k]
+                                                 for j in cosets for k in range(order)]))
+    return tuple((dset, mult_stabilizer(dset)) for dset in sets
+                 if len(mult_stabilizer(dset)) >= 3)
+
+
+class TestNoWalkTestFromThreeMultipliers:
+    """With a != b in M(U) other than 1 and any x0 != 0, y = (1-b)*x0 /
+    (a-b) and y' = a*y are distinct points whose pairs (v(y), v(y - x0))
+    are equal: v(y') = v(y) as a keeps every walk count, and
+    y' - x0 = b*(y - x0). So the walk test cannot decide a set with
+    |M(U)| >= 3, and ``_maps_fixing_zero`` skips it there."""
+
+    def test_the_sets(self):
+        orders = collections.Counter(
+            (dset.field.p, len(stabilizer)) for dset, stabilizer in _three_or_more_multipliers())
+        assert orders == {(7, 3): 2, (11, 5): 2, (13, 3): 12, (13, 4): 6, (13, 6): 2,
+                          (17, 4): 2, (17, 8): 1, (19, 3): 5, (19, 6): 1, (19, 9): 1,
+                          (97, 3): 4, (97, 4): 4, (97, 6): 4, (97, 8): 4, (97, 12): 4}
+
+    @pytest.mark.parametrize("length", [4, 5, 6])
+    def test_definition_fails(self, length):
+        for dset, stabilizer in _three_or_more_multipliers():
+            assert not walk_decision_full(dset.elements, dset.field.p, len(stabilizer), length)
+
+    def test_lemma_pairs_collide(self):
+        for dset, stabilizer in _three_or_more_multipliers():
+            p = dset.field.p
+            vectors = walk_vectors(dset.elements, p, LONGEST_WALK)
+            a, b = stabilizer[1], stabilizer[2]
+            for x0 in range(1, p):
+                y = (1 - b) * x0 * pow(a - b, -1, p) % p
+                moved = a * y % p
+                assert moved != y
+                assert (moved - x0) % p == b * (y - x0) % p
+                assert vectors[moved] == vectors[y]
+                assert vectors[(moved - x0) % p] == vectors[(y - x0) % p]
+
+    def test_maps_fixing_zero_skips_the_walk_test(self, monkeypatch):
+        calls = []
+        real = burnside.automorphisms._walks_separate
+
+        def spy(elements, p, order):
+            calls.append(elements)
+            return real(elements, p, order)
+
+        monkeypatch.setattr(burnside.automorphisms, "_walks_separate", spy)
+        for dset, stabilizer in _three_or_more_multipliers():
+            assert _maps_fixing_zero(dset, stabilizer) == _search_fixing_zero(dset)
+        assert calls == []
+        # the spy sees the test where |M(U)| is 1 or 2
+        for elements in (1, 2, 5), (1, 12):
+            dset = DiffSet(PrimeField(13), elements)
+            _maps_fixing_zero(dset, mult_stabilizer(dset))
+        assert calls == [(1, 2, 5), (1, 12)]
 
 
 def _reach(s, length=WALK_LENGTH):
@@ -854,7 +933,8 @@ class TestRotationWalk:
     def test_matches_label_walk(self, monkeypatch, p):
         # The same representatives, in the same order, and the same orbit
         # index for every set, as the walk over labels u -> bit u-1.
-        monkeypatch.setattr(burnside.automorphisms, "_scan_sets", lambda dsets, jobs: dsets)
+        monkeypatch.setattr(burnside.automorphisms, "_scan_sets",
+                        lambda dsets, stabilizers, jobs: dsets)
         assert walk_orbits(PrimeField(p)) == label_walk(PrimeField(p))
 
 
@@ -896,7 +976,7 @@ class TestUncheckedConstruction:
     @staticmethod
     def _check(dsets):
         for dset in dsets:
-            fixed, _ = _checked_maps_fixing_zero(dset)
+            fixed = _checked_maps_fixing_zero(dset, mult_stabilizer(dset))
             perms = enumerate_diff_preserving(dset.field, dset).automorphisms
             assert len(perms) == dset.field.p * len(fixed)
             for q in perms:
@@ -1102,25 +1182,36 @@ class TestMultiplierBranches:
         assert (len(emitted), sum(map(bool, emitted)), sum(emitted)) == (searched, taken, maps)
 
     def test_mult_stabilizer_once_per_set(self, monkeypatch):
-        # The search never computes M(U); the count law computes it once
-        # per set, on every path.
-        calls = []
-        real = burnside.automorphisms.mult_stabilizer
+        # The search never computes M(U); it is read off one word's period
+        # once per set, on every path: by mult_stabilizer for the
+        # enumeration, and by the orbit walk itself for each orbit, where
+        # mult_stabilizer never runs.
+        calls, periods = [], []
+        real, real_period = burnside.automorphisms.mult_stabilizer, burnside.automorphisms._period
 
         def counted(dset):
             calls.append(dset.elements)
             return real(dset)
 
+        def counted_period(word, p):
+            periods.append(word)
+            return real_period(word, p)
+
         monkeypatch.setattr(burnside.automorphisms, "mult_stabilizer", counted)
+        monkeypatch.setattr(burnside.automorphisms, "_period", counted_period)
         for p, elements in HARD_SETS:
             dset = DiffSet(PrimeField(p), elements)
             calls.clear()
+            periods.clear()
             enumerate_diff_preserving(dset.field, dset)
             assert calls == [dset.elements]
+            assert len(periods) == 1
         calls.clear()
+        periods.clear()
         reps, _ = walk_orbits(PrimeField(13))
-        assert len(calls) == len(reps) == 179
-        assert len(set(calls)) == 179
+        assert calls == []
+        assert len(periods) == len(reps) == 179
+        assert len(set(periods)) == 179
 
 
 class TestNoCyclicGarbage:
@@ -1229,7 +1320,7 @@ def _count_by_orbit_scan(dset):
 # Every caller that checks Burnside's count law on the maps fixing 0: a
 # scan row, the orbit scan, the enumeration, and the `aut` command.
 _COUNTERS = [
-    lambda dset: _scan_rows([dset])[0].automorphism_count,
+    lambda dset: _scan_rows([dset], [mult_stabilizer(dset)])[0].automorphism_count,
     _count_by_orbit_scan,
     lambda dset: len(enumerate_diff_preserving(dset.field, dset).automorphisms),
     _count_by_aut_command,

@@ -1,13 +1,16 @@
 """Each fast path of the scan against the slow route it replaced.
 
 The block writer against ``json.dumps(indent=2)``; the row checked on
-image tables against the row built from validated ``Perm``s; the walk
+image tables against the row built from validated ``Perm``s; the cached
+multiplier lines against the affine maps built one by one, and the
+affinity check's line compare against ``affine_coeffs``; the M(U) the
+orbit walk reads off its words against ``mult_stabilizer``; the walk
 test that returns at the first separating length against the one that
-builds every length; the lazy power-sum read against the unpacked
-vector; the one-walk p-cycle test against the full cycle type; the
-certificate's conjugates read off image tables against the conjugates
-built as ``Perm``s, and ``verify_certificate`` against the verifier that
-builds them.
+builds every length; the lazy power-sum read, S(1) first, against the
+unpacked vector; the one-walk p-cycle test against the full cycle type;
+the certificate's conjugates read off image tables against the
+conjugates built as ``Perm``s, and ``verify_certificate`` against the
+verifier that builds them.
 """
 
 import collections
@@ -25,6 +28,8 @@ import burnside.fields
 from burnside.cli import SCAN_BLOCK, _json_chunks, _ScanRows
 from burnside.automorphisms import (
     LONGEST_WALK,
+    _assert_theorem,
+    _multiplier_tables,
     _scan_rows,
     _walk_plan,
     _walks_separate,
@@ -35,7 +40,7 @@ from burnside.automorphisms import (
 )
 from burnside.classifier import SOLVABLE_AFFINE, classify, verify_certificate
 from burnside.cli import parse_group_file
-from burnside.errors import InputError, InternalInvariantViolation
+from burnside.errors import InputError, InternalInvariantViolation, PropositionViolated
 from burnside.fields import (
     DiffSet,
     PrimeField,
@@ -119,12 +124,14 @@ class TestTableRow:
     def test_every_small_set(self):
         for p in SMALL_PRIMES:
             dsets = list(all_diff_sets(PrimeField(p)))
-            assert _scan_rows(dsets) == list(map(scan_row_by_perms, dsets)), p
+            stabilizers = list(map(mult_stabilizer, dsets))
+            assert _scan_rows(dsets, stabilizers) == list(map(scan_row_by_perms, dsets)), p
 
     def test_representatives_mod_17(self, monkeypatch):
         dsets = _orbit_representatives(17, monkeypatch)
         assert len(dsets) == 2067
-        assert _scan_rows(dsets) == list(map(scan_row_by_perms, dsets))
+        stabilizers = list(map(mult_stabilizer, dsets))
+        assert _scan_rows(dsets, stabilizers) == list(map(scan_row_by_perms, dsets))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_affine_test_on_every_perm(self, p):
@@ -143,6 +150,78 @@ class TestTableRow:
             near[3], near[70] = near[70], near[3]
             for images in (perm.images, tuple(near)):
                 assert affine_coeffs(images, 97) == affine_by_loop(images, 97)
+
+
+class TestMultiplierLines:
+    def test_rows_are_the_multiplier_maps(self):
+        for p in filter(is_prime, range(2, 98)):
+            lines = _multiplier_tables(p)
+            assert len(lines) == p
+            assert lines[0] == (0,) * p
+            for a in range(1, p):
+                assert lines[a] == make_affine((a, 0), PrimeField(p)).images, (p, a)
+
+    # (p, affine tables): the lines and translates of a != 0, and mod 3
+    # two swaps that give another line
+    @pytest.mark.parametrize("p, affine", [(3, 6), (5, 8), (13, 24), (97, 192)])
+    def test_line_compare_on_tampered_tables(self, p, affine):
+        # Every line, the a = 0 row among them, with two entries swapped,
+        # with images[0] moved off 0, and translated: the check raises
+        # exactly where affine_coeffs finds no (a, b), with its payload.
+        rng = random.Random(p)
+        dset = DiffSet(PrimeField(p), (1,))
+        tables = []
+        for line in map(list, _multiplier_tables(p)):
+            i, j = rng.sample(range(p), 2)
+            swapped = line.copy()
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            moved = line.copy()
+            moved[0] = rng.randrange(1, p)
+            b = rng.randrange(1, p)
+            tables += [line, swapped, moved, [(v + b) % p for v in line]]
+        outcomes = collections.Counter()
+        for images in map(tuple, tables):
+            expected = affine_coeffs(images, p) is not None
+            outcomes[expected] += 1
+            try:
+                _assert_theorem(dset, [images], p, 1)
+            except PropositionViolated as exc:
+                assert not expected, images
+                assert exc.payload == {"p": p, "diff_set": [1], "permutation": list(images)}
+            else:
+                assert expected, images
+        assert outcomes == {True: affine, False: 4 * p - affine}
+
+
+def _walk_stabilizers(p, one_set=None):
+    """The (representative, M(U)) pairs the orbit walk mod p hands to its
+    row pass; with ``one_set``, the walk is cut down to that set alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(burnside.automorphisms, "_scan_sets",
+                   lambda dsets, stabilizers, jobs: list(zip(dsets, stabilizers)))
+        if one_set is not None:
+            mp.setattr(burnside.automorphisms, "canonical_subsets",
+                       lambda labels: iter([tuple(labels[u - 1] for u in one_set)]))
+        pairs, _ = walk_orbits(PrimeField(p))
+    return pairs
+
+
+class TestWalkStabilizer:
+    def test_every_small_set(self):
+        for dset in _every_set():
+            (rep, stabilizer), = _walk_stabilizers(dset.field.p, dset.elements)
+            assert rep == dset
+            assert stabilizer == mult_stabilizer(dset), dset.elements
+
+    @pytest.mark.parametrize("p, orders", [
+        (17, {1: 2048, 2: 16, 4: 2, 8: 1}),
+        (19, {1: 7280, 2: 28, 3: 5, 6: 1, 9: 1}),
+    ])
+    def test_representatives(self, p, orders):
+        pairs = _walk_stabilizers(p)
+        for dset, stabilizer in pairs:
+            assert stabilizer == mult_stabilizer(dset), dset.elements
+        assert collections.Counter(len(s) for _, s in pairs) == orders
 
 
 def _walk_decision(dset):
@@ -221,6 +300,23 @@ class TestLazyPowerSum:
     def test_every_small_set(self):
         for dset in _every_set():
             assert min_nonzero_power_sum(dset) == first_nonzero_power_sum(dset), dset.elements
+
+    def test_sum_first(self, monkeypatch):
+        # S(1) != 0 answers 1 before any packed row is read; the sets with
+        # S(1) = 0 read the slots, and the answer is the oracle's on both.
+        packed = []
+        real = burnside.fields.packed_powers
+        monkeypatch.setattr(burnside.fields, "packed_powers",
+                            lambda p: packed.append(p) or real(p))
+        paths = collections.Counter()
+        for dset in _every_set():
+            expected = first_nonzero_power_sum(dset)
+            packed.clear()
+            assert min_nonzero_power_sum(dset) == expected, dset.elements
+            shortcut = sum(dset.elements) % dset.field.p != 0
+            assert packed == ([] if shortcut else [dset.field.p])
+            paths[shortcut] += 1
+        assert paths == {True: 4778, False: 416}
 
     def test_random_sets_at_97(self):
         field = PrimeField(97)
