@@ -418,16 +418,16 @@ def _search_fixing_zero(dset: DiffSet) -> list[tuple[int, ...]]:
     c, _ = levels[0]
     x0, *others = root[c]
     inverse = pow(x0, -1, p)
+    lines = _multiplier_tables(p)
     solutions = []
     for y in reversed(others):
-        a = y * inverse % p
-        images = [a * x % p for x in range(p)]
+        images = lines[y * inverse % p]
         if _preserves(images, elements, p):
-            solutions.append(tuple(images))
+            solutions.append(images)
         else:
             solutions += _descend(_children(0, root, root_where, [y], levels, rows),
                                   levels, positions, rows, elements)
-    return solutions + [tuple(range(p))]
+    return solutions + [lines[1]]
 
 
 def _children(depth, values, value_where, ys, levels, rows):

@@ -156,21 +156,17 @@ def _digest(text: str) -> str:
 
 
 def _cmd_classify(args) -> tuple[dict, dict, str, int]:
-    if args.group == "-":
-        try:
+    name = "<stdin>" if args.group == "-" else args.group
+    try:
+        if args.group == "-":
             content = sys.stdin.read()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"group input is not UTF-8: {exc}") from None
-        name = "<stdin>"
-    else:
-        try:
+        else:
             with open(args.group, "r", encoding="utf-8") as fh:
                 content = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read group file: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise InputError(f"group file is not UTF-8: {exc}") from None
-        name = args.group
+    except OSError as exc:
+        raise InputError(f"cannot read group input: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"group input {name} is not UTF-8: {exc}") from None
     spec = parse_group_file(io.StringIO(content), name)
     result = classify(spec).to_payload()
     arguments = {

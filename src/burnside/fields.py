@@ -310,17 +310,12 @@ def packed_powers(p: int) -> tuple[int, ...]:
     return tuple(rows + rows)
 
 
-def _slots(packed: int, p: int) -> Iterator[int]:
+def unpack_powers(packed: int, p: int) -> tuple[int, ...]:
     """Slot w-1 of a weighted sum of packed rows, of total weight at most
-    (p-1)**2, reduced mod p, for w = 1..p-1 in turn."""
+    (p-1)**2, reduced mod p, for w = 1..p-1."""
     slot = _slot_width(p)
     mask = (1 << slot) - 1
-    return ((packed >> s & mask) % p for s in range(0, slot * (p - 1), slot))
-
-
-def unpack_powers(packed: int, p: int) -> tuple[int, ...]:
-    """Every slot of ``_slots``, as a tuple."""
-    return tuple(_slots(packed, p))
+    return tuple((packed >> s & mask) % p for s in range(0, slot * (p - 1), slot))
 
 
 def power_sums(dset: DiffSet) -> tuple[int, ...]:
@@ -342,16 +337,16 @@ def min_nonzero_power_sum(dset: DiffSet, sums: tuple[int, ...] | None = None) ->
     """Smallest k in 1..p-1 whose power sum is nonzero.
 
     ``sums`` is the set's ``power_sums`` vector when the caller already
-    holds it. Otherwise S(1), the sum mod p, is tried first; then the
-    packed sum's slots are read from S(1) upwards, each reduced mod p only
-    when it is reached. A valid set always has a nonzero power sum (its
-    Vandermonde matrix is nonsingular), so an all-zero vector is a bug.
+    holds it. Otherwise S(1), the sum mod p, is tried first, and the
+    vector is read only when S(1) = 0. A valid set always has a nonzero
+    power sum (its Vandermonde matrix is nonsingular), so an all-zero
+    vector is a bug.
     """
     if sums is None:
         p = dset.field.p
         if sum(dset.elements) % p:
             return 1
-        sums = _slots(sum(map(packed_powers(p).__getitem__, dset.elements)), p)
+        sums = power_sums(dset)
     for k, s in enumerate(sums, start=1):
         if s:
             return k

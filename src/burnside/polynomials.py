@@ -8,11 +8,11 @@ hand it plain integer sums; ``interpolate``, whose values are checked on
 the way in, reduces its own and builds its result unchecked.
 
 The arithmetic itself lives in three kernels on plain coefficient lists,
-``mul_coeffs``, ``pow_coeffs`` and ``shift_coeffs``; the ``FpPoly``
-operators wrap them, and the trace calls them directly so that no
-intermediate result is validated and reduced a second time. The trace
-also sums many linear powers at once with ``linear_power_sum``, the
-Miller recurrence that ``pow_coeffs`` runs for one binomial.
+``mul_coeffs``, ``pow_coeffs`` (square-and-multiply) and ``shift_coeffs``;
+the ``FpPoly`` operators wrap the first two, and the trace calls them
+directly so that no intermediate result is validated and reduced a second
+time. The trace also sums many linear powers at once with
+``linear_power_sum``, the one implementation of Miller's recurrence.
 
 Interpolation reads its sums of f(a) * a**w from the packed power rows of
 ``fields``: one big-integer multiply-add per point, not p**2 Python steps.
@@ -39,18 +39,6 @@ class FpPoly(Value):
         coeffs = tuple(coeffs)  # read once: the check must see what is stored
         require_ints(coeffs, "coefficient")
         _fill(self, field, canonical(coeffs, field.p))
-
-    @classmethod
-    def zero(cls, field: PrimeField) -> "FpPoly":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: PrimeField) -> "FpPoly":
-        return cls(field, (1,))
-
-    @classmethod
-    def constant(cls, field: PrimeField, c: int) -> "FpPoly":
-        return cls(field, (c,))
 
     @property
     def degree(self) -> int | float:
@@ -87,10 +75,6 @@ class FpPoly(Value):
         if exponent < 0:
             raise InputError(f"polynomial power must be >= 0, got {exponent}")
         return FpPoly(self.field, pow_coeffs(self.coeffs, exponent, self.field.p))
-
-    def shift(self, u: int) -> "FpPoly":
-        """The composition f(X + u), by ``shift_coeffs``; degree preserved."""
-        return FpPoly(self.field, shift_coeffs(self.coeffs, u))
 
     def render(self) -> str:
         """Human-readable form "c0 + c1*X + c2*X^2 + ..." (render-only)."""
@@ -134,19 +118,8 @@ def mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def pow_coeffs(coeffs: Sequence[int], e: int, p: int) -> list[int]:
-    """f**e, reduced mod p, for canonical coefficients of f and e >= 0.
-
-    For a binomial f = c*X**v + d*X**(v+1) (c != 0, d may be 0) with
-    deg(f)*e <= p-1, by J.C.P. Miller's power recurrence (Knuth, TAOCP
-    vol. 2, section 4.7), which for a linear factor is the binomial ratio:
-    O(e) coefficient operations, and every k it divides by is at most
-    e <= p-1, hence a unit. Every other f, or deg(f)*e >= p, by
-    square-and-multiply.
-    """
-    if coeffs and (len(coeffs) - 1) * e <= p - 1:
-        v = next(i for i, c in enumerate(coeffs) if c)
-        if len(coeffs) - v <= 2:
-            return _binomial_power(coeffs, v, e, p)
+    """f**e, reduced mod p, for canonical coefficients of f and e >= 0, by
+    square-and-multiply with schoolbook products."""
     result, base = [1], coeffs
     while e:
         if e & 1:
@@ -175,15 +148,6 @@ def shift_coeffs(coeffs: Sequence[int], u: int) -> list[int]:
 def _inverses(p: int) -> tuple[int, ...]:
     """k**-1 mod p at index k, for k = 1..p-1 (index 0 holds 0)."""
     return (0,) + tuple(pow(k, -1, p) for k in range(1, p))
-
-
-def _binomial_power(coeffs: Sequence[int], v: int, e: int, p: int) -> list[int]:
-    """Coefficients of f**e for f = c*X**v + d*X**(v+1), c != 0, with
-    deg(f)*e <= p-1: f**e = X**(v*e) * (c + d*X)**e, the one-base case of
-    ``linear_power_sum`` when d != 0."""
-    if len(coeffs) - v == 1:
-        return [0] * (v * e) + [pow(coeffs[v], e, p)]
-    return [0] * (v * e) + linear_power_sum(((coeffs[v], coeffs[v + 1]),), e, p)
 
 
 def linear_power_sum(bases: Sequence[tuple[int, int]], e: int, p: int) -> list[int]:

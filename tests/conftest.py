@@ -21,7 +21,7 @@ def qr_set(field: PrimeField) -> DiffSet:
 
 def poly_from_roots(field: PrimeField, roots) -> FpPoly:
     """The monic product of (X - r) over the roots, by FpPoly products."""
-    out = FpPoly.one(field)
+    out = FpPoly(field, (1,))
     for r in roots:
         out = out * FpPoly(field, (-r, 1))
     return out

@@ -207,14 +207,6 @@ MUTANTS = (
          "tests/test_fast_paths.py::TestLazyPowerSum::test_sum_first"),
     ),
     Mutant(
-        "lazy-power-sum-from-slot-2",
-        "src/burnside/fields.py",
-        "sums = _slots(sum(map(packed_powers(p).__getitem__, dset.elements)), p)",
-        "sums = _slots(sum(map(packed_powers(p).__getitem__, dset.elements)), p); next(sums)",
-        ("tests/test_fast_paths.py::TestLazyPowerSum::test_every_small_set",
-         "tests/test_fields.py"),
-    ),
-    Mutant(
         "linear-base-dropped",
         "src/burnside/trace.py",
         "others.append(linear_power_sum(linear, w, p))",
@@ -228,6 +220,20 @@ MUTANTS = (
         "ratio = (e1 - k) * inv[k - 1]",
         ("tests/test_polynomials.py::TestLinearPowerSum",
          "tests/test_trace.py::TestMillerKernel"),
+    ),
+    Mutant(
+        "miller-first-coefficient-drops-a-base",
+        "src/burnside/polynomials.py",
+        "out = [sum(gs) % p]",
+        "out = [sum(gs[1:]) % p]",
+        ("tests/test_trace.py::TestMillerKernel",),
+    ),
+    Mutant(
+        "power-squaring-multiply-dropped",
+        "src/burnside/polynomials.py",
+        "base = [c % p for c in mul_coeffs(base, base)]",
+        "base = [c % p for c in base]",
+        ("tests/test_polynomials.py::TestMillerPower",),
     ),
     Mutant(
         "cycle-walk-one-step-short",

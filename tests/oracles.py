@@ -216,9 +216,11 @@ def packed_powers_by_pow(p: int) -> tuple[int, ...]:
 def shifted_power_identities_by_memo(poly: FpPoly, dset: DiffSet, w: int,
                                      sums: tuple[int, ...]) -> tuple[bool, bool]:
     """(vanishing, binomial) as ``trace._shifted_power_identities`` gives
-    them, with each base's power built by ``pow_coeffs`` once (a memo keyed
-    on the canonical base) and both sums of |U| powers taken column by
-    column; the oracle for the kernel that sums every linear power at once.
+    them, with each base's power built once by ``pow_coeffs``'s
+    square-and-multiply (a memo keyed on the canonical base) and both sums
+    of |U| powers taken column by column; the oracle for the kernel that
+    sums every linear power at once by Miller's recurrence, whose code it
+    never runs.
     """
     field, p, cs = poly.field, poly.field.p, poly.coeffs
     memo: dict[tuple[int, ...], list[int]] = {}

@@ -29,17 +29,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "burnside"
 OPERATORS = {"__call__", "__add__", "__sub__", "__mul__", "__matmul__", "__truediv__",
              "__floordiv__", "__mod__", "__pow__", "__neg__", "__pos__", "__invert__"}
 
-# Methods that only tests use, as oracle arithmetic, kept in place until
-# the tracer-pinned ``FpPoly.__mul__`` and ``__pow__`` move with them
-# (ROADMAP item 3). ``Classification.from_payload`` is read by the
-# benchmark harness and CI, and waits on a ``burnside verify`` command
+# Methods that only tests use. ``FpPoly.__add__``, oracle arithmetic, is
+# kept in place until the tracer-pinned ``FpPoly.__mul__`` and ``__pow__``
+# move with it (ROADMAP item 3). ``Classification.from_payload`` is read by
+# the benchmark harness and CI, and waits on a ``burnside verify`` command
 # (ROADMAP item 2).
 WAITING = {
-    ("polynomials", "FpPoly", "zero"),
-    ("polynomials", "FpPoly", "one"),
-    ("polynomials", "FpPoly", "constant"),
     ("polynomials", "FpPoly", "__add__"),
-    ("polynomials", "FpPoly", "shift"),
     ("classifier", "Classification", "from_payload"),
 }
 

@@ -6,6 +6,7 @@ from hashlib import sha256
 
 import pytest
 
+import burnside.polynomials
 import burnside.trace
 from burnside import (
     DiffSet,
@@ -294,25 +295,26 @@ class TestBinomialExpansion:
 
 def _shifted_power_oracle(poly, dset, w):
     """(vanishing, binomial) from FpPoly +, * and == alone: powers by
-    repeated products (no Miller path), f(X+u) by Horner (no ``shift``)."""
+    repeated products (no ``pow_coeffs`` or ``linear_power_sum``), f(X+u)
+    by Horner (no ``shift_coeffs``)."""
     field, p = poly.field, poly.field.p
 
     def const(c):
-        return FpPoly.constant(field, c)
+        return FpPoly(field, (c,))
 
     def power(q, e):
-        out = FpPoly.one(field)
+        out = FpPoly(field, (1,))
         for _ in range(e):
             out = out * q
         return out
 
     def composed(u):
-        out = FpPoly.zero(field)
+        out = FpPoly(field, ())
         for c in reversed(poly.coeffs):
             out = out * FpPoly(field, (u, 1)) + const(c)
         return out
 
-    total = shifted = FpPoly.zero(field)
+    total = shifted = FpPoly(field, ())
     for u in dset.elements:
         total = total + power(poly + const(u), w)
         shifted = shifted + power(composed(u), w)
@@ -442,8 +444,33 @@ class TestMillerKernel:
         for w in (1, 3, (p - 1) // 2 if p <= 31 else 5):
             coeffs = (rng.randrange(p), rng.randrange(p), rng.randrange(1, p))
             self._assert_agrees(FpPoly(f, coeffs), dset, w)
-        # X**2 + X: a binomial with v = 1, so pow_coeffs takes Miller's path
+        # X**2 + X: a binomial with no constant term, so it takes pow_coeffs
         self._assert_agrees(FpPoly(f, (0, 1, 1)), dset, 3)
+
+    @pytest.mark.parametrize("p", [13, 97])
+    def test_memo_oracle_runs_no_miller_kernel(self, p, monkeypatch):
+        # The oracle must not run the kernel it checks: a spy on every
+        # module's linear_power_sum counts the kernel's calls, and sees
+        # the program's own.
+        calls = []
+        for module in (burnside.polynomials, burnside.trace):
+            real = module.linear_power_sum
+            monkeypatch.setattr(module, "linear_power_sum",
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        f = PrimeField(p)
+        dset = qr_set(f)
+        sums = power_sums(dset)
+        a, u0 = dset.elements[1], dset.elements[0]
+        polys = [FpPoly(f, (b, a)) for b in (1, -a * u0 % p)] + [FpPoly(f, (0, 1, 1))]
+        for poly in polys:
+            w = (p - 1) // int(poly.degree)
+            assert _shifted_power_identities(poly, dset, w, sums)
+        assert calls
+        calls.clear()
+        for poly in polys:
+            w = (p - 1) // int(poly.degree)
+            shifted_power_identities_by_memo(poly, dset, w, sums)
+        assert calls == []
 
 
 class TestRightSideCache:
