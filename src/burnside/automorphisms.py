@@ -4,13 +4,14 @@ These are the automorphisms of the circulant digraph Cay(Z_p, U), whose
 arcs join pairs with difference in U. Translations preserve every
 difference, so only the maps fixing 0 are sought (``_maps_fixing_zero``).
 The multipliers x -> a*x with a in M(U) are among them, and walk counts
-often show that they are all (``_walks_separate``; Godsil and Royle,
-"Algebraic Graph Theory", 2001, the first round of colour refinement of
-Weisfeiler and Leman, 1968): when the counts from and to 0 tell every
-point apart, the identity is the only map; when they tell every point
-apart relative to a point x0 whose class of equal counts is M(U) * x0,
-orbit and stabilizer leave the multipliers alone, which never happens
-when |M(U)| >= 3, so those sets skip the test. Otherwise an
+of lengths up to one K (``_walk_plan``) often show that they are all
+(``_walks_separate``; Godsil and Royle, "Algebraic Graph Theory", 2001,
+the first round of colour refinement of Weisfeiler and Leman, 1968):
+when the counts from and to 0 tell every point apart, the identity is
+the only map; when they tell every point apart relative to a point x0
+whose class of equal counts is M(U) * x0, orbit and stabilizer leave
+the multipliers alone, which never happens when |M(U)| >= 3, so those
+sets skip the test. Otherwise an
 individualise-refine search finds them all (``_search_fixing_zero``; as
 in nauty and Traces, McKay and Piperno, "Practical graph isomorphism,
 II", J. Symb. Comput. 60, 2014), which the tests check against a plain
@@ -220,7 +221,7 @@ def _individualise(cells, where, c, x):
 
 
 @lru_cache(maxsize=None)
-def _walk_plan(p: int, size: int, order: int) -> tuple[int, int, RowLayout, tuple[int, ...]]:
+def _walk_plan(p: int, size: int, order: int) -> tuple[bool, int, RowLayout, tuple[int, ...]]:
     """The walk test's table for sets of s = ``size`` elements mod p with
     |M(U)| = ``order``. At most C(s+k, k) - 1 points have nonzero counts of
     walks of length 1..k from 0 (sums of multisets of steps from U), as
@@ -230,10 +231,8 @@ def _walk_plan(p: int, size: int, order: int) -> tuple[int, int, RowLayout, tupl
     the pairs of the two-point test while two points have both vectors
     zero, so while p > 2n + 1. K = ``last`` is the least k >= WALK_LENGTH
     with p <= n + 1, where the walks could reach every point, but at most
-    LONGEST_WALK. The pairs are tested at K alone, if they need not tie
-    there, and with order 1 the vectors from the least k >= 2 where they
-    need not tie (length 1 alone, vectors in {0, 1}**2, tells at most 4
-    apart): ``first`` is the first length tested, or K + 1 for no test.
+    LONGEST_WALK. ``walked`` says whether the pairs need not tie at K, so
+    that the test runs; K is returned either way.
     A walk's first k - 1 steps fix its last, so out_k <= s**(k-1), whose
     bits make length k's field in a key. The fields share one slot if
     they fit 32 bits; else the slot holds the longest, and lengths share
@@ -243,8 +242,7 @@ def _walk_plan(p: int, size: int, order: int) -> tuple[int, int, RowLayout, tupl
         multisets = math.comb(size + k, k)
         return multisets if order % 2 == 0 else 2 * multisets - 1
     last = next((k for k in range(WALK_LENGTH, LONGEST_WALK) if p <= reach(k)), LONGEST_WALK)
-    pairs = last if p <= 2 * reach(last) - 1 else last + 1
-    first = next((k for k in range(2, last) if order == 1 and p <= reach(k)), pairs)
+    walked = p <= 2 * reach(last) - 1
     widths = [(size ** k).bit_length() for k in range(last)]
     layout = row_layout(p, (1 << (sum(widths) if sum(widths) <= 32 else widths[-1])) - 1)
     shifts, used = [], 0
@@ -253,7 +251,7 @@ def _walk_plan(p: int, size: int, order: int) -> tuple[int, int, RowLayout, tupl
             used = 0
         shifts.append(used)
         used += width
-    return first, last, layout, tuple(shifts)
+    return walked, last, layout, tuple(shifts)
 
 
 def _walks_separate(elements, p: int, order: int) -> bool:
@@ -283,34 +281,30 @@ def _walks_separate(elements, p: int, order: int) -> bool:
     Nothing here assumes Burnside's theorem; that the multipliers are
     among the maps is checked by the caller. K - 1 products build R**2,
     ..., R**K, each added into a key row in its length's field
-    (``_walk_plan``): slot x of the keys holds out_1..k(x) and slot -x
-    in_1..k(x). With order 1 the vectors are compared at each length k
-    from ``first`` on, one unpack each, and the test returns at the first
-    that separates: longer vectors only refine the partition, so the
-    answer is the one for K. The pairs are compared at K alone.
+    (``_walk_plan``): slot x of the keys holds out_1..K(x) and slot -x
+    in_1..K(x). The vectors are built and compared once, at K, and the
+    one list serves both tests: shorter vectors only coarsen their
+    partition, so no shorter length tells apart points that K does not.
     """
-    first, last, layout, shifts = _walk_plan(p, len(elements), order)
-    if first > last:
+    walked, last, layout, shifts = _walk_plan(p, len(elements), order)
+    if not walked:
         return False
     key = r = power = layout.monomials(elements)
     fold, unpack = layout.fold, layout.unpack
-    done = []
+    columns = []
     for k in range(1, last):
         power = fold(power * r)
         if shifts[k]:
             key += power << shifts[k]
         else:  # length k + 1 starts a new key
             keys = unpack(key)
-            done += keys, keys[:1] + keys[:0:-1]
+            columns += keys, keys[:1] + keys[:0:-1]
             key = power
-        if k >= first - 1:
-            keys = unpack(key)
-            columns = (*done, keys, keys[:1] + keys[:0:-1])
-            if order == 1 and len(set(zip(*columns))) == p:
-                return True
-            if k == last - 1:
-                return _separated(list(zip(*columns)), order)
-    return False
+    keys = unpack(key)
+    vectors = list(zip(*columns, keys, keys[:1] + keys[:0:-1]))
+    if order == 1 and len(set(vectors)) == p:
+        return True
+    return _separated(vectors, order)
 
 
 def _separated(vectors, order: int) -> bool:

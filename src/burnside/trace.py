@@ -265,18 +265,6 @@ def check_leading_coefficient(dset: DiffSet, n: int, w: int) -> bool:
     return verdict
 
 
-def check_contradiction_bound(p: int, n: int, r: int) -> bool:
-    """The inequality chain p-1 < n(w+1) <= 2nw <= 2(r-1) for maximal w.
-
-    Used when r-1 >= n*w: with w = (p-1)//n maximal, the chain forces
-    r > (p+1)/2. The middle link needs n >= 2 in spirit (w >= 1 suffices
-    formally); exercised directly by tests since valid traces never take
-    this branch.
-    """
-    w = (p - 1) // n
-    return (p - 1 < n * (w + 1)) and (n * (w + 1) <= 2 * n * w) and (2 * n * w <= 2 * (r - 1))
-
-
 def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
     """Execute the full identity chain for one (p, U, pi) and log each step.
 
@@ -334,28 +322,19 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         "expansion matches the power-sum form" if binomial else "expansion mismatch",
     ))
 
-    half = (p - 1) // 2
-
-    if r <= n * w_max:
-        steps.append(TraceStep(
-            f"leading_coefficient(nw={n * w_max})", leading,
-            f"degree n*w-r = {n * w_max - r} with leading coefficient "
-            f"C({n * w_max},{r})*S({r})" if leading else "leading-coefficient claim fails",
-        ))
-        forces = n * w_max - r <= n * (w_max - r)
-        steps.append(TraceStep(
-            "degree_forces_affine", forces,
-            f"nw-r = {n * w_max - r} <= n(w-r) = {n * (w_max - r)} forces n = 1"
-            if forces else
-            f"nw-r = {n * w_max - r} > n(w-r) = {n * (w_max - r)}: degree {n} is impossible",
-        ))
-    else:
-        bound = check_contradiction_bound(p, n, r)
-        steps.append(TraceStep(
-            "power_sum_tail_contradiction", bound,
-            f"r = {r} > (p+1)/2 would force S(k) = 0 for k <= {half}, "
-            f"contradicting |U| = {len(reduced)} <= {half}",
-        ))
+    # Always in range: r <= |R| (by Newton's identities) <= (p-1)/2 < n*w_max.
+    nw = n * w_max
+    steps.append(TraceStep(
+        f"leading_coefficient(nw={nw})", leading is True,
+        f"degree n*w-r = {nw - r} with leading coefficient C({nw},{r})*S({r})"
+        if leading else "leading-coefficient claim fails",
+    ))
+    forces = nw - r <= n * (w_max - r)
+    steps.append(TraceStep(
+        "degree_forces_affine", forces,
+        f"nw-r = {nw - r} <= n(w-r) = {n * (w_max - r)} forces n = 1" if forces else
+        f"nw-r = {nw - r} > n(w-r) = {n * (w_max - r)}: degree {n} is impossible",
+    ))
 
     verdict = AFFINE if n == 1 and all(s.passed for s in steps) else VIOLATION
     return TraceReport(
@@ -365,7 +344,7 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         degree=n,
         w_max=w_max,
         min_power_index=r,
-        power_sums=sums[:half],
+        power_sums=sums[:(p - 1) // 2],
         steps=tuple(steps),
         verdict=verdict,
     )

@@ -7,15 +7,17 @@ test against its slow oracle can fail.
 
 Run from the repository root:
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
 
-Each mutant is applied to a copy of ``src/``, ``tests/`` and the files the
-suite reads besides them (``FILES``) in a temporary directory, where the
-whole suite collects, and its nodes run there with ``pytest -x``. The run
-fails if any mutant's nodes all pass (the mutant survives) or cannot be
-run. ``tests/test_mutants.py`` checks, in the
-Tier-1 suite, that every snippet occurs exactly once in its file, so a
-refactor that moves a mutated line must update this record.
+With no names every mutant runs; an unknown name exits 2 before any
+runs. Each mutant is applied to a copy of ``src/``, ``tests/`` and the
+files the suite reads besides them (``FILES``) in a temporary directory,
+where the whole suite collects, and its nodes run there with ``pytest
+-x``, on at most ``min(4, os.cpu_count())`` subprocesses at once; results
+print in record order. The run fails if any mutant's nodes all pass (the
+mutant survives) or cannot be run. ``tests/test_mutants.py`` checks, in
+the Tier-1 suite, that every snippet occurs exactly once in its file, so
+a refactor that moves a mutated line must update this record.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,8 +58,8 @@ MUTANTS = (
     Mutant(
         "walk-exit-with-a-tie",
         "src/burnside/automorphisms.py",
-        "if order == 1 and len(set(zip(*columns))) == p:",
-        "if order == 1 and len(set(zip(*columns))) >= p - 1:",
+        "if order == 1 and len(set(vectors)) == p:",
+        "if order == 1 and len(set(vectors)) >= p - 1:",
         ("tests/test_fast_paths.py::TestEarlyWalkExit::test_vectors_alone",),
     ),
     Mutant(
@@ -207,6 +210,13 @@ MUTANTS = (
          "tests/test_fast_paths.py::TestLazyPowerSum::test_sum_first"),
     ),
     Mutant(
+        "degree-forcing-always-true",
+        "src/burnside/trace.py",
+        "forces = nw - r <= n * (w_max - r)",
+        "forces = True",
+        ("tests/test_trace.py::TestDegreeComparison::test_degree_five_map_mod_13",),
+    ),
+    Mutant(
         "linear-base-dropped",
         "src/burnside/trace.py",
         "others.append(linear_power_sum(linear, w, p))",
@@ -337,13 +347,18 @@ def run_mutant(mutant: Mutant) -> tuple[bool, str]:
     return proc.returncode == 1, tail
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     survivors = []
-    for mutant in MUTANTS:
-        killed, tail = run_mutant(mutant)
-        print(f"{'killed' if killed else 'SURVIVED'}: {mutant.name}\n  {tail}", flush=True)
-        if not killed:
-            survivors.append(mutant.name)
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        for mutant, (killed, tail) in zip(chosen, pool.map(run_mutant, chosen)):
+            print(f"{'killed' if killed else 'SURVIVED'}: {mutant.name}\n  {tail}", flush=True)
+            if not killed:
+                survivors.append(mutant.name)
     if survivors:
         print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}", file=sys.stderr)
         return 1
@@ -351,4 +366,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -296,6 +296,18 @@ def elementary_symmetric_via_newton(dset: DiffSet, m: int) -> list[int]:
     return es[1:]
 
 
+def check_contradiction_bound(p: int, n: int, r: int) -> bool:
+    """The inequality chain p-1 < n(w+1) <= 2nw <= 2(r-1) for maximal w.
+
+    Used when r-1 >= n*w: with w = (p-1)//n maximal, the chain forces
+    r > (p+1)/2. The middle link needs n >= 2 in spirit (w >= 1 suffices
+    formally); exercised directly by tests since valid traces never take
+    this branch.
+    """
+    w = (p - 1) // n
+    return (p - 1 < n * (w + 1)) and (n * (w + 1) <= 2 * n * w) and (2 * n * w <= 2 * (r - 1))
+
+
 def vandermonde_det(dset: DiffSet) -> int:
     """Determinant of the matrix (u_j ** k), k = 1..|set|, over F_p.
 
@@ -376,7 +388,7 @@ def walk_vectors(elements, p: int, length: int) -> list[tuple[int, ...]]:
 
 
 def walks_separate_full(elements, p: int, length: int = WALK_LENGTH) -> bool:
-    """The vectors alone, with no early exit or packed rows: True when the
+    """The vectors alone, with no packed rows: True when the
     p vectors of lengths 1..``length`` are pairwise distinct."""
     return len(set(walk_vectors(elements, p, length))) == p
 

@@ -272,8 +272,8 @@ class TestSlotWidths:
         for elements in sets:
             stabilizer = mult_stabilizer(DiffSet(f, elements))
             order = len(stabilizer)
-            first, last, _, _ = _walk_plan(p, len(elements), order)
-            assert first <= last, elements
+            walked, last, _, _ = _walk_plan(p, len(elements), order)
+            assert walked, elements
             if order % 2:
                 assert _walk_key_counts(monkeypatch, elements, p) == _oracle_key_counts(elements, p)
             decided = _walks_separate(elements, p, order)
@@ -870,8 +870,8 @@ class TestWalkGuard:
     # reach up to p = 25 for |U| = 1, 109 for 2 and 333 for 3
     @pytest.mark.parametrize("p, size", [(7, 1), (11, 1), (29, 2), (31, 2), (67, 3), (71, 3), (97, 4)])
     def test_guard_bound(self, p, size):
-        first, last, _, _ = _walk_plan(p, size, 1)
-        assert (first <= last) == (p <= _pairs_reach(size))
+        walked, last, _, _ = _walk_plan(p, size, 1)
+        assert walked == (p <= _pairs_reach(size))
         assert [_reach(s) for s in range(5)] == [1, 9, 29, 69, 139]
         assert [_pairs_reach(s) for s in range(1, 4)] == [25, 109, 333]
 
@@ -882,8 +882,7 @@ class TestWalkGuard:
         # A singleton's pairs reach 25 points; with -1 in M(U) the walks
         # to 0 are those from 0 negated, so {1, -1}'s reach 2 * 28 - 1.
         dset = DiffSet(PrimeField(p), elements)
-        first, last, _, _ = _walk_plan(p, len(elements), len(mult_stabilizer(dset)))
-        assert (first <= last) == walked
+        assert _walk_plan(p, len(elements), len(mult_stabilizer(dset)))[0] == walked
 
     @pytest.mark.parametrize("p, skipped", [(3, 0), (5, 0), (7, 0), (11, 10), (13, 12)])
     def test_every_set(self, p, skipped):
@@ -894,16 +893,16 @@ class TestWalkGuard:
         assert len(short) == skipped
         assert all(_walks_separate(d.elements, p, 1) for d in short)
         for dset in all_diff_sets(PrimeField(p)):
-            first, last, _, _ = _walk_plan(p, len(dset), len(mult_stabilizer(dset)))
-            assert first <= last, dset.elements
+            walked, last, _, _ = _walk_plan(p, len(dset), len(mult_stabilizer(dset)))
+            assert walked, dset.elements
 
     def test_small_sets_mod_97(self):
         # The singletons and the pairs {u, -u} mod 97 skip the test, and
         # its definition rejects each at LONGEST_WALK (multiplying by u
         # maps {1} and {1, -1} onto them); seeded pairs and triples are
         # walked, with the definition's answer.
-        assert _walk_plan(97, 1, 1)[0] > LONGEST_WALK
-        assert _walk_plan(97, 2, 2)[0] > LONGEST_WALK
+        assert not _walk_plan(97, 1, 1)[0]
+        assert not _walk_plan(97, 2, 2)[0]
         assert not walk_decision_full((1,), 97, 1, LONGEST_WALK)
         assert not walk_decision_full((1, 96), 97, 2, LONGEST_WALK)
         rng = random.Random(97)
@@ -911,8 +910,8 @@ class TestWalkGuard:
             for _ in range(20):
                 dset = DiffSet(PrimeField(97), rng.sample(range(1, 97), k))
                 order = len(mult_stabilizer(dset))
-                first, last, _, _ = _walk_plan(97, k, order)
-                assert first <= last
+                walked, last, _, _ = _walk_plan(97, k, order)
+                assert walked
                 assert (_walks_separate(dset.elements, 97, order)
                         == walk_decision_full(dset.elements, 97, order, last)), dset.elements
 
@@ -921,11 +920,11 @@ class TestWalkGuard:
         # Each prime from 29 to 97: {1} skips the test, and so does
         # {1, -1} from 59 on; the definition rejects every skipped one.
         for elements, order in ((1,), 1), ((1, p - 1), 2):
-            first, last, _, _ = _walk_plan(p, len(elements), order)
-            if first > last:
+            walked, last, _, _ = _walk_plan(p, len(elements), order)
+            if not walked:
                 assert not walk_decision_full(elements, p, order, last), elements
-        assert _walk_plan(p, 1, 1)[0] > LONGEST_WALK
-        assert (_walk_plan(p, 2, 2)[0] > LONGEST_WALK) == (p >= 59)
+        assert not _walk_plan(p, 1, 1)[0]
+        assert (not _walk_plan(p, 2, 2)[0]) == (p >= 59)
 
 
 class TestRotationWalk:

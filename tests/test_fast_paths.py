@@ -5,12 +5,12 @@ image tables against the row built from validated ``Perm``s; the cached
 multiplier lines against the affine maps built one by one, and the
 affinity check's line compare against ``affine_coeffs``; the M(U) the
 orbit walk reads off its words against ``mult_stabilizer``; the walk
-test that returns at the first separating length against the one that
-builds every length; the lazy power-sum read, S(1) first, against the
-unpacked vector; the one-walk p-cycle test against the full cycle type;
-the certificate's conjugates read off image tables against the
-conjugates built as ``Perm``s, and ``verify_certificate`` against the
-verifier that builds them.
+test on packed rows against its definition walked point by point; the
+lazy power-sum read, S(1) first, against the unpacked vector; the
+one-walk p-cycle test against the full cycle type; the certificate's
+conjugates read off image tables against the conjugates built as
+``Perm``s, and ``verify_certificate`` against the verifier that builds
+them.
 """
 
 import collections
@@ -234,9 +234,9 @@ def _walk_decision(dset):
 
 
 class TestEarlyWalkExit:
-    """The walk test, with its guard, early exit, filters and one x0 per
-    class, against its definition at length K: so the guard skips only
-    sets the walks cannot decide."""
+    """The walk test, with its guard, its vectors compared once at K, its
+    filters and one x0 per class, against its definition at length K: so
+    the guard skips only sets the walks cannot decide."""
 
     def test_every_small_set(self):
         for dset in _every_set():
@@ -249,8 +249,8 @@ class TestEarlyWalkExit:
             assert fast == full, dset.elements
 
     def test_vectors_alone(self, monkeypatch):
-        # With the pairs switched off, the early exit on the vectors of
-        # lengths up to k against the vectors of lengths up to K.
+        # With the pairs switched off, the packed vectors of lengths up
+        # to K against the vectors walked point by point.
         monkeypatch.setattr(burnside.automorphisms, "_separated", lambda vectors, order: False)
         for dset in _every_set():
             p, elements = dset.field.p, dset.elements

@@ -18,7 +18,7 @@ from burnside import (
 from burnside.automorphisms import all_diff_sets, check_preserves, mult_stabilizer
 from burnside.cli import main
 from burnside.errors import FieldMismatch, InputError, InternalInvariantViolation
-from burnside.fields import min_nonzero_power_sum, packed_powers, power_sums
+from burnside.fields import is_prime, min_nonzero_power_sum, packed_powers, power_sums
 from burnside.permutations import Perm
 from burnside.polynomials import FpPoly
 from burnside.trace import (
@@ -28,7 +28,6 @@ from burnside.trace import (
     _power_sum_right_sides,
     _shifted_power_identities,
     check_binomial_expansion,
-    check_contradiction_bound,
     check_leading_coefficient,
     check_multiset_identity,
     check_power_sum_identity,
@@ -37,7 +36,11 @@ from burnside.trace import (
 )
 
 from conftest import all_perms, qr_set, random_perm
-from oracles import power_sum_identities_by_points, shifted_power_identities_by_memo
+from oracles import (
+    check_contradiction_bound,
+    power_sum_identities_by_points,
+    shifted_power_identities_by_memo,
+)
 
 
 class TestComplementReduction:
@@ -572,6 +575,40 @@ class TestContradictionBound:
                 for r in range(1, 2 * p):
                     if check_contradiction_bound(p, n, r):
                         assert 2 * r > p + 1
+
+
+# x -> x**5 mod 13, a permutation of interpolation degree 5.
+_FIFTH_POWER_13 = [pow(i, 5, 13) for i in range(13)]
+
+
+class TestDegreeComparison:
+    def test_leading_coefficient_always_in_range(self):
+        """(p-1)/2 < n*w <= p-1 for w = (p-1)//n, so r <= n*w whenever
+        r <= |R| <= (p-1)/2. r <= |R| is Newton's: with m = |R| < p, S(1)
+        = ... = S(m) = 0 would force every e_k = 0 (k*e_k is a sum of
+        e_(k-i) S(i)), so prod (X - u) over R would be X**m, and 0 is not
+        in R."""
+        for p in filter(is_prime, range(3, 98)):
+            for n in range(1, p):
+                assert (p - 1) // 2 < n * ((p - 1) // n) <= p - 1, (p, n)
+
+    @pytest.mark.parametrize("elements", [(1, 3, 9), (1, 2), (1, 2, 3, 4, 9, 10, 11, 12)])
+    def test_degree_five_map_mod_13(self, monkeypatch, capsys, elements):
+        # No difference-preserving map has degree n > 1; with the
+        # difference check faked, x -> x**5 reaches the degree comparison
+        # at n = 5, where the leading coefficient holds and n = 1 fails.
+        monkeypatch.setattr(burnside.trace, "check_preserves", lambda perm, dset: True)
+        f = PrimeField(13)
+        report = run_trace(f, DiffSet(f, elements), Perm(f, _FIFTH_POWER_13))
+        assert (report.degree, report.w_max) == (5, 2)
+        assert [(s.name, s.passed) for s in report.steps[-2:]] == [
+            ("leading_coefficient(nw=10)", True), ("degree_forces_affine", False)]
+        assert report.verdict == VIOLATION
+        argv = ["trace", "--p", "13", "--set", ",".join(map(str, elements)),
+                "--perm", ",".join(map(str, _FIFTH_POWER_13))]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["result"] == report.to_payload() | {
+            "perm": _FIFTH_POWER_13}
 
 
 class TestRunTrace:
