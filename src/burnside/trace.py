@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .automorphisms import check_preserves
-from .errors import FieldMismatch, InputError
+from .errors import FieldMismatch, InputError, InternalInvariantViolation
 from .fields import (
     DiffSet,
     PrimeField,
@@ -322,10 +322,14 @@ def run_trace(field: PrimeField, dset: DiffSet, perm: Perm) -> TraceReport:
         "expansion matches the power-sum form" if binomial else "expansion mismatch",
     ))
 
-    # Always in range: r <= |R| (by Newton's identities) <= (p-1)/2 < n*w_max.
     nw = n * w_max
+    if leading is None:  # r <= |R| (Newton's identities) <= (p-1)/2 < nw
+        raise InternalInvariantViolation(
+            f"least nonzero power sum S({r}) lies past n*w = {nw}",
+            payload={"p": p, "diff_set": list(reduced.elements), "permutation": list(perm.images)},
+        )
     steps.append(TraceStep(
-        f"leading_coefficient(nw={nw})", leading is True,
+        f"leading_coefficient(nw={nw})", leading,
         f"degree n*w-r = {nw - r} with leading coefficient C({nw},{r})*S({r})"
         if leading else "leading-coefficient claim fails",
     ))

@@ -7,15 +7,14 @@ test against its slow oracle can fail.
 
 Run from the repository root:
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
-With no names every mutant runs; an unknown name exits 2 before any
-runs. Each mutant is applied to a copy of ``src/``, ``tests/`` and the
-files the suite reads besides them (``FILES``) in a temporary directory,
-where the whole suite collects, and its nodes run there with ``pytest
--x``, on at most ``min(4, os.cpu_count())`` subprocesses at once; results
-print in record order. The run fails if any mutant's nodes all pass (the
-mutant survives) or cannot be run. ``tests/test_mutants.py`` checks, in
+Each mutant is applied to a copy of ``src/``, ``tests/`` and the files
+the suite reads besides them (``FILES``) in a temporary directory, where
+the whole suite collects, and its nodes run there with ``pytest -x``, on
+at most ``min(4, os.cpu_count())`` subprocesses at once; results print in
+record order. The run fails if any mutant's nodes all pass (the mutant
+survives) or cannot be run. ``tests/test_mutants.py`` checks, in
 the Tier-1 suite, that every snippet occurs exactly once in its file, so
 a refactor that moves a mutated line must update this record.
 """
@@ -347,15 +346,10 @@ def run_mutant(mutant: Mutant) -> tuple[bool, str]:
     return proc.returncode == 1, tail
 
 
-def main(names: list[str]) -> int:
-    unknown = sorted(set(names) - {m.name for m in MUTANTS})
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     survivors = []
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        for mutant, (killed, tail) in zip(chosen, pool.map(run_mutant, chosen)):
+        for mutant, (killed, tail) in zip(MUTANTS, pool.map(run_mutant, MUTANTS)):
             print(f"{'killed' if killed else 'SURVIVED'}: {mutant.name}\n  {tail}", flush=True)
             if not killed:
                 survivors.append(mutant.name)
@@ -366,4 +360,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

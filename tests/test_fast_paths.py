@@ -258,9 +258,11 @@ class TestEarlyWalkExit:
             assert _walks_separate(elements, p, 1) == walks_separate_full(elements, p, last), elements
 
     def test_first_separating_length_mod_13(self, monkeypatch):
-        # Of the 175 representatives mod 13 that walk counts decide, the
-        # vectors alone first separate at length 2 for 67, 3 for 83, 4 for
-        # 19 and 6 for 1, and the pairs decide 5.
+        # Of the 175 representatives mod 13 that the walk test decides, the
+        # oracle's vectors alone (walks_separate_full, lengths 1..k) first
+        # separate at k = 2 for 67, 3 for 83, 4 for 19 and 6 for 1, and the
+        # pairs decide 5. The histogram describes the walk counts, not a
+        # path of the program, which compares the vectors once, at K.
         lengths = collections.Counter()
         for dset in _orbit_representatives(13, monkeypatch):
             order = len(mult_stabilizer(dset))

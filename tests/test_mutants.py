@@ -3,8 +3,7 @@
 Each snippet must occur exactly once in its file under ``src/``, so a
 refactor that moves or rewrites a mutated line fails here until the record
 is updated, and no mutant is dropped silently. The mutants themselves run
-outside this suite (``python tests/mutants.py``); only the runner's
-choice of mutants by name is checked here, with each run faked.
+outside this suite (``python tests/mutants.py``).
 """
 
 import ast
@@ -12,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import mutants
 from mutants import MUTANTS, ROOT
 
 IDS = [m.name for m in MUTANTS]
@@ -42,16 +40,3 @@ def test_nodes_name_existing_tests(mutant):
             match = [n for n in scope if getattr(n, "name", None) == name]
             assert match, node
             scope = match[0].body
-
-
-def test_named_run(monkeypatch, capsys):
-    # An unknown name exits 2 before any mutant runs; named mutants run
-    # alone and report in record order, whatever order they are named in.
-    ran = []
-    monkeypatch.setattr(mutants, "run_mutant", lambda m: ran.append(m.name) or (True, ""))
-    assert mutants.main([IDS[0], "no-such-mutant"]) == 2
-    assert ran == []
-    assert mutants.main([IDS[2], IDS[0]]) == 0
-    assert sorted(ran) == sorted([IDS[0], IDS[2]])
-    out = capsys.readouterr().out
-    assert out.index(f"killed: {IDS[0]}") < out.index(f"killed: {IDS[2]}")

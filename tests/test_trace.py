@@ -611,6 +611,25 @@ class TestDegreeComparison:
             "perm": _FIFTH_POWER_13}
 
 
+    def test_out_of_range_is_an_invariant_violation(self, monkeypatch, capsys):
+        # Were r ever past n*w, the trace would raise with a replayable
+        # counterexample and exit 2, not log a failed step.
+        facts = burnside.trace._reduced_facts
+        monkeypatch.setattr(burnside.trace, "_reduced_facts",
+                            lambda dset, nw: facts(dset, nw)[:2] + (None,))
+        f = PrimeField(7)
+        perm = make_affine((2, 3), f)
+        with pytest.raises(InternalInvariantViolation) as exc:
+            run_trace(f, DiffSet(f, (1, 2, 4)), perm)
+        payload = {"p": 7, "diff_set": [1, 2, 4], "permutation": list(perm.images)}
+        assert exc.value.payload == payload
+        argv = ["trace", "--p", "7", "--set", "1,2,4", "--perm", ",".join(map(str, perm.images))]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["counterexample"] == payload
+
+
 class TestRunTrace:
     def test_affine_map_full_pipeline(self):
         f = PrimeField(7)
